@@ -12,7 +12,7 @@ import sys
 
 from . import corpus as corpus_mod
 from . import reports
-from .errors import LatGamesError, NotALattice, ParseError, TheoremFalsified
+from .errors import CapExceeded, LatGamesError, NotALattice, ParseError, TheoremFalsified
 from .functions import LatticeFunction
 from .generators import GenSpec, generate
 from .io import load_path, serialize
@@ -89,7 +89,8 @@ def cmd_verify(args) -> int:
     if args.theorem == "veinott":
         L = _load(args.file, "lattice")
         if L.n > 14:
-            raise ParseError("veinott verification is capped at 14 elements (2^n subsets)")
+            raise CapExceeded(f"veinott verification of a {L.n}-element lattice exceeds "
+                              "the cap of 14 elements (2^n subsets)")
         for mask in range(1 << L.n):
             flags = classify_subset(L, L.labels_of(mask))
             if flags.is_subcomplete.holds != flags.is_sublattice.holds:

@@ -136,10 +136,6 @@ class Game:
         others = [f.labels for j, f in enumerate(self.factors) if j != i]
         return itertools.product(*others)
 
-    def _opp_leq(self, i: int, a: tuple, b: tuple) -> bool:
-        factors = [f for j, f in enumerate(self.factors) if j != i]
-        return all(f.poset._leq(f.index[x], f.index[y]) for f, x, y in zip(factors, a, b))
-
     def _br(self, i: int, opp: tuple):
         """Best-response labels and bitmask of player i against an opponent profile."""
         cache = self._br_cache[self.players[i]]
@@ -198,13 +194,14 @@ def validate_game(G: Game) -> Verdict:
     The witness names the player, the clause, and the violating tuple.
     Results are cached on the game.
     """
-    from .properties import is_quasisupermodular
+    from .properties import is_quasisupermodular, single_crossing_witness
 
     if G._validation is not None:
         return G._validation
     verdict = Verdict(True)
     for i, player in enumerate(G.players):
-        for opp in G.opp_profiles(i):
+        opps = list(G.opp_profiles(i))
+        for opp in opps:
             section = G.section(i, opp)
             inner = is_quasisupermodular(section)
             if not inner.holds:
@@ -216,34 +213,14 @@ def validate_game(G: Game) -> Verdict:
             break
         factor = G.factors[i]
         keys = G.keys[player]
-        opps = list(G.opp_profiles(i))
-        done = False
-        for p_label, p2_label in itertools.product(factor.labels, repeat=2):
-            if p_label == p2_label or not factor.leq(p_label, p2_label):
-                continue
-            for q, q2 in itertools.product(opps, repeat=2):
-                if q == q2 or not G._opp_leq(i, q, q2):
-                    continue
-                lo_q = keys[G._insert(i, q, p_label)]
-                hi_q = keys[G._insert(i, q, p2_label)]
-                lo_q2 = keys[G._insert(i, q2, p_label)]
-                hi_q2 = keys[G._insert(i, q2, p2_label)]
-                clause = None
-                if lo_q <= hi_q and not lo_q2 <= hi_q2:
-                    clause = "weak"
-                elif lo_q < hi_q and not lo_q2 < hi_q2:
-                    clause = "strict"
-                if clause is not None:
-                    verdict = Verdict(False, witness=(
-                        ("player", player), ("check", "single-crossing"),
-                        ("p", p_label), ("p2", p2_label),
-                        ("q", q), ("q2", q2),
-                        ("clause", clause)))
-                    done = True
-                    break
-            if done:
-                break
-        if not verdict.holds:
+        columns = [[keys[G._insert(i, q, label)] for q in opps] for label in factor.labels]
+        hit = single_crossing_witness([factor], G.factors[:i] + G.factors[i + 1:], columns)
+        if hit is not None:
+            p, p2, q, q2, clause = hit
+            verdict = Verdict(False, witness=(
+                ("player", player), ("check", "single-crossing"),
+                ("p", factor.labels[p]), ("p2", factor.labels[p2]),
+                ("q", opps[q]), ("q2", opps[q2]), ("clause", clause)))
             break
     G._validation = verdict
     return verdict

@@ -53,6 +53,13 @@ def _expect(obj, field, kind, where):
     return value
 
 
+def _labels(value, where, what) -> list:
+    """``value`` itself, once checked to be a list of label strings."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ParseError(f"{where}: {what} must be a list of label strings")
+    return value
+
+
 def parse_lattice(obj, where: str = "lattice") -> FiniteLattice:
     if isinstance(obj, dict) and "product" in obj:
         factor_objs = _expect(obj, "product", list, where)
@@ -67,7 +74,7 @@ def parse_lattice(obj, where: str = "lattice") -> FiniteLattice:
         raise ParseError(f"{where}: empty elements list")
     cover_pairs = []
     for c in covers:
-        if not isinstance(c, list) or len(c) != 2:
+        if len(_labels(c, where, "each cover")) != 2:
             raise ParseError(f"{where}: covers must be two-element label lists")
         cover_pairs.append((c[0], c[1]))
     from .errors import LatGamesError
@@ -97,7 +104,7 @@ def parse_codomain(obj, where: str = "codomain") -> ChainCodomain:
     if kind == "rational":
         return ChainCodomain.rational()
     if kind == "labeled":
-        labels = _expect(obj, "labels", list, where)
+        labels = _labels(_expect(obj, "labels", None, where), where, "labels")
         from .errors import LatGamesError
 
         try:
@@ -154,12 +161,7 @@ def parse_topology(obj, where: str = "topology") -> TopologySpec:
         raise ParseError(f"{where}: unknown topology kind {kind!r}")
     if kind == EXPLICIT:
         sets = _expect(obj, "closed_sets", list, where)
-        closed = []
-        for s in sets:
-            if not isinstance(s, list):
-                raise ParseError(f"{where}: closed sets must be label lists")
-            closed.append(tuple(s))
-        return TopologySpec(kind, tuple(closed))
+        return TopologySpec(kind, tuple(tuple(_labels(s, where, "each closed set")) for s in sets))
     return TopologySpec(kind)
 
 
@@ -171,7 +173,7 @@ def topology_obj(spec: TopologySpec) -> dict:
 
 
 def parse_game(obj, where: str = "game") -> Game:
-    players = _expect(obj, "players", list, where)
+    players = _labels(_expect(obj, "players", None, where), where, "players")
     strategies_obj = _expect(obj, "strategies", dict, where)
     codomains_obj = _expect(obj, "codomains", dict, where)
     payoffs_obj = _expect(obj, "payoffs", dict, where)
@@ -188,9 +190,10 @@ def parse_game(obj, where: str = "game") -> Game:
         for row in rows:
             profile_map = _expect(row, "profile", dict, f"{where}.payoffs[{p}]")
             try:
-                profile = tuple(profile_map[q] for q in players)
+                coords = [profile_map[q] for q in players]
             except KeyError as exc:
                 raise ParseError(f"{where}.payoffs[{p}]: profile missing coordinate {exc}") from None
+            profile = tuple(_labels(coords, f"{where}.payoffs[{p}]", "profile coordinates"))
             if len(profile_map) != len(players):
                 raise ParseError(f"{where}.payoffs[{p}]: profile names unknown players")
             if profile in table:

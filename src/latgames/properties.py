@@ -1,16 +1,17 @@
 """Executable checkers for function-level order properties.
 
-Every checker is an exhaustive scan in canonical element order, so the
-reported witness is always the lexicographically least violation regardless
-of how callers partition the work.  Weak and strict clauses are checked
-separately and the witness says which one failed.
+Every checker reports the first violation of an exhaustive scan in canonical
+element order (single crossing rescans only after a cover-pair test fails),
+so the witness is always the lexicographically least one.  Weak and strict
+clauses are checked separately and the witness says which one failed.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .errors import CarrierMismatch, LabeledCodomainUnsupported, NotAProductDomain
+from .errors import (CarrierMismatch, LabeledCodomainUnsupported, NotAProductDomain,
+                     TheoremFalsified)
 from .functions import LatticeFunction
 from .lattice import iter_bits, iter_chain_masks, tuple_label
 from .topology import ClosedFamily
@@ -71,8 +72,8 @@ def _block_elements(factors, part):
     return list(itertools.product(*(range(factors[i].n) for i in part)))
 
 
-def _block_leq(factors, part, a, b) -> bool:
-    return all(factors[i].poset._leq(x, y) for i, x, y in zip(part, a, b))
+def _coord_leq(factors, a, b) -> bool:
+    return all(f.poset._leq(x, y) for f, x, y in zip(factors, a, b))
 
 
 def _block_label(factors, part, coord) -> str:
@@ -89,6 +90,35 @@ def _index_for(f, p_part, q_part, p, q):
     return f.domain.coord_index[tuple(coord)]
 
 
+def single_crossing_witness(p_factors, q_factors, columns):
+    """Least single-crossing violation ``(p, p2, q, q2, clause)`` or None.
+
+    Blocks are flat-indexed in canonical nested order and ``columns[p][q]``
+    is the key at (p, q).  For p <= p2 the clauses hold iff the sign of
+    f(p2,q) - f(p,q) rises with q, which is decided on the cover pairs of Q.
+    The first failing pair alone is rescanned over all q <= q2 in canonical
+    order; every earlier pair is clean, so that witness is the least one.
+    """
+    ps = list(itertools.product(*(range(f.n) for f in p_factors)))
+    qs = list(itertools.product(*(range(f.n) for f in q_factors)))
+    flat = {q: c for c, q in enumerate(qs)}
+    covers = [(c, flat[q[:k] + (f.index[hi],) + q[k + 1:]])
+              for c, q in enumerate(qs) for k, f in enumerate(q_factors)
+              for lo, hi in f.poset.covers if f.index[lo] == q[k]]
+    for a, b in itertools.product(range(len(ps)), repeat=2):
+        if a == b or not _coord_leq(p_factors, ps[a], ps[b]):
+            continue
+        s = [(hi > lo) - (hi < lo) for lo, hi in zip(columns[a], columns[b])]
+        if all(s[lo] <= s[hi] for lo, hi in covers):
+            continue
+        for c, d in itertools.product(range(len(qs)), repeat=2):
+            if s[c] > s[d] and c != d and _coord_leq(q_factors, qs[c], qs[d]):
+                return a, b, c, d, "weak" if s[d] < 0 else "strict"
+        raise TheoremFalsified("single crossing failed on a cover pair "
+                               "but the exhaustive rescan found no witness")
+    return None
+
+
 def is_single_crossing(f: LatticeFunction, split=0) -> Verdict:
     """Single crossing relative to the (P, Q) split of a product domain.
 
@@ -97,32 +127,20 @@ def is_single_crossing(f: LatticeFunction, split=0) -> Verdict:
     """
     p_part, q_part = _split_parts(f, split)
     factors = f.domain.factors
-    keys = f.keys
     ps = _block_elements(factors, p_part)
     qs = _block_elements(factors, q_part)
-    for p, p2 in itertools.product(ps, repeat=2):
-        if p == p2 or not _block_leq(factors, p_part, p, p2):
-            continue
-        for q, q2 in itertools.product(qs, repeat=2):
-            if q == q2 or not _block_leq(factors, q_part, q, q2):
-                continue
-            lo_q = keys[_index_for(f, p_part, q_part, p, q)]
-            hi_q = keys[_index_for(f, p_part, q_part, p2, q)]
-            lo_q2 = keys[_index_for(f, p_part, q_part, p, q2)]
-            hi_q2 = keys[_index_for(f, p_part, q_part, p2, q2)]
-            clause = None
-            if lo_q <= hi_q and not lo_q2 <= hi_q2:
-                clause = "weak"
-            elif lo_q < hi_q and not lo_q2 < hi_q2:
-                clause = "strict"
-            if clause is not None:
-                return Verdict(False, witness=(
-                    ("p", _block_label(factors, p_part, p)),
-                    ("p2", _block_label(factors, p_part, p2)),
-                    ("q", _block_label(factors, q_part, q)),
-                    ("q2", _block_label(factors, q_part, q2)),
-                    ("clause", clause)))
-    return Verdict(True)
+    columns = [[f.keys[_index_for(f, p_part, q_part, p, q)] for q in qs] for p in ps]
+    hit = single_crossing_witness([factors[i] for i in p_part], [factors[i] for i in q_part],
+                                  columns)
+    if hit is None:
+        return Verdict(True)
+    a, b, c, d, clause = hit
+    return Verdict(False, witness=(
+        ("p", _block_label(factors, p_part, ps[a])),
+        ("p2", _block_label(factors, p_part, ps[b])),
+        ("q", _block_label(factors, q_part, qs[c])),
+        ("q2", _block_label(factors, q_part, qs[d])),
+        ("clause", clause)))
 
 
 def has_increasing_differences(f: LatticeFunction, split=0) -> Verdict:
@@ -133,13 +151,14 @@ def has_increasing_differences(f: LatticeFunction, split=0) -> Verdict:
     p_part, q_part = _split_parts(f, split)
     factors = f.domain.factors
     vals = f.values
+    p_factors, q_factors = [factors[i] for i in p_part], [factors[i] for i in q_part]
     ps = _block_elements(factors, p_part)
     qs = _block_elements(factors, q_part)
     for p, p2 in itertools.product(ps, repeat=2):
-        if p == p2 or not _block_leq(factors, p_part, p, p2):
+        if p == p2 or not _coord_leq(p_factors, p, p2):
             continue
         for q, q2 in itertools.product(qs, repeat=2):
-            if q == q2 or not _block_leq(factors, q_part, q, q2):
+            if q == q2 or not _coord_leq(q_factors, q, q2):
                 continue
             lhs = (vals[_index_for(f, p_part, q_part, p2, q2)]
                    - vals[_index_for(f, p_part, q_part, p, q2)])

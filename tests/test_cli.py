@@ -49,6 +49,36 @@ class TestCheckLattice:
         assert code == 2
 
 
+class TestMalformedDocuments:
+    """Ill-typed labels are malformed input: exit 2 with a ParseError line,
+    never a traceback (which would exit 1, the "property fails" code)."""
+
+    @staticmethod
+    def _run_cli(tmp_path, command, doc):
+        import subprocess
+        import sys
+
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return subprocess.run([sys.executable, "-m", "latgames.cli", command, str(path)],
+                              capture_output=True, text=True)
+
+    def test_cover_with_a_list_label(self, tmp_path):
+        proc = self._run_cli(tmp_path, "check-lattice",
+                             {"elements": ["a", "b"], "covers": [["a", ["b"]]]})
+        assert proc.returncode == 2
+        assert proc.stdout.startswith("ERROR ParseError")
+        assert "Traceback" not in proc.stderr
+
+    def test_player_id_that_is_a_list(self, tmp_path):
+        proc = self._run_cli(tmp_path, "check-game",
+                             {"players": [["x"]], "strategies": {}, "codomains": {},
+                              "payoffs": {}})
+        assert proc.returncode == 2
+        assert proc.stdout.startswith("ERROR ParseError")
+        assert "Traceback" not in proc.stderr
+
+
 class TestCheckFunction:
     def test_quasisupermodular_failure_witness(self, capsys):
         code, out = run(capsys, "check-function", SUM_H, "--property", "qsm")
@@ -130,6 +160,16 @@ class TestVerify:
         code, out = run(capsys, "verify", path, "--theorem", "chaincls")
         assert code == 0
         assert "PROPERTY interval-closed-chain-subcomplete PASS" in out
+
+    def test_veinott_cap_exits_two_with_size(self, capsys, tmp_path):
+        labels = [f"c{i:02d}" for i in range(15)]
+        path = tmp_path / "chain15.json"
+        path.write_text(json.dumps({"elements": labels,
+                                    "covers": [list(c) for c in zip(labels, labels[1:])]}))
+        code, out = run(capsys, "verify", path, "--theorem", "veinott")
+        assert code == 2
+        assert out.startswith("ERROR CapExceeded")
+        assert "15-element" in out
 
     def test_zhou(self, capsys):
         code, out = run(capsys, "verify", STEP_GAME, "--theorem", "zhou")
