@@ -15,7 +15,6 @@ from .errors import (
     NotStrictlyIncreasing,
 )
 from .lattice import FiniteLattice
-from .verdict import format_atom
 
 RATIONAL = "rational"
 LABELED = "labeled"
@@ -73,9 +72,6 @@ class ChainCodomain:
     def key(self, value):
         """Comparison key: the rational itself, or the chain position."""
         return value if self.kind == RATIONAL else self._positions[value]
-
-    def format(self, value) -> str:
-        return format_atom(value)
 
     def __eq__(self, other):
         if not isinstance(other, ChainCodomain):

@@ -24,7 +24,8 @@ from .errors import (
     TheoremFalsified,
 )
 from .functions import LatticeFunction
-from .lattice import iter_bits, product_lattice, tuple_label, validate_label
+from .lattice import (FinitePoset, extremes, iter_bits, pairwise_bounds, product_lattice,
+                      tuple_label, validate_label)
 from .topology import explicit_closed_family
 from .verdict import Verdict
 
@@ -93,6 +94,7 @@ class Game:
             self.keys[p] = {profile: codomain.key(v) for profile, v in values.items()}
         self._br_cache = {p: {} for p in self.players}
         self._validation = None
+        self._equilibria = None
 
     @property
     def profile_count(self) -> int:
@@ -110,12 +112,6 @@ class Game:
             return self.players.index(player)
         except ValueError:
             raise StructuralError(f"unknown player {player!r}") from None
-
-    def profile_from_mapping(self, mapping) -> tuple:
-        return tuple(mapping[p] for p in self.players)
-
-    def profile_dict(self, profile) -> dict:
-        return dict(zip(self.players, profile))
 
     def check_profile(self, profile) -> tuple:
         profile = tuple(profile)
@@ -235,7 +231,10 @@ def best_response(G: Game, player: str, profile) -> tuple:
 
 
 def is_nash(G: Game, profile) -> bool:
-    profile = G.check_profile(profile)
+    return _is_equilibrium(G, G.check_profile(profile))
+
+
+def _is_equilibrium(G: Game, profile: tuple) -> bool:
     for i in range(len(G.players)):
         if profile[i] not in G._br(i, G.opp_profile(i, profile))[1]:
             return False
@@ -257,36 +256,34 @@ class NashReport:
         return len(self.equilibria)
 
 
-def _profile_leq(G: Game, a: tuple, b: tuple) -> bool:
-    return all(f.poset._leq(f.index[x], f.index[y]) for f, x, y in zip(G.factors, a, b))
-
-
-def _extremes_of(G: Game, profiles):
-    largest = least = None
-    for e in profiles:
-        if all(_profile_leq(G, e2, e) for e2 in profiles):
-            largest = e
-        if all(_profile_leq(G, e, e2) for e2 in profiles):
-            least = e
-    return largest, least
+def _equilibrium_order(G: Game, cap: int) -> FinitePoset:
+    """The equilibria in canonical profile order, as a poset under the order the
+    joint space induces; cached on the game.  ``up[e]`` is the AND, over e's
+    coordinates c, of the mask of equilibria at or above c in that factor:
+    O(|E|·Σ|S_i|) big-int operations."""
+    if G.profile_count > cap:
+        raise StateSpaceTooLarge(
+            f"{G.profile_count} joint strategies exceed the enumeration cap {cap}")
+    if G._equilibria is not None:
+        return G._equilibria
+    equilibria = [e for e in G.profiles() if _is_equilibrium(G, e)]
+    up = [-1] * len(equilibria)
+    for k, f in enumerate(G.factors):
+        at = [0] * f.n
+        for bit, e in enumerate(equilibria):
+            at[f.index[e[k]]] |= 1 << bit
+        above = [sum(at[x] for x in iter_bits(f.poset.up[c])) for c in range(f.n)]
+        for bit, e in enumerate(equilibria):
+            up[bit] &= above[f.index[e[k]]]
+    G._equilibria = FinitePoset(equilibria, up)
+    return G._equilibria
 
 
 def enumerate_nash(G: Game, cap: int = 1_000_000) -> NashReport:
     """Exact equilibrium set by brute force over all joint profiles."""
-    if G.profile_count > cap:
-        raise StateSpaceTooLarge(
-            f"{G.profile_count} joint strategies exceed the enumeration cap {cap}")
-    equilibria = []
-    for profile in G.profiles():
-        ok = True
-        for i in range(len(G.players)):
-            if profile[i] not in G._br(i, G.opp_profile(i, profile))[1]:
-                ok = False
-                break
-        if ok:
-            equilibria.append(profile)
-    largest, least = _extremes_of(G, equilibria)
-    return NashReport(equilibria=tuple(equilibria), largest=largest, least=least)
+    order = _equilibrium_order(G, cap)
+    ext = extremes(order)
+    return NashReport(equilibria=order.labels, largest=ext.greatest, least=ext.least)
 
 
 @dataclass(frozen=True)
@@ -345,6 +342,19 @@ def tarski_extremes(G: Game) -> TarskiReport:
     return TarskiReport(largest=largest, least=least, iterations_up=up, iterations_down=down)
 
 
+def _sublattice_gap(G: Game, E: tuple):
+    """First pair (a, b) of E, in ``combinations`` order, whose meet (tested
+    first) or join in the joint space is not in E, with that value."""
+    coords = [tuple(f.index[x] for f, x in zip(G.factors, e)) for e in E]
+    members = set(coords)
+    for (a, ca), (b, cb) in itertools.combinations(zip(E, coords), 2):
+        for op in ("meet", "join"):
+            c = tuple(getattr(f, op)[x][y] for f, x, y in zip(G.factors, ca, cb))
+            if c not in members:
+                return a, b, op, tuple(f.labels[k] for f, k in zip(G.factors, c))
+    return None
+
+
 def verify_equilibrium_structure(G: Game, cap: int = 1_000_000) -> NashReport:
     """Equilibrium set structure: completeness in the induced order, extremal
     points, and whether the set is also a sublattice of the joint space.
@@ -356,29 +366,9 @@ def verify_equilibrium_structure(G: Game, cap: int = 1_000_000) -> NashReport:
     """
     base = enumerate_nash(G, cap=cap)
     E = base.equilibria
-    complete = bool(E)
-    for a, b in itertools.combinations_with_replacement(E, 2):
-        ubs = [g for g in E if _profile_leq(G, a, g) and _profile_leq(G, b, g)]
-        if not any(all(_profile_leq(G, u, v) for v in ubs) for u in ubs):
-            complete = False
-            break
-        lbs = [g for g in E if _profile_leq(G, g, a) and _profile_leq(G, g, b)]
-        if not any(all(_profile_leq(G, v, u) for v in lbs) for u in lbs):
-            complete = False
-            break
-    gap = None
-    eset = set(E)
-    for a, b in itertools.combinations(E, 2):
-        m = tuple(f.labels[f.meet[f.index[x]][f.index[y]]]
-                  for f, x, y in zip(G.factors, a, b))
-        if m not in eset:
-            gap = (a, b, "meet", m)
-            break
-        v = tuple(f.labels[f.join[f.index[x]][f.index[y]]]
-                  for f, x, y in zip(G.factors, a, b))
-        if v not in eset:
-            gap = (a, b, "join", v)
-            break
+    complete = bool(E) and all(lub is not None and glb is not None for _, _, lub, glb
+                               in pairwise_bounds(_equilibrium_order(G, cap)))
+    gap = _sublattice_gap(G, E)
     certifies = ("order", "topological") if all(
         G.codomains[p].is_rational for p in G.players) else ("order",)
     notes = ()

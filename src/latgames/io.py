@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import LatGamesError, ParseError
 from .functions import ChainCodomain, LatticeFunction
 from .games import Game, TopologySpec
 from .lattice import FiniteLattice, check_lattice, poset_from_covers, product_lattice
@@ -77,8 +77,6 @@ def parse_lattice(obj, where: str = "lattice") -> FiniteLattice:
         if len(_labels(c, where, "each cover")) != 2:
             raise ParseError(f"{where}: covers must be two-element label lists")
         cover_pairs.append((c[0], c[1]))
-    from .errors import LatGamesError
-
     try:
         poset = poset_from_covers(elements, cover_pairs)
     except LatGamesError as exc:
@@ -105,8 +103,6 @@ def parse_codomain(obj, where: str = "codomain") -> ChainCodomain:
         return ChainCodomain.rational()
     if kind == "labeled":
         labels = _labels(_expect(obj, "labels", None, where), where, "labels")
-        from .errors import LatGamesError
-
         try:
             return ChainCodomain.labeled(labels)
         except LatGamesError as exc:
@@ -139,8 +135,6 @@ def parse_function(obj, where: str = "function") -> LatticeFunction:
             raise ParseError(f"{where}: duplicate table entry for {element!r}")
         table[element] = _read_table_value(codomain, _expect(row, "value", None, f"{where}.table"),
                                            f"{where}.table")
-    from .errors import LatGamesError
-
     try:
         return LatticeFunction(domain, codomain, table)
     except LatGamesError as exc:
@@ -210,8 +204,6 @@ def parse_game(obj, where: str = "game") -> Game:
             raise ParseError(f"{where}: topologies must map players to topology objects")
         for p, t in topo_obj.items():
             topologies[p] = parse_topology(t, where=f"{where}.topologies[{p}]")
-    from .errors import LatGamesError
-
     try:
         return Game(players, strategies, codomains, payoffs, topologies=topologies)
     except LatGamesError as exc:
@@ -258,7 +250,7 @@ def parse(text: str):
     """Detect and parse one instance; returns ``(kind, instance)``."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise ParseError(f"not valid JSON: {exc}") from exc
     kind = detect_kind(obj)
     if kind == "game":
@@ -293,7 +285,7 @@ def load_path(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse(text)
 

@@ -236,37 +236,48 @@ class FiniteLattice:
         return f"FiniteLattice({self.n} elements)"
 
 
-def check_lattice(poset: FinitePoset) -> FiniteLattice:
-    """Fill meet/join tables by exhaustive glb/lub search.
+def pairwise_bounds(poset: FinitePoset):
+    """Yield ``(i, j, lub, glb)`` for every pair i <= j in canonical order,
+    with ``None`` for a bound that does not exist.
 
-    Raises ``NotALattice`` with a witness pair when some pair has no least
-    upper bound or no greatest lower bound.
+    Ranking elements by the size of their down-set is a linear extension
+    (a < b makes ``down[a]`` a proper subset of ``down[b]``), so a lub is the
+    first upper bound in the ranking and a glb the last lower bound: each
+    pair tests one candidate per bound, O(1) big-int operations.
+    """
+    n = poset.n
+    order = sorted(range(n), key=[row.bit_count() for row in poset.down].__getitem__)
+    rank = {i: r for r, i in enumerate(order)}
+    up, down = [0] * n, [0] * n  # the rows, with bits renumbered by rank
+    for i, row in enumerate(poset.up):
+        for j in iter_bits(row):
+            up[i] |= 1 << rank[j]
+            down[j] |= 1 << rank[i]
+    up_at, down_at = [up[i] for i in order], [down[i] for i in order]
+    for i in range(n):
+        for j in range(i, n):
+            ub, lb = up[i] & up[j], down[i] & down[j]
+            r, s = (ub & -ub).bit_length() - 1, lb.bit_length() - 1
+            yield (i, j, order[r] if ub and ub & up_at[r] == ub else None,
+                   order[s] if lb and lb & down_at[s] == lb else None)
+
+
+def check_lattice(poset: FinitePoset) -> FiniteLattice:
+    """Fill meet/join tables from ``pairwise_bounds``.
+
+    Raises ``NotALattice`` with the first pair, in canonical order, that has
+    no least upper bound (checked first) or no greatest lower bound.
     """
     n = poset.n
     if n == 0:
         raise EmptyCarrier("the empty poset is not a lattice")
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            ub = poset.up[i] & poset.up[j]
-            lub = None
-            for k in iter_bits(ub):
-                if ub & ~poset.up[k] == 0:
-                    lub = k
-                    break
-            if lub is None:
-                raise NotALattice((poset.labels[i], poset.labels[j]), "lub")
-            lb = poset.down[i] & poset.down[j]
-            glb = None
-            for k in iter_bits(lb):
-                if lb & ~poset.down[k] == 0:
-                    glb = k
-                    break
-            if glb is None:
-                raise NotALattice((poset.labels[i], poset.labels[j]), "glb")
-            join[i][j] = join[j][i] = lub
-            meet[i][j] = meet[j][i] = glb
+    for i, j, lub, glb in pairwise_bounds(poset):
+        if lub is None or glb is None:
+            raise NotALattice((poset.labels[i], poset.labels[j]), "lub" if lub is None else "glb")
+        join[i][j] = join[j][i] = lub
+        meet[i][j] = meet[j][i] = glb
     return FiniteLattice(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)))
 
 

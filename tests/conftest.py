@@ -19,7 +19,8 @@ from latgames import (
     poset_from_covers,
     product_lattice,
 )
-from latgames.generators import chain_lattice, diamond, diamond_mk, fraction_chain
+from latgames.generators import chain_lattice, diamond, diamond_mk, fraction_chain, random_game
+from latgames.rng import Xoshiro256StarStar
 
 RATIONAL = ChainCodomain.rational()
 
@@ -146,6 +147,14 @@ def indicator_grid4_game():
     return build_indicator_grid4_game()
 
 
+@pytest.fixture(scope="session")
+def criterion_06_games():
+    """The 500 seeded validated games of acceptance criterion 06."""
+    rng = Xoshiro256StarStar(0x5EED_0006)
+    return [random_game(rng, max_players=3, max_size=6 if k % 5 == 0 else 4)
+            for k in range(500)]
+
+
 # ------------------------------------------------------------------ oracles
 
 def oracle_lub(L, a: str, b: str):
@@ -180,6 +189,11 @@ def oracle_inf_subset(L, labels):
     greatest = [u for u in lbs if all(L.leq(v, u) for v in lbs)]
     assert len(greatest) == 1
     return greatest[0]
+
+
+def profile_leq(G, a, b) -> bool:
+    """Componentwise order of two joint profiles, one factor at a time."""
+    return all(f.poset._leq(f.index[x], f.index[y]) for f, x, y in zip(G.factors, a, b))
 
 
 def brute_nash_set(G):

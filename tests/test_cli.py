@@ -55,13 +55,33 @@ class TestMalformedDocuments:
 
     @staticmethod
     def _run_cli(tmp_path, command, doc):
+        return TestMalformedDocuments._run_bytes(tmp_path, command, json.dumps(doc).encode())
+
+    @staticmethod
+    def _run_bytes(tmp_path, command, data):
         import subprocess
         import sys
 
         path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(data)
         return subprocess.run([sys.executable, "-m", "latgames.cli", command, str(path)],
                               capture_output=True, text=True)
+
+    def _assert_parse_error(self, proc):
+        assert proc.returncode == 2
+        assert proc.stdout.startswith("ERROR ParseError")
+        assert "Traceback" not in proc.stderr
+
+    def test_nesting_deeper_than_the_decoder_allows(self, tmp_path):
+        self._assert_parse_error(
+            self._run_bytes(tmp_path, "solve", b"[" * 5000 + b"]" * 5000))
+
+    def test_integer_longer_than_the_digit_limit(self, tmp_path):
+        self._assert_parse_error(
+            self._run_bytes(tmp_path, "solve", b'{"players": ' + b"9" * 5000 + b"}"))
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        self._assert_parse_error(self._run_bytes(tmp_path, "solve", b"\xff\xfe{}"))
 
     def test_cover_with_a_list_label(self, tmp_path):
         proc = self._run_cli(tmp_path, "check-lattice",

@@ -1,0 +1,142 @@
+"""Equilibrium-set structure on bitmask rows against the list scans it replaced.
+
+The oracle is the O(|E|³) scan ``verify_equilibrium_structure`` used to run:
+upper and lower bound lists per pair of equilibria, every member of a list
+tried as the bound, and extremes found by comparing each equilibrium with
+all others, all through componentwise ``profile_leq``.  On every game the
+fast path must return an equal ``NashReport``.
+"""
+from __future__ import annotations
+
+import functools
+import itertools
+from collections import Counter
+
+from latgames import ChainCodomain, Game, enumerate_nash, verify_equilibrium_structure
+from latgames.games import NashReport
+from latgames.generators import chain_lattice, diamond, random_lattice
+from latgames.rng import Xoshiro256StarStar
+
+from conftest import RATIONAL, brute_nash_set, profile_leq
+
+
+# ------------------------------------------------------------------ oracle
+
+def oracle_structure(G: Game) -> NashReport:
+    E = tuple(brute_nash_set(G))
+
+    @functools.cache  # the scan asks the same pairs over and over
+    def leq(a, b):
+        return profile_leq(G, a, b)
+
+    largest = least = None
+    for e in E:
+        if all(leq(e2, e) for e2 in E):
+            largest = e
+        if all(leq(e, e2) for e2 in E):
+            least = e
+    complete = bool(E)
+    for a, b in itertools.combinations_with_replacement(E, 2):
+        ubs = [g for g in E if leq(a, g) and leq(b, g)]
+        if not any(all(leq(u, v) for v in ubs) for u in ubs):
+            complete = False
+            break
+        lbs = [g for g in E if leq(g, a) and leq(g, b)]
+        if not any(all(leq(v, u) for v in lbs) for u in lbs):
+            complete = False
+            break
+    gap = None
+    eset = set(E)
+    for a, b in itertools.combinations(E, 2):
+        m = tuple(f.labels[f.meet[f.index[x]][f.index[y]]] for f, x, y in zip(G.factors, a, b))
+        if m not in eset:
+            gap = (a, b, "meet", m)
+            break
+        v = tuple(f.labels[f.join[f.index[x]][f.index[y]]] for f, x, y in zip(G.factors, a, b))
+        if v not in eset:
+            gap = (a, b, "join", v)
+            break
+    rational = all(G.codomains[p].is_rational for p in G.players)
+    return NashReport(
+        equilibria=E, largest=largest, least=least, is_complete_lattice=complete,
+        sublattice_gap=gap, certifies=("order", "topological") if rational else ("order",),
+        notes=() if rational else ("labeled gains: only the order-theoretic route applies",))
+
+
+def assert_matches_oracle(G: Game) -> NashReport:
+    want = oracle_structure(G)
+    assert verify_equilibrium_structure(G) == want
+    assert enumerate_nash(G) == NashReport(want.equilibria, want.largest, want.least)
+    return want
+
+
+# ------------------------------------------------------------- instances
+
+def _binary_game(rng) -> Game:
+    """Unvalidated game: 0/1 payoffs on small random lattices, so ties are
+    common and the equilibrium set is often incomplete or has a gap."""
+    players = [f"p{k}" for k in range(1, rng.randint(2, 3) + 1)]
+    strategies = {p: random_lattice(rng, max_size=5) for p in players}
+    profiles = list(itertools.product(*(strategies[p].labels for p in players)))
+    payoffs = {p: {profile: rng.below(2) for profile in profiles} for p in players}
+    return Game(players, strategies, dict.fromkeys(players, RATIONAL), payoffs)
+
+
+def _constant_chain_game(size: int) -> Game:
+    chain = chain_lattice(size, labels=[f"c{k}" for k in range(size)])
+    profiles = itertools.product(chain.labels, repeat=2)
+    table = dict.fromkeys(profiles, 0)
+    return Game(["1", "2"], {"1": chain, "2": chain}, {"1": RATIONAL, "2": RATIONAL},
+                {"1": table, "2": table})
+
+
+# ------------------------------------------------------------------ tests
+
+def test_criterion_06_games(criterion_06_games):
+    for G in criterion_06_games:
+        report = assert_matches_oracle(G)
+        assert report.is_complete_lattice
+
+
+def test_seeded_unvalidated_binary_games():
+    rng = Xoshiro256StarStar(0x5EED_E001)
+    seen = Counter()
+    for _ in range(1000):
+        report = assert_matches_oracle(_binary_game(rng))
+        seen["incomplete"] += bool(report.equilibria) and not report.is_complete_lattice
+        seen["gap"] += report.sublattice_gap is not None
+        seen["no-largest"] += bool(report.equilibria) and report.largest is None
+    assert min(seen.values()) >= 20, seen
+
+
+def test_matching_pennies_has_no_equilibrium():
+    c = chain_lattice(2)
+    lo, hi = c.labels
+    match = {(a, b): int(a == b) for a in (lo, hi) for b in (lo, hi)}
+    mismatch = {k: 1 - v for k, v in match.items()}
+    G = Game(["1", "2"], {"1": c, "2": c}, {"1": RATIONAL, "2": RATIONAL},
+             {"1": match, "2": mismatch})
+    report = assert_matches_oracle(G)
+    assert report.equilibria == () and report.largest is None and report.least is None
+    assert report.is_complete_lattice is False
+
+
+def test_labeled_gains_game():
+    lab = ChainCodomain.labeled(["lose", "draw", "win"])
+    c, d = chain_lattice(3), diamond()
+    grade = {"0": "lose", "a": "draw", "b": "draw", "1": "win"}
+    pay1 = {(x, y): "draw" for x in c.labels for y in d.labels}
+    pay2 = {(x, y): grade[y] if x != "c2" else "draw" for x in c.labels for y in d.labels}
+    G = Game(["1", "2"], {"1": c, "2": d}, {"1": lab, "2": lab}, {"1": pay1, "2": pay2})
+    report = assert_matches_oracle(G)
+    assert report.certifies == ("order",) and report.count == 6
+
+
+def test_label_order_that_is_not_a_linear_extension():
+    # c10 sorts before c2, so canonical index order disagrees with the chain
+    G = _constant_chain_game(12)
+    assert G.factors[0].labels[2] == "c10"
+    report = assert_matches_oracle(G)
+    assert report.count == 144 and report.is_complete_lattice
+    assert report.largest == ("c11", "c11") and report.least == ("c0", "c0")
+

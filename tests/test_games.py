@@ -27,7 +27,7 @@ from latgames.functions import ChainCodomain, LatticeFunction
 from latgames.generators import chain_lattice, random_game
 from latgames.rng import Xoshiro256StarStar
 
-from conftest import RATIONAL, brute_nash_set
+from conftest import RATIONAL, brute_nash_set, profile_leq
 
 
 class TestConstruction:
@@ -243,7 +243,7 @@ class TestTarskiFixedPointFormula:
                                                         indicator_grid4_game):
         # independent route: largest = max{y : y <= maxBR(y)} over all profiles,
         # least = min{y : y >= minBR(y)}, computed by raw scan
-        from latgames.games import _extremal_br, _profile_leq
+        from latgames.games import _extremal_br
 
         rng = Xoshiro256StarStar(606)
         games = [star_diamond_game, step_grid6_game, indicator_grid4_game]
@@ -255,14 +255,14 @@ class TestTarskiFixedPointFormula:
             for y in G.profiles():
                 max_br = tuple(_extremal_br(G, i, G.opp_profile(i, y), True)
                                for i in range(len(G.players)))
-                if _profile_leq(G, y, max_br):
+                if profile_leq(G, y, max_br):
                     pre_up.append(y)
                 min_br = tuple(_extremal_br(G, i, G.opp_profile(i, y), False)
                                for i in range(len(G.players)))
-                if _profile_leq(G, min_br, y):
+                if profile_leq(G, min_br, y):
                     pre_down.append(y)
-            largest = [y for y in pre_up if all(_profile_leq(G, z, y) for z in pre_up)]
-            least = [y for y in pre_down if all(_profile_leq(G, y, z) for z in pre_down)]
+            largest = [y for y in pre_up if all(profile_leq(G, z, y) for z in pre_up)]
+            least = [y for y in pre_down if all(profile_leq(G, y, z) for z in pre_down)]
             assert largest == [report.largest]
             assert least == [report.least]
 

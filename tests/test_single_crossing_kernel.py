@@ -10,11 +10,9 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-import pytest
-
 from latgames import ChainCodomain, Game, LatticeFunction, product_lattice
 from latgames.games import validate_game
-from latgames.generators import all_lattices, chain_lattice, diamond, random_game
+from latgames.generators import all_lattices, chain_lattice, diamond
 from latgames.lattice import tuple_label
 from latgames.properties import is_quasisupermodular, is_single_crossing
 from latgames.rng import Xoshiro256StarStar
@@ -128,13 +126,6 @@ def _function_cases():
             D = product_lattice([L, C])
             for table in _tables(rng, D, L, C):
                 yield LatticeFunction(D, RATIONAL, table)
-
-
-@pytest.fixture(scope="module")
-def criterion_06_games():
-    rng = Xoshiro256StarStar(0x5EED_0006)
-    return [random_game(rng, max_players=3, max_size=6 if k % 5 == 0 else 4)
-            for k in range(500)]
 
 
 def _perturbed(G: Game, seed: int) -> Game:
