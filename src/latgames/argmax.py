@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyValue, NoGreatestElement, TheoremFalsified
 from .functions import LatticeFunction
-from .lattice import FiniteLattice, SubsetFlags, classify_subset, iter_bits
+from .lattice import FiniteLattice, SubsetFlags, classify_subset, extremal_in, iter_bits
 from .verdict import Verdict, format_atom
 
 
@@ -127,11 +127,7 @@ def max_selection(G: Correspondence) -> dict:
         mask = G.mask(key)
         if mask == 0:
             raise EmptyValue(f"value at index {G.format_key(key)} is empty")
-        greatest = None
-        for i in iter_bits(mask):
-            if mask & ~L.poset.down[i] == 0:
-                greatest = i
-                break
+        greatest = extremal_in(L.poset, mask)
         if greatest is None:
             raise NoGreatestElement(G.format_key(key))
         out[key] = L.labels[greatest]

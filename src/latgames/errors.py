@@ -50,10 +50,6 @@ class EmptyFactorList(LatGamesError):
     pass
 
 
-class SubsetTooLarge(LatGamesError):
-    pass
-
-
 class CarrierTooLarge(LatGamesError):
     pass
 

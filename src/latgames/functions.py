@@ -87,6 +87,25 @@ class ChainCodomain:
         return f"ChainCodomain.labeled({list(self.labels)!r})"
 
 
+def image_map(image, t) -> dict:
+    """``{v: t(v)}`` over an ascending image of rationals, checked to be
+    rational-valued and strictly increasing there.  ``t`` is a callable or a
+    mapping defined on the image."""
+    lookup = t.__getitem__ if hasattr(t, "__getitem__") else t
+    mapped = {}
+    for v in image:
+        out = lookup(v)
+        if isinstance(out, bool) or not isinstance(out, (int, Fraction)):
+            raise NotStrictlyIncreasing(f"map produced non-rational value {out!r}")
+        mapped[v] = Fraction(out)
+    for lo, hi in zip(image, image[1:]):
+        if not mapped[lo] < mapped[hi]:
+            raise NotStrictlyIncreasing(
+                f"map is not strictly increasing on the image: "
+                f"t({lo}) = {mapped[lo]} !< t({hi}) = {mapped[hi]}")
+    return mapped
+
+
 class LatticeFunction:
     """A total, exact-valued table on a finite lattice."""
 
@@ -128,19 +147,7 @@ class LatticeFunction:
         """
         if not self.codomain.is_rational:
             raise LabeledCodomainUnsupported("transform is defined for rational codomains")
-        lookup = t.__getitem__ if hasattr(t, "__getitem__") else t
-        image = self.image()
-        mapped = {}
-        for v in image:
-            out = lookup(v)
-            if isinstance(out, bool) or not isinstance(out, (int, Fraction)):
-                raise NotStrictlyIncreasing(f"map produced non-rational value {out!r}")
-            mapped[v] = Fraction(out)
-        for lo, hi in zip(image, image[1:]):
-            if not mapped[lo] < mapped[hi]:
-                raise NotStrictlyIncreasing(
-                    f"map is not strictly increasing on the image: "
-                    f"t({lo}) = {mapped[lo]} !< t({hi}) = {mapped[hi]}")
+        mapped = image_map(self.image(), t)
         return LatticeFunction(self.domain, self.codomain,
                                {label: mapped[v] for label, v in zip(self.domain.labels, self.values)})
 

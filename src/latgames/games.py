@@ -10,22 +10,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .argmax import Correspondence
 from .errors import (
     InvariantViolation,
     LabeledCodomainUnsupported,
     NoGreatestElement,
-    NotStrictlyIncreasing,
     NotValidated,
     StateSpaceTooLarge,
     StructuralError,
     TheoremFalsified,
 )
-from .functions import LatticeFunction
-from .lattice import (FinitePoset, extremes, iter_bits, pairwise_bounds, product_lattice,
-                      tuple_label, validate_label)
+from .functions import LatticeFunction, image_map
+from .lattice import (FinitePoset, extremal_in, extremes, iter_bits, pairwise_bounds,
+                      product_lattice, tuple_label, validate_label)
 from .topology import explicit_closed_family
 from .verdict import Verdict
 
@@ -166,18 +164,7 @@ class Game:
         codomain = self.codomains[player]
         if not codomain.is_rational:
             raise LabeledCodomainUnsupported("transforms are defined for rational payoffs")
-        lookup = t.__getitem__ if hasattr(t, "__getitem__") else t
-        image = sorted(set(self.payoffs[player].values()))
-        mapped = {}
-        for v in image:
-            out = lookup(v)
-            if isinstance(out, bool) or not isinstance(out, (int, Fraction)):
-                raise NotStrictlyIncreasing(f"map produced non-rational value {out!r}")
-            mapped[v] = Fraction(out)
-        for lo, hi in zip(image, image[1:]):
-            if not mapped[lo] < mapped[hi]:
-                raise NotStrictlyIncreasing(
-                    f"map is not strictly increasing on the image at {lo} vs {hi}")
+        mapped = image_map(sorted(set(self.payoffs[player].values())), t)
         payoffs = {p: dict(self.payoffs[p]) for p in self.players}
         payoffs[player] = {profile: mapped[v] for profile, v in self.payoffs[player].items()}
         return Game(self.players, self.strategies, self.codomains, payoffs,
@@ -190,26 +177,24 @@ def validate_game(G: Game) -> Verdict:
     The witness names the player, the clause, and the violating tuple.
     Results are cached on the game.
     """
-    from .properties import is_quasisupermodular, single_crossing_witness
+    from .properties import qsm_witness, single_crossing_witness
 
     if G._validation is not None:
         return G._validation
     verdict = Verdict(True)
     for i, player in enumerate(G.players):
         opps = list(G.opp_profiles(i))
-        for opp in opps:
-            section = G.section(i, opp)
-            inner = is_quasisupermodular(section)
-            if not inner.holds:
-                verdict = Verdict(False, witness=(
-                    ("player", player), ("check", "section-quasisupermodular"),
-                    ("opponents", opp)) + inner.witness)
-                break
-        if not verdict.holds:
-            break
         factor = G.factors[i]
         keys = G.keys[player]
         columns = [[keys[G._insert(i, q, label)] for q in opps] for label in factor.labels]
+        hit = qsm_witness(factor, list(zip(*columns)))
+        if hit is not None:
+            c, x, y, clause = hit
+            verdict = Verdict(False, witness=(
+                ("player", player), ("check", "section-quasisupermodular"),
+                ("opponents", opps[c]), ("x", factor.labels[x]), ("y", factor.labels[y]),
+                ("clause", clause)))
+            break
         hit = single_crossing_witness([factor], G.factors[:i] + G.factors[i + 1:], columns)
         if hit is not None:
             p, p2, q, q2, clause = hit
@@ -297,13 +282,11 @@ class TarskiReport:
 def _extremal_br(G: Game, i: int, opp: tuple, want_greatest: bool) -> str:
     """Greatest (or least) element of a best-response set, as a set in S_i."""
     factor = G.factors[i]
-    mask = G._br(i, opp)[2]
-    for idx in iter_bits(mask):
-        cover = factor.poset.down[idx] if want_greatest else factor.poset.up[idx]
-        if mask & ~cover == 0:
-            return factor.labels[idx]
-    raise NoGreatestElement(f"best response of player {G.players[i]} against {tuple_label(opp)}"
-                            f" has no {'greatest' if want_greatest else 'least'} element")
+    idx = extremal_in(factor.poset, G._br(i, opp)[2], want_greatest)
+    if idx is None:
+        raise NoGreatestElement(f"best response of player {G.players[i]} against {tuple_label(opp)}"
+                                f" has no {'greatest' if want_greatest else 'least'} element")
+    return factor.labels[idx]
 
 
 def tarski_extremes(G: Game) -> TarskiReport:

@@ -19,7 +19,6 @@ from .errors import (
     EmptyFactorList,
     EmptySubset,
     NotALattice,
-    SubsetTooLarge,
     UnknownLabel,
 )
 from .verdict import Verdict
@@ -381,15 +380,13 @@ class SubsetFlags:
         )
 
 
-def classify_subset(L: FiniteLattice, subset, subcomplete_cap: int = 20,
-                    use_equivalence_above_cap: bool = True) -> SubsetFlags:
+def classify_subset(L: FiniteLattice, subset, subcomplete_cap: int = 20) -> SubsetFlags:
     """Decide chain / antichain / sublattice / subcomplete / chain-subcomplete.
 
     Subcompleteness enumerates all nonempty subsets, which is exponential, so
     it is guarded by ``subcomplete_cap``.  Above the cap the verdict is
     decided through sublattice closure (equivalent on finite carriers) and the
-    shortcut is flagged in the verdict's note; pass
-    ``use_equivalence_above_cap=False`` to get ``SubsetTooLarge`` instead.
+    shortcut is flagged in the verdict's note.
 
     The empty subset satisfies every flag by convention.
     """
@@ -451,9 +448,6 @@ def classify_subset(L: FiniteLattice, subset, subcomplete_cap: int = 20,
                     ("subset", L.labels_of(cmask)), ("bound", "inf"), ("value", labels[i])))
                 break
     else:
-        if not use_equivalence_above_cap:
-            raise SubsetTooLarge(
-                f"subset of size {len(bits)} exceeds the subcompleteness cap {subcomplete_cap}")
         note = "size cap exceeded: decided via sublattice closure, equivalent on finite carriers"
         if sublattice.holds:
             subcomplete = Verdict(True, note=note)
@@ -467,6 +461,16 @@ def classify_subset(L: FiniteLattice, subset, subcomplete_cap: int = 20,
             True, note="size cap exceeded: finite chains attain sup and inf at their endpoints")
 
     return SubsetFlags(chain, antichain, sublattice, subcomplete, chain_sub)
+
+
+def extremal_in(poset: FinitePoset, mask: int, greatest: bool = True) -> int | None:
+    """Index of the greatest (or least) element of the subset ``mask``, or
+    None when it has none."""
+    bounds = poset.down if greatest else poset.up
+    for i in iter_bits(mask):
+        if mask & ~bounds[i] == 0:
+            return i
+    return None
 
 
 @dataclass(frozen=True)

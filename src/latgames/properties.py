@@ -1,38 +1,59 @@
 """Executable checkers for function-level order properties.
 
 Every checker reports the first violation of an exhaustive scan in canonical
-element order (single crossing rescans only after a cover-pair test fails),
-so the witness is always the lexicographically least one.  Weak and strict
-clauses are checked separately and the witness says which one failed.
+element order (single crossing and increasing differences rescan only after
+a cover-pair test fails), so the witness is always the lexicographically
+least one.  Weak and strict clauses are checked separately and the witness
+says which one failed.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import (CarrierMismatch, LabeledCodomainUnsupported, NotAProductDomain,
                      TheoremFalsified)
 from .functions import LatticeFunction
-from .lattice import iter_bits, iter_chain_masks, tuple_label
+from .lattice import FiniteLattice, iter_bits, iter_chain_masks, tuple_label
 from .topology import ClosedFamily
 from .verdict import Verdict
 
 
+def qsm_witness(L: FiniteLattice, columns):
+    """Least quasisupermodularity violation ``(column, x, y, clause)`` or None.
+
+    Each column is a sequence of keys over L's elements.  f(x) >= f(x^y) must
+    force f(xvy) >= f(y) (the weak clause, tested first), and strictly so for
+    strict.  Columns are scanned in order, and the pairs (x, y) of each in
+    canonical order.  A comparable pair has {x^y, xvy} = {x, y} and cannot
+    fail either clause, so only incomparable pairs are tested.
+    """
+    P = L.poset
+    rows = [(x, L.meet[x], L.join[x], P.full & ~(P.up[x] | P.down[x])) for x in range(L.n)]
+    rows = [row for row in rows if row[3]]
+    for c, keys in enumerate(columns):
+        for x, meet, join, others in rows:
+            k = keys[x]
+            for y in iter_bits(others):
+                m, v = meet[y], join[y]
+                if k >= keys[m] and not keys[v] >= keys[y]:
+                    return c, x, y, "weak"
+                if k > keys[m] and not keys[v] > keys[y]:
+                    return c, x, y, "strict"
+    return None
+
+
+def _qsm_fields(L: FiniteLattice, x: int, y: int, clause: str) -> tuple:
+    return ("x", L.labels[x]), ("y", L.labels[y]), ("clause", clause)
+
+
 def is_quasisupermodular(f: LatticeFunction) -> Verdict:
     """f(x) >= f(x^y) must force f(xvy) >= f(y), and strictly so for strict."""
-    L = f.domain
-    keys = f.keys
-    for i in range(L.n):
-        for j in range(L.n):
-            m = L.meet[i][j]
-            v = L.join[i][j]
-            if keys[i] >= keys[m] and not keys[v] >= keys[j]:
-                return Verdict(False, witness=(
-                    ("x", L.labels[i]), ("y", L.labels[j]), ("clause", "weak")))
-            if keys[i] > keys[m] and not keys[v] > keys[j]:
-                return Verdict(False, witness=(
-                    ("x", L.labels[i]), ("y", L.labels[j]), ("clause", "strict")))
-    return Verdict(True)
+    hit = qsm_witness(f.domain, [f.keys])
+    if hit is None:
+        return Verdict(True)
+    return Verdict(False, witness=_qsm_fields(f.domain, *hit[1:]))
 
 
 def is_supermodular(f: LatticeFunction) -> Verdict:
@@ -67,40 +88,63 @@ def _split_parts(f: LatticeFunction, split):
     return p_part, q_part
 
 
-def _block_elements(factors, part):
+def _block_elements(block):
     """All coordinate tuples of a factor block, in canonical nested order."""
-    return list(itertools.product(*(range(factors[i].n) for i in part)))
+    return list(itertools.product(*(range(f.n) for f in block)))
+
+
+def _split_columns(f: LatticeFunction, split, table):
+    """The factor blocks (P, Q) of the split, their coordinate tuples, and
+    ``columns[p][q]``, the entry of ``table`` (per element of f's domain) at
+    (p, q), with both blocks flat-indexed in canonical nested order."""
+    p_part, q_part = _split_parts(f, split)
+    factors = f.domain.factors
+    P, Q = [factors[i] for i in p_part], [factors[i] for i in q_part]
+    ps, qs = _block_elements(P), _block_elements(Q)
+    where = [(p_part + q_part).index(i) for i in range(len(factors))]
+    index = f.domain.coord_index
+    columns = [[table[index[tuple((p + q)[k] for k in where)]] for q in qs] for p in ps]
+    return P, Q, ps, qs, columns
 
 
 def _coord_leq(factors, a, b) -> bool:
     return all(f.poset._leq(x, y) for f, x, y in zip(factors, a, b))
 
 
-def _block_label(factors, part, coord) -> str:
-    labels = tuple(factors[i].labels[c] for i, c in zip(part, coord))
+def _block_label(block, coord) -> str:
+    labels = tuple(f.labels[c] for f, c in zip(block, coord))
     return labels[0] if len(labels) == 1 else tuple_label(labels)
 
 
-def _index_for(f, p_part, q_part, p, q):
-    coord = [0] * len(f.domain.factors)
-    for i, c in zip(p_part, p):
-        coord[i] = c
-    for i, c in zip(q_part, q):
-        coord[i] = c
-    return f.domain.coord_index[tuple(coord)]
+def _pq_fields(P, Q, ps, qs, a, b, c, d) -> tuple:
+    return (("p", _block_label(P, ps[a])), ("p2", _block_label(P, ps[b])),
+            ("q", _block_label(Q, qs[c])), ("q2", _block_label(Q, qs[d])))
 
 
-def single_crossing_witness(p_factors, q_factors, columns):
-    """Least single-crossing violation ``(p, p2, q, q2, clause)`` or None.
+def _signs(hi, lo) -> list:
+    return [(h > l) - (h < l) for h, l in zip(hi, lo)]
+
+
+def _differences(hi, lo) -> list:
+    return list(map(operator.sub, hi, lo))
+
+
+def single_crossing_witness(p_factors, q_factors, columns, step=_signs):
+    """Least violation ``(p, p2, q, q2, clause)`` of a rising step, or None.
 
     Blocks are flat-indexed in canonical nested order and ``columns[p][q]``
-    is the key at (p, q).  For p <= p2 the clauses hold iff the sign of
-    f(p2,q) - f(p,q) rises with q, which is decided on the cover pairs of Q.
-    The first failing pair alone is rescanned over all q <= q2 in canonical
-    order; every earlier pair is clean, so that witness is the least one.
+    is the entry at (p, q).  For p <= p2, s = step(columns[p2], columns[p])
+    compares the two columns entry by entry and must not drop as q rises.
+    With the sign step on keys that is single crossing (both clauses); with
+    the difference step on values it is increasing differences.  Every
+    q <= q2 is joined by a chain of covers, so it is decided on the cover
+    pairs of Q.  The first failing pair alone is rescanned over all q <= q2
+    in canonical order; every earlier pair is clean, so that witness is the
+    least one.  ``clause`` is "weak" when s[q2] < 0 and "strict" otherwise,
+    the single-crossing clause that fails.
     """
-    ps = list(itertools.product(*(range(f.n) for f in p_factors)))
-    qs = list(itertools.product(*(range(f.n) for f in q_factors)))
+    ps = _block_elements(p_factors)
+    qs = _block_elements(q_factors)
     flat = {q: c for c, q in enumerate(qs)}
     covers = [(c, flat[q[:k] + (f.index[hi],) + q[k + 1:]])
               for c, q in enumerate(qs) for k, f in enumerate(q_factors)
@@ -108,13 +152,13 @@ def single_crossing_witness(p_factors, q_factors, columns):
     for a, b in itertools.product(range(len(ps)), repeat=2):
         if a == b or not _coord_leq(p_factors, ps[a], ps[b]):
             continue
-        s = [(hi > lo) - (hi < lo) for lo, hi in zip(columns[a], columns[b])]
+        s = step(columns[b], columns[a])
         if all(s[lo] <= s[hi] for lo, hi in covers):
             continue
         for c, d in itertools.product(range(len(qs)), repeat=2):
             if s[c] > s[d] and c != d and _coord_leq(q_factors, qs[c], qs[d]):
                 return a, b, c, d, "weak" if s[d] < 0 else "strict"
-        raise TheoremFalsified("single crossing failed on a cover pair "
+        raise TheoremFalsified("a step dropped on a cover pair "
                                "but the exhaustive rescan found no witness")
     return None
 
@@ -125,22 +169,11 @@ def is_single_crossing(f: LatticeFunction, split=0) -> Verdict:
     For p <= p' and q <= q': f(p,q) <= f(p',q) must give f(p,q') <= f(p',q'),
     with the strict version checked as its own clause.
     """
-    p_part, q_part = _split_parts(f, split)
-    factors = f.domain.factors
-    ps = _block_elements(factors, p_part)
-    qs = _block_elements(factors, q_part)
-    columns = [[f.keys[_index_for(f, p_part, q_part, p, q)] for q in qs] for p in ps]
-    hit = single_crossing_witness([factors[i] for i in p_part], [factors[i] for i in q_part],
-                                  columns)
+    P, Q, ps, qs, columns = _split_columns(f, split, f.keys)
+    hit = single_crossing_witness(P, Q, columns)
     if hit is None:
         return Verdict(True)
-    a, b, c, d, clause = hit
-    return Verdict(False, witness=(
-        ("p", _block_label(factors, p_part, ps[a])),
-        ("p2", _block_label(factors, p_part, ps[b])),
-        ("q", _block_label(factors, q_part, qs[c])),
-        ("q2", _block_label(factors, q_part, qs[d])),
-        ("clause", clause)))
+    return Verdict(False, witness=_pq_fields(P, Q, ps, qs, *hit[:4]) + (("clause", hit[4]),))
 
 
 def has_increasing_differences(f: LatticeFunction, split=0) -> Verdict:
@@ -148,48 +181,24 @@ def has_increasing_differences(f: LatticeFunction, split=0) -> Verdict:
     if not f.codomain.is_rational:
         raise LabeledCodomainUnsupported(
             "increasing differences need the additive structure of rational values")
-    p_part, q_part = _split_parts(f, split)
-    factors = f.domain.factors
-    vals = f.values
-    p_factors, q_factors = [factors[i] for i in p_part], [factors[i] for i in q_part]
-    ps = _block_elements(factors, p_part)
-    qs = _block_elements(factors, q_part)
-    for p, p2 in itertools.product(ps, repeat=2):
-        if p == p2 or not _coord_leq(p_factors, p, p2):
-            continue
-        for q, q2 in itertools.product(qs, repeat=2):
-            if q == q2 or not _coord_leq(q_factors, q, q2):
-                continue
-            lhs = (vals[_index_for(f, p_part, q_part, p2, q2)]
-                   - vals[_index_for(f, p_part, q_part, p, q2)])
-            rhs = (vals[_index_for(f, p_part, q_part, p2, q)]
-                   - vals[_index_for(f, p_part, q_part, p, q)])
-            if lhs < rhs:
-                return Verdict(False, witness=(
-                    ("p", _block_label(factors, p_part, p)),
-                    ("p2", _block_label(factors, p_part, p2)),
-                    ("q", _block_label(factors, q_part, q)),
-                    ("q2", _block_label(factors, q_part, q2))))
-    return Verdict(True)
+    P, Q, ps, qs, columns = _split_columns(f, split, f.values)
+    hit = single_crossing_witness(P, Q, columns, step=_differences)
+    if hit is None:
+        return Verdict(True)
+    return Verdict(False, witness=_pq_fields(P, Q, ps, qs, *hit[:4]))
 
 
 def sections_quasisupermodular(f: LatticeFunction, split=0) -> Verdict:
     """Every section f(., q) over the P block is quasisupermodular."""
-    p_part, q_part = _split_parts(f, split)
-    factors = f.domain.factors
-    if len(p_part) != 1:
+    P, Q, _, qs, columns = _split_columns(f, split, f.keys)
+    if len(P) != 1:
         raise NotAProductDomain("sections are taken over a single factor")
-    section_domain = factors[p_part[0]]
-    qs = _block_elements(factors, q_part)
-    for q in qs:
-        table = {section_domain.labels[c]: f.values[_index_for(f, p_part, q_part, (c,), q)]
-                 for c in range(section_domain.n)}
-        section = LatticeFunction(section_domain, f.codomain, table)
-        verdict = is_quasisupermodular(section)
-        if not verdict.holds:
-            return Verdict(False, witness=(
-                ("at", _block_label(factors, q_part, q)),) + verdict.witness)
-    return Verdict(True)
+    hit = qsm_witness(P[0], list(zip(*columns)))
+    if hit is None:
+        return Verdict(True)
+    c, x, y, clause = hit
+    return Verdict(False, witness=(("at", _block_label(Q, qs[c])),)
+                   + _qsm_fields(P[0], x, y, clause))
 
 
 def is_upper_chain_subcomplete(f: LatticeFunction) -> Verdict:

@@ -6,6 +6,7 @@ and Nash sets from direct definition loops over raw tables.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -13,13 +14,15 @@ import pytest
 
 from latgames import (
     ChainCodomain,
+    Verdict,
     Game,
     LatticeFunction,
     check_lattice,
     poset_from_covers,
     product_lattice,
 )
-from latgames.generators import chain_lattice, diamond, diamond_mk, fraction_chain, random_game
+from latgames.generators import (all_lattices, chain_lattice, diamond, diamond_mk,
+                                 fraction_chain, random_game)
 from latgames.rng import Xoshiro256StarStar
 
 RATIONAL = ChainCodomain.rational()
@@ -155,6 +158,37 @@ def criterion_06_games():
             for k in range(500)]
 
 
+def product_tables(rng, D, L, C):
+    """Seeded tables on D = L x C with many ties: uniform noise, separable
+    sums (single crossing and increasing differences hold), sums with one
+    entry nudged, and sums plus a product of monotone weights (increasing
+    differences)."""
+    yield {label: rng.below(3) for label in D.labels}
+    g = [rng.below(3) for _ in range(L.n)]
+    h = [rng.below(3) for _ in range(C.n)]
+    separable = {label: g[a] + h[b] for label, (a, b) in zip(D.labels, D.coords)}
+    yield separable
+    for _ in range(3):
+        nudged = dict(separable)
+        label = D.labels[rng.below(D.n)]
+        nudged[label] += rng.choice((-1, 1))
+        yield nudged
+    w = [bin(L.poset.down[a]).count("1") // 2 for a in range(L.n)]
+    yield {label: separable[label] + w[a] * b for label, (a, b) in zip(D.labels, D.coords)}
+
+
+def small_product_functions(seed):
+    """``product_tables`` on L x C for every lattice L of size <= 6 and the
+    chains C of 2 and 3 elements: 51 * 2 * 6 functions."""
+    rng = Xoshiro256StarStar(seed)
+    for L in all_lattices(6):
+        for m in (2, 3):
+            C = chain_lattice(m)
+            D = product_lattice([L, C])
+            for table in product_tables(rng, D, L, C):
+                yield LatticeFunction(D, RATIONAL, table)
+
+
 # ------------------------------------------------------------------ oracles
 
 def oracle_lub(L, a: str, b: str):
@@ -189,6 +223,75 @@ def oracle_inf_subset(L, labels):
     greatest = [u for u in lbs if all(L.leq(v, u) for v in lbs)]
     assert len(greatest) == 1
     return greatest[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_bounds(L):
+    """Meet and join of every ordered pair of L, from the raw relation."""
+    pairs = list(itertools.product(L.labels, repeat=2))
+    return ({p: oracle_glb(L, *p) for p in pairs}, {p: oracle_lub(L, *p) for p in pairs})
+
+
+def oracle_qsm(L, keys):
+    """First ``(x, y, clause)`` over every ordered pair of L in canonical
+    order, weak clause first, where ``keys`` (one per element of L) break
+    quasisupermodularity; None when they do not."""
+    meet, join = _oracle_bounds(L)
+    key = dict(zip(L.labels, keys))
+    for x, y in itertools.product(L.labels, repeat=2):
+        lo, hi = key[meet[x, y]], key[join[x, y]]
+        if key[x] >= lo and not hi >= key[y]:
+            return x, y, "weak"
+        if key[x] > lo and not hi > key[y]:
+            return x, y, "strict"
+    return None
+
+
+def coord_leq(factors, a, b) -> bool:
+    """Componentwise order of two coordinate tuples over ``factors``."""
+    return all(f.poset._leq(x, y) for f, x, y in zip(factors, a, b))
+
+
+def sc_clause(lo_q, hi_q, lo_q2, hi_q2):
+    """The single-crossing clause that (p, p2) x (q, q2) breaks, or None,
+    from the keys at (p,q), (p2,q), (p,q2) and (p2,q2)."""
+    if lo_q <= hi_q and not lo_q2 <= hi_q2:
+        return "weak"
+    if lo_q < hi_q and not lo_q2 < hi_q2:
+        return "strict"
+    return None
+
+
+def oracle_validate_game(G) -> Verdict:
+    """Sectionwise quasisupermodularity by ``oracle_qsm``, then the exhaustive
+    single-crossing scan over opponent profiles, player by player."""
+    for i, player in enumerate(G.players):
+        factor = G.factors[i]
+        others = G.factors[:i] + G.factors[i + 1:]
+        keys = G.keys[player]
+        opps = list(G.opp_profiles(i))
+        for opp in opps:
+            hit = oracle_qsm(factor, [keys[opp[:i] + (s,) + opp[i:]] for s in factor.labels])
+            if hit is not None:
+                x, y, clause = hit
+                return Verdict(False, witness=(
+                    ("player", player), ("check", "section-quasisupermodular"),
+                    ("opponents", opp), ("x", x), ("y", y), ("clause", clause)))
+        coords = [tuple(f.index[x] for f, x in zip(others, q)) for q in opps]
+        leq_pairs = [(c, d) for c, d in itertools.product(range(len(opps)), repeat=2)
+                     if c != d and coord_leq(others, coords[c], coords[d])]
+        for p, p2 in itertools.product(factor.labels, repeat=2):
+            if p == p2 or not factor.leq(p, p2):
+                continue
+            lo = [keys[q[:i] + (p,) + q[i:]] for q in opps]
+            hi = [keys[q[:i] + (p2,) + q[i:]] for q in opps]
+            for c, d in leq_pairs:
+                clause = sc_clause(lo[c], hi[c], lo[d], hi[d])
+                if clause is not None:
+                    return Verdict(False, witness=(
+                        ("player", player), ("check", "single-crossing"), ("p", p),
+                        ("p2", p2), ("q", opps[c]), ("q2", opps[d]), ("clause", clause)))
+    return Verdict(True)
 
 
 def profile_leq(G, a, b) -> bool:

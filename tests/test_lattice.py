@@ -19,7 +19,6 @@ from latgames.errors import (
     EmptyFactorList,
     EmptySubset,
     NotALattice,
-    SubsetTooLarge,
     UnknownLabel,
 )
 from latgames.generators import all_lattices, chain_lattice, diamond, lattices_of_size
@@ -243,8 +242,6 @@ class TestClassifySubset:
         assert flags.is_subcomplete.holds
         assert "sublattice closure" in flags.is_subcomplete.note
         assert flags.is_chain_subcomplete.holds
-        with pytest.raises(SubsetTooLarge):
-            classify_subset(c, c.labels, subcomplete_cap=20, use_equivalence_above_cap=False)
 
     def test_cap_shortcut_false_witness_rechecks(self):
         # 25-point grid minus an interior meet: failure survives the shortcut.

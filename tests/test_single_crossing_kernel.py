@@ -1,8 +1,10 @@
-"""The cover-pair single-crossing kernel against the exhaustive scan it replaced.
+"""The cover-pair kernel against the exhaustive scans it replaced.
 
-The oracles below are the canonical quartic scans over every p <= p2 and
-every q <= q2, kept here only to pin the kernel down: on every instance the
-kernel must return the same ``Verdict``, least witness and clause included.
+Single crossing (sign step on keys) and increasing differences (difference
+step on values) share one kernel.  The oracles below are the canonical
+quartic scans over every p <= p2 and every q <= q2, kept here only to pin
+the kernel down: on every instance it must return the same ``Verdict``,
+least witness and clause included.
 """
 from __future__ import annotations
 
@@ -12,121 +14,69 @@ from fractions import Fraction
 
 from latgames import ChainCodomain, Game, LatticeFunction, product_lattice
 from latgames.games import validate_game
-from latgames.generators import all_lattices, chain_lattice, diamond
+from latgames.generators import chain_lattice, diamond
 from latgames.lattice import tuple_label
-from latgames.properties import is_quasisupermodular, is_single_crossing
+from latgames.properties import has_increasing_differences, is_single_crossing
 from latgames.rng import Xoshiro256StarStar
 from latgames.verdict import Verdict
+
+from conftest import coord_leq, oracle_validate_game, sc_clause, small_product_functions
 
 RATIONAL = ChainCodomain.rational()
 
 
 # ------------------------------------------------------------------ oracles
 
-def _leq(factors, a, b):
-    return all(f.poset._leq(x, y) for f, x, y in zip(factors, a, b))
+def _quartic_scan(f: LatticeFunction, p_part, q_part, table, fails) -> Verdict:
+    """Exhaustive canonical scan over every p <= p2 and q <= q2 of the blocks.
 
-
-def _clause(lo_q, hi_q, lo_q2, hi_q2):
-    if lo_q <= hi_q and not lo_q2 <= hi_q2:
-        return "weak"
-    if lo_q < hi_q and not lo_q2 < hi_q2:
-        return "strict"
-    return None
-
-
-def oracle_single_crossing(f: LatticeFunction, p_part, q_part) -> Verdict:
-    """Exhaustive canonical scan over every p <= p2 and q <= q2 of the blocks."""
+    ``fails`` gets the ``table`` entries at (p,q), (p2,q), (p,q2), (p2,q2) and
+    returns None, or the witness fields that follow p, p2, q and q2.
+    """
     factors = f.domain.factors
     P = [factors[k] for k in p_part]
     Q = [factors[k] for k in q_part]
     ps = list(itertools.product(*(range(x.n) for x in P)))
     qs = list(itertools.product(*(range(x.n) for x in Q)))
 
-    def key(p, q):
+    def at(p, q):
         coord = [0] * len(factors)
         for k, c in zip(p_part + q_part, p + q):
             coord[k] = c
-        return f.keys[f.domain.coord_index[tuple(coord)]]
+        return table[f.domain.coord_index[tuple(coord)]]
 
     def label(block, coord):
         labels = tuple(x.labels[c] for x, c in zip(block, coord))
         return labels[0] if len(labels) == 1 else tuple_label(labels)
 
     for p, p2 in itertools.product(ps, repeat=2):
-        if p == p2 or not _leq(P, p, p2):
+        if p == p2 or not coord_leq(P, p, p2):
             continue
         for q, q2 in itertools.product(qs, repeat=2):
-            if q == q2 or not _leq(Q, q, q2):
+            if q == q2 or not coord_leq(Q, q, q2):
                 continue
-            clause = _clause(key(p, q), key(p2, q), key(p, q2), key(p2, q2))
-            if clause is not None:
+            extra = fails(at(p, q), at(p2, q), at(p, q2), at(p2, q2))
+            if extra is not None:
                 return Verdict(False, witness=(
                     ("p", label(P, p)), ("p2", label(P, p2)),
-                    ("q", label(Q, q)), ("q2", label(Q, q2)), ("clause", clause)))
+                    ("q", label(Q, q)), ("q2", label(Q, q2))) + extra)
     return Verdict(True)
 
 
-def oracle_validate_game(G: Game) -> Verdict:
-    """Sectionwise quasisupermodularity, then the exhaustive single-crossing
-    scan over opponent profiles, player by player."""
-    for i, player in enumerate(G.players):
-        for opp in G.opp_profiles(i):
-            inner = is_quasisupermodular(G.section(i, opp))
-            if not inner.holds:
-                return Verdict(False, witness=(
-                    ("player", player), ("check", "section-quasisupermodular"),
-                    ("opponents", opp)) + inner.witness)
-        factor = G.factors[i]
-        others = G.factors[:i] + G.factors[i + 1:]
-        keys = G.keys[player]
-        opps = list(G.opp_profiles(i))
-        coords = [tuple(f.index[x] for f, x in zip(others, q)) for q in opps]
-        leq_pairs = [(c, d) for c, d in itertools.product(range(len(opps)), repeat=2)
-                     if c != d and _leq(others, coords[c], coords[d])]
-        for p, p2 in itertools.product(factor.labels, repeat=2):
-            if p == p2 or not factor.leq(p, p2):
-                continue
-            lo = [keys[G._insert(i, q, p)] for q in opps]
-            hi = [keys[G._insert(i, q, p2)] for q in opps]
-            for c, d in leq_pairs:
-                clause = _clause(lo[c], hi[c], lo[d], hi[d])
-                if clause is not None:
-                    return Verdict(False, witness=(
-                        ("player", player), ("check", "single-crossing"), ("p", p),
-                        ("p2", p2), ("q", opps[c]), ("q2", opps[d]), ("clause", clause)))
-    return Verdict(True)
+def oracle_single_crossing(f: LatticeFunction, p_part, q_part) -> Verdict:
+    def fails(*keys):
+        clause = sc_clause(*keys)
+        return None if clause is None else (("clause", clause),)
+    return _quartic_scan(f, p_part, q_part, f.keys, fails)
+
+
+def oracle_increasing_differences(f: LatticeFunction, p_part, q_part) -> Verdict:
+    def fails(lo_q, hi_q, lo_q2, hi_q2):
+        return () if hi_q2 - lo_q2 < hi_q - lo_q else None
+    return _quartic_scan(f, p_part, q_part, f.values, fails)
 
 
 # ------------------------------------------------------------- instances
-
-def _tables(rng, D, L, C):
-    """Seeded tables on D = L x C with many ties: uniform noise, separable
-    sums (single crossing holds), sums with one entry nudged, and sums plus
-    a product of monotone weights (increasing differences)."""
-    yield {label: rng.below(3) for label in D.labels}
-    g = [rng.below(3) for _ in range(L.n)]
-    h = [rng.below(3) for _ in range(C.n)]
-    separable = {label: g[a] + h[b] for label, (a, b) in zip(D.labels, D.coords)}
-    yield separable
-    for _ in range(3):
-        nudged = dict(separable)
-        label = D.labels[rng.below(D.n)]
-        nudged[label] += rng.choice((-1, 1))
-        yield nudged
-    w = [bin(L.poset.down[a]).count("1") // 2 for a in range(L.n)]
-    yield {label: separable[label] + w[a] * b for label, (a, b) in zip(D.labels, D.coords)}
-
-
-def _function_cases():
-    rng = Xoshiro256StarStar(0x5C_0001)
-    for L in all_lattices(6):
-        for m in (2, 3):
-            C = chain_lattice(m)
-            D = product_lattice([L, C])
-            for table in _tables(rng, D, L, C):
-                yield LatticeFunction(D, RATIONAL, table)
-
 
 def _perturbed(G: Game, seed: int) -> Game:
     """The game with one payoff entry moved: to another value of the same
@@ -145,19 +95,37 @@ def _perturbed(G: Game, seed: int) -> Game:
     return Game(G.players, G.strategies, G.codomains, payoffs)
 
 
+def _three_factor_tables(rng, D):
+    """Uniform noise, and separable sums (increasing differences hold for
+    every split) with one entry nudged half the time."""
+    while True:
+        yield {label: rng.below(3) for label in D.labels}
+        parts = [[rng.below(3) for _ in range(f.n)] for f in D.factors]
+        table = {label: sum(g[c] for g, c in zip(parts, coord))
+                 for label, coord in zip(D.labels, D.coords)}
+        if rng.chance(1, 2):
+            table[D.labels[rng.below(D.n)]] += rng.choice((-1, 1))
+        yield table
+
+
 # ------------------------------------------------------------------ tests
 
 def test_functions_on_all_small_lattices_times_a_chain():
     outcomes = Counter()
     cases = 0
-    for f in _function_cases():
+    for f in small_product_functions(0x5C_0001):
         for split in (0, 1):
+            parts = (split,), (1 - split,)
             got = is_single_crossing(f, split=split)
-            assert got == oracle_single_crossing(f, (split,), (1 - split,)), (f.table(), split)
+            assert got == oracle_single_crossing(f, *parts), (f.table(), split)
             outcomes["pass" if got.holds else got.witness_dict()["clause"]] += 1
+            got = has_increasing_differences(f, split=split)
+            assert got == oracle_increasing_differences(f, *parts), (f.table(), split)
+            outcomes["incr-diff " + ("pass" if got.holds else "fail")] += 1
         cases += 1
     assert cases == 51 * 2 * 6
-    assert outcomes["pass"] and outcomes["weak"] and outcomes["strict"], outcomes
+    assert all(outcomes[k] for k in ("pass", "weak", "strict", "incr-diff pass",
+                                     "incr-diff fail")), outcomes
 
 
 def test_multi_factor_blocks():
@@ -165,13 +133,17 @@ def test_multi_factor_blocks():
     rng = Xoshiro256StarStar(0x5C_0002)
     factors = [chain_lattice(2), diamond(), chain_lattice(3)]
     D = product_lattice(factors)
-    for _ in range(40):
-        f = LatticeFunction(D, RATIONAL, {label: rng.below(3) for label in D.labels})
+    outcomes = Counter()
+    for table in itertools.islice(_three_factor_tables(rng, D), 80):
+        f = LatticeFunction(D, RATIONAL, table)
         for split in (0, 1, 2, (0, 2), (1, 2)):
-            got = is_single_crossing(f, split=split)
             p_part = (split,) if isinstance(split, int) else split
             q_part = tuple(k for k in range(3) if k not in p_part)
-            assert got == oracle_single_crossing(f, p_part, q_part)
+            assert is_single_crossing(f, split=split) == oracle_single_crossing(f, p_part, q_part)
+            got = has_increasing_differences(f, split=split)
+            assert got == oracle_increasing_differences(f, p_part, q_part), (table, split)
+            outcomes[got.holds] += 1
+    assert outcomes[True] and outcomes[False], outcomes
 
 
 def test_criterion_06_games_and_their_perturbations(criterion_06_games):
