@@ -8,6 +8,7 @@ stdout), 2 = malformed input, bad flags, or a cap was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import corpus as corpus_mod
@@ -15,7 +16,7 @@ from . import reports
 from .errors import CapExceeded, LatGamesError, NotALattice, ParseError, TheoremFalsified
 from .functions import LatticeFunction
 from .generators import GenSpec, generate
-from .io import load_path, serialize
+from .io import load_path, save_path, serialize
 from .lattice import classify_subset
 from .topology import family_for
 
@@ -122,24 +123,29 @@ def cmd_verify(args) -> int:
     raise ParseError(f"unknown theorem {args.theorem!r}")
 
 
+def _dims(text) -> tuple:
+    try:
+        return tuple(int(d) for d in text.split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected dimensions like 3x4, got {text!r}") from None
+
+
 def cmd_generate(args) -> int:
     spec = GenSpec(
         seed=args.seed,
         family=args.family,
         size=args.size,
         k=args.k,
-        dims=tuple(int(d) for d in args.dims.split("x")) if args.dims else None,
+        dims=args.dims,
         payoff=args.payoff,
         budget=args.budget,
     )
     kind, instance = generate(spec)
-    text = serialize(instance)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_path(args.out, instance)
         print(f"WROTE {args.out} {kind}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize(instance))
     return 0
 
 
@@ -158,6 +164,7 @@ def cmd_corpus(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latgames",
@@ -201,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["chain", "grid", "diamond_Mk", "random_meet_join_closure"])
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--dims", default=None, help="grid dimensions, e.g. 3x4")
+    p.add_argument("--dims", type=_dims, default=None, help="grid dimensions, e.g. 3x4")
     p.add_argument("--payoff", default=None,
                    choices=["supermodular_then_transform", "rejection"])
     p.add_argument("--budget", type=int, default=100_000)
@@ -219,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NotALattice as exc:

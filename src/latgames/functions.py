@@ -64,7 +64,7 @@ class ChainCodomain:
         if self.kind == RATIONAL:
             if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                 raise InvariantViolation(f"rational codomain rejects value {value!r}")
-            return Fraction(value)
+            return value if isinstance(value, Fraction) else Fraction(value)
         if value not in self._positions:
             raise InvariantViolation(f"value {value!r} is not on the labeled chain")
         return value

@@ -9,6 +9,7 @@ reports are identical regardless of how work is partitioned.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .argmax import Correspondence
@@ -22,8 +23,8 @@ from .errors import (
     TheoremFalsified,
 )
 from .functions import LatticeFunction, image_map
-from .lattice import (FinitePoset, extremal_in, extremes, iter_bits, pairwise_bounds,
-                      product_lattice, tuple_label, validate_label)
+from .lattice import (FinitePoset, componentwise_up, extremal_in, extremes, pairwise_bounds,
+                      product_elements, tuple_label, validate_label)
 from .topology import explicit_closed_family
 from .verdict import Verdict
 
@@ -241,32 +242,23 @@ class NashReport:
         return len(self.equilibria)
 
 
-def _equilibrium_order(G: Game, cap: int) -> FinitePoset:
+def _equilibrium_order(G: Game, cap: int) -> tuple:
     """The equilibria in canonical profile order, as a poset under the order the
-    joint space induces; cached on the game.  ``up[e]`` is the AND, over e's
-    coordinates c, of the mask of equilibria at or above c in that factor:
-    O(|E|·Σ|S_i|) big-int operations."""
+    joint space induces (``lattice.componentwise_up``), with their coordinate
+    tuples; cached on the game."""
     if G.profile_count > cap:
         raise StateSpaceTooLarge(
             f"{G.profile_count} joint strategies exceed the enumeration cap {cap}")
-    if G._equilibria is not None:
-        return G._equilibria
-    equilibria = [e for e in G.profiles() if _is_equilibrium(G, e)]
-    up = [-1] * len(equilibria)
-    for k, f in enumerate(G.factors):
-        at = [0] * f.n
-        for bit, e in enumerate(equilibria):
-            at[f.index[e[k]]] |= 1 << bit
-        above = [sum(at[x] for x in iter_bits(f.poset.up[c])) for c in range(f.n)]
-        for bit, e in enumerate(equilibria):
-            up[bit] &= above[f.index[e[k]]]
-    G._equilibria = FinitePoset(equilibria, up)
+    if G._equilibria is None:
+        equilibria = [e for e in G.profiles() if _is_equilibrium(G, e)]
+        coords = [tuple(f.index[x] for f, x in zip(G.factors, e)) for e in equilibria]
+        G._equilibria = FinitePoset(equilibria, componentwise_up(G.factors, coords)), coords
     return G._equilibria
 
 
 def enumerate_nash(G: Game, cap: int = 1_000_000) -> NashReport:
     """Exact equilibrium set by brute force over all joint profiles."""
-    order = _equilibrium_order(G, cap)
+    order = _equilibrium_order(G, cap)[0]
     ext = extremes(order)
     return NashReport(equilibria=order.labels, largest=ext.greatest, least=ext.least)
 
@@ -325,10 +317,10 @@ def tarski_extremes(G: Game) -> TarskiReport:
     return TarskiReport(largest=largest, least=least, iterations_up=up, iterations_down=down)
 
 
-def _sublattice_gap(G: Game, E: tuple):
+def _sublattice_gap(G: Game, E: tuple, coords):
     """First pair (a, b) of E, in ``combinations`` order, whose meet (tested
-    first) or join in the joint space is not in E, with that value."""
-    coords = [tuple(f.index[x] for f, x in zip(G.factors, e)) for e in E]
+    first) or join in the joint space is not in E, with that value; ``coords``
+    are E's coordinate tuples."""
     members = set(coords)
     for (a, ca), (b, cb) in itertools.combinations(zip(E, coords), 2):
         for op in ("meet", "join"):
@@ -349,9 +341,10 @@ def verify_equilibrium_structure(G: Game, cap: int = 1_000_000) -> NashReport:
     """
     base = enumerate_nash(G, cap=cap)
     E = base.equilibria
-    complete = bool(E) and all(lub is not None and glb is not None for _, _, lub, glb
-                               in pairwise_bounds(_equilibrium_order(G, cap)))
-    gap = _sublattice_gap(G, E)
+    order, coords = _equilibrium_order(G, cap)
+    complete = bool(E) and all(lub is not None and glb is not None
+                               for _, _, lub, glb in pairwise_bounds(order))
+    gap = _sublattice_gap(G, E, coords)
     certifies = ("order", "topological") if all(
         G.codomains[p].is_rational for p in G.players) else ("order",)
     notes = ()
@@ -364,21 +357,15 @@ def verify_equilibrium_structure(G: Game, cap: int = 1_000_000) -> NashReport:
 
 def best_response_correspondence(G: Game, player: str, max_index_size: int = 4096) -> Correspondence:
     """The player's best responses as a correspondence over the opponents'
-    joint lattice (materialized, so guarded by a size cap)."""
+    joint order (materialized, so guarded by a size cap)."""
     i = G.player_index(player)
-    others = [f for j, f in enumerate(G.factors) if j != i]
-    values = {}
-    if others:
-        count = 1
-        for f in others:
-            count *= f.n
-        if count > max_index_size:
-            raise StateSpaceTooLarge(
-                f"opponent space of size {count} exceeds the correspondence cap {max_index_size}")
-        index = product_lattice(others)
-        for coord, label in zip(index.coords, index.labels):
-            opp = tuple(f.labels[c] for f, c in zip(others, coord))
-            values[label] = G._br(i, opp)[0]
-        return Correspondence(G.strategies[player], values, index_poset=index.poset)
-    values[tuple_label(())] = G._br(i, ())[0]
-    return Correspondence(G.strategies[player], values, index_keys=(tuple_label(()),))
+    others = G.factors[:i] + G.factors[i + 1:]
+    count = math.prod(f.n for f in others)
+    if count > max_index_size:
+        raise StateSpaceTooLarge(
+            f"opponent space of size {count} exceeds the correspondence cap {max_index_size}")
+    labels, coords = product_elements(others)
+    values = {label: G._br(i, tuple(f.labels[c] for f, c in zip(others, coord)))[0]
+              for label, coord in zip(labels, coords)}
+    return Correspondence(G.strategies[player], values,
+                          index_poset=FinitePoset(labels, componentwise_up(others, coords)))

@@ -51,7 +51,7 @@ class GenSpec:
 
 def chain_lattice(n: int, labels=None) -> FiniteLattice:
     if n < 1:
-        raise CapExceeded("a chain needs at least one element")
+        raise CapExceeded(f"a chain needs at least one element, got {n}")
     if labels is None:
         width = len(str(n - 1))
         labels = [f"c{i:0{width}d}" for i in range(n)]
@@ -90,7 +90,7 @@ def grid_lattice(dims) -> FiniteLattice:
 def diamond_mk(k: int) -> FiniteLattice:
     """Bottom, k pairwise-incomparable midpoints, top."""
     if k < 1 or k > 20:
-        raise CapExceeded("diamond_Mk supports 1 <= k <= 20")
+        raise CapExceeded(f"diamond_Mk supports 1 <= k <= 20, got k = {k}")
     width = len(str(k))
     mids = [f"x{i:0{width}d}" if k > 9 else f"x{i}" for i in range(1, k + 1)]
     elements = ["m", "M"] + mids
@@ -390,7 +390,7 @@ def generate(spec: GenSpec):
     if spec.family == CHAIN:
         size = spec.size if spec.size is not None else 4
         if size > 64:
-            raise CapExceeded("chain size capped at 64")
+            raise CapExceeded(f"a chain of {size} elements exceeds the cap of 64")
         L = chain_lattice(size)
     elif spec.family == GRID:
         L = grid_lattice(spec.dims if spec.dims is not None else (3, 3))

@@ -291,5 +291,9 @@ def load_path(path):
 
 
 def save_path(path, instance):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(instance))
+    text = serialize(instance)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc

@@ -295,34 +295,46 @@ def inf_subset(L: FiniteLattice, labels) -> str:
     return L.labels[L._inf_mask(mask)]
 
 
+def componentwise_up(factors, coords) -> list:
+    """``up[i]``, the bitmask of the tuples in ``coords`` at or above
+    ``coords[i]`` in the componentwise order of ``factors``.
+
+    Per factor, one mask holds the tuples whose coordinate there is at or
+    above a given element, and ``up[i]`` is the AND of those masks over
+    ``coords[i]``: O(len(coords) · Σ|factor|) big-int operations.  This is
+    the one place the product order is computed.
+    """
+    up = [(1 << len(coords)) - 1] * len(coords)
+    for k, f in enumerate(factors):
+        at = [0] * f.n
+        for bit, c in enumerate(coords):
+            at[c[k]] |= 1 << bit
+        above = [sum(at[x] for x in iter_bits(f.poset.up[c])) for c in range(f.n)]
+        for bit, c in enumerate(coords):
+            up[bit] &= above[c[k]]
+    return up
+
+
+def product_elements(factors):
+    """Labels and coordinate tuples of the product of ``factors``, both in
+    canonical label order.  Raises ``DuplicateLabel`` when two tuples encode
+    to the same label (factor labels holding ``,`` or parentheses)."""
+    raw = sorted((tuple_label(tuple(f.labels[c] for f, c in zip(factors, coord))), coord)
+                 for coord in itertools.product(*(range(f.n) for f in factors)))
+    for (a, _), (b, _) in zip(raw, raw[1:]):
+        if a == b:
+            raise DuplicateLabel(f"product label {a!r} names two elements")
+    return tuple(label for label, _ in raw), tuple(coord for _, coord in raw)
+
+
 def product_lattice(factors) -> FiniteLattice:
     """Componentwise product; element labels are tuple encodings in factor order."""
     factors = tuple(factors)
     if not factors:
         raise EmptyFactorList("a product needs at least one factor")
-    raw = []
-    for coord in itertools.product(*(range(f.n) for f in factors)):
-        label = tuple_label(tuple(f.labels[c] for f, c in zip(factors, coord)))
-        raw.append((label, coord))
-    raw.sort()
-    labels = [label for label, _ in raw]
-    coords = tuple(coord for _, coord in raw)
-    n = len(labels)
-    up = [0] * n
-    for i, ci in enumerate(coords):
-        for j, cj in enumerate(coords):
-            if all(f.poset._leq(a, b) for f, a, b in zip(factors, ci, cj)):
-                up[i] |= 1 << j
-    poset = FinitePoset(labels, up)
-    coord_index = {c: i for i, c in enumerate(coords)}
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i, ci in enumerate(coords):
-        for j, cj in enumerate(coords):
-            meet[i][j] = coord_index[tuple(f.meet[a][b] for f, a, b in zip(factors, ci, cj))]
-            join[i][j] = coord_index[tuple(f.join[a][b] for f, a, b in zip(factors, ci, cj))]
-    return FiniteLattice(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)),
-                         factors=factors, coords=coords)
+    labels, coords = product_elements(factors)
+    L = check_lattice(FinitePoset(labels, componentwise_up(factors, coords)))
+    return FiniteLattice(L.poset, L.meet, L.join, factors=factors, coords=coords)
 
 
 def iter_chain_masks(poset: FinitePoset, mask: int):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import (CarrierMismatch, LabeledCodomainUnsupported, NotAProductDomain,
                      TheoremFalsified)
 from .functions import LatticeFunction
-from .lattice import FiniteLattice, iter_bits, iter_chain_masks, tuple_label
+from .lattice import FiniteLattice, componentwise_up, iter_bits, iter_chain_masks, tuple_label
 from .topology import ClosedFamily
 from .verdict import Verdict
 
@@ -107,10 +107,6 @@ def _split_columns(f: LatticeFunction, split, table):
     return P, Q, ps, qs, columns
 
 
-def _coord_leq(factors, a, b) -> bool:
-    return all(f.poset._leq(x, y) for f, x, y in zip(factors, a, b))
-
-
 def _block_label(block, coord) -> str:
     labels = tuple(f.labels[c] for f, c in zip(block, coord))
     return labels[0] if len(labels) == 1 else tuple_label(labels)
@@ -141,7 +137,8 @@ def single_crossing_witness(p_factors, q_factors, columns, step=_signs):
     pairs of Q.  The first failing pair alone is rescanned over all q <= q2
     in canonical order; every earlier pair is clean, so that witness is the
     least one.  ``clause`` is "weak" when s[q2] < 0 and "strict" otherwise,
-    the single-crossing clause that fails.
+    the single-crossing clause that fails.  Both walks read the strict
+    up-sets of ``componentwise_up``, a ascending and then b ascending.
     """
     ps = _block_elements(p_factors)
     qs = _block_elements(q_factors)
@@ -149,17 +146,18 @@ def single_crossing_witness(p_factors, q_factors, columns, step=_signs):
     covers = [(c, flat[q[:k] + (f.index[hi],) + q[k + 1:]])
               for c, q in enumerate(qs) for k, f in enumerate(q_factors)
               for lo, hi in f.poset.covers if f.index[lo] == q[k]]
-    for a, b in itertools.product(range(len(ps)), repeat=2):
-        if a == b or not _coord_leq(p_factors, ps[a], ps[b]):
-            continue
-        s = step(columns[b], columns[a])
-        if all(s[lo] <= s[hi] for lo, hi in covers):
-            continue
-        for c, d in itertools.product(range(len(qs)), repeat=2):
-            if s[c] > s[d] and c != d and _coord_leq(q_factors, qs[c], qs[d]):
-                return a, b, c, d, "weak" if s[d] < 0 else "strict"
-        raise TheoremFalsified("a step dropped on a cover pair "
-                               "but the exhaustive rescan found no witness")
+    q_above = [row & ~(1 << c) for c, row in enumerate(componentwise_up(q_factors, qs))]
+    for a, row in enumerate(componentwise_up(p_factors, ps)):
+        for b in iter_bits(row & ~(1 << a)):
+            s = step(columns[b], columns[a])
+            if all(s[lo] <= s[hi] for lo, hi in covers):
+                continue
+            for c, above in enumerate(q_above):
+                for d in iter_bits(above):
+                    if s[c] > s[d]:
+                        return a, b, c, d, "weak" if s[d] < 0 else "strict"
+            raise TheoremFalsified("a step dropped on a cover pair "
+                                   "but the exhaustive rescan found no witness")
     return None
 
 

@@ -21,6 +21,7 @@ from latgames import (
     poset_from_covers,
     product_lattice,
 )
+from latgames.lattice import FiniteLattice, FinitePoset, tuple_label
 from latgames.generators import (all_lattices, chain_lattice, diamond, diamond_mk,
                                  fraction_chain, random_game)
 from latgames.rng import Xoshiro256StarStar
@@ -250,6 +251,27 @@ def oracle_qsm(L, keys):
 def coord_leq(factors, a, b) -> bool:
     """Componentwise order of two coordinate tuples over ``factors``."""
     return all(f.poset._leq(x, y) for f, x, y in zip(factors, a, b))
+
+
+def oracle_product_lattice(factors):
+    """The product built pair by pair: every coordinate tuple tested against
+    every other one factor by factor, and meet and join taken coordinatewise
+    from the factor tables.  No shared mask builder and no ``check_lattice``."""
+    factors = tuple(factors)
+    raw = sorted((tuple_label(tuple(f.labels[c] for f, c in zip(factors, coord))), coord)
+                 for coord in itertools.product(*(range(f.n) for f in factors)))
+    labels = [label for label, _ in raw]
+    coords = tuple(coord for _, coord in raw)
+    up = [sum(1 << j for j, cj in enumerate(coords) if coord_leq(factors, ci, cj))
+          for ci in coords]
+    index = {c: i for i, c in enumerate(coords)}
+
+    def table(op):
+        return tuple(tuple(index[tuple(getattr(f, op)[a][b] for f, a, b in zip(factors, ci, cj))]
+                           for cj in coords) for ci in coords)
+
+    return FiniteLattice(FinitePoset(labels, up), table("meet"), table("join"),
+                         factors=factors, coords=coords)
 
 
 def sc_clause(lo_q, hi_q, lo_q2, hi_q2):

@@ -1,6 +1,8 @@
 """command-line behavior: exit codes, report lines, file handling."""
 import json
 
+import pytest
+
 from latgames.cli import main
 from latgames.corpus import DATA
 
@@ -47,6 +49,16 @@ class TestCheckLattice:
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, out = run(capsys, "check-lattice", tmp_path / "nope.json")
         assert code == 2
+
+    def test_product_labels_that_encode_alike_exit_two(self, capsys, tmp_path):
+        # ("a", "b,c") and ("a,b", "c") would both be labelled (a,b,c).
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps({"product": [
+            {"elements": ["a", "a,b"], "covers": [["a", "a,b"]]},
+            {"elements": ["b,c", "c"], "covers": [["c", "b,c"]]}]}))
+        code, out = run(capsys, "check-lattice", path)
+        assert code == 2
+        assert out.startswith("ERROR DuplicateLabel") and "'(a,b,c)'" in out
 
 
 class TestMalformedDocuments:
@@ -100,6 +112,17 @@ class TestMalformedDocuments:
 
 
 class TestCheckFunction:
+    def test_successive_calls_keep_their_own_properties(self, capsys):
+        code, out = run(capsys, "check-function", VEINOTT,
+                        "--property", "single-crossing", "--property", "qsm")
+        assert code == 1
+        assert [line.split()[1] for line in out.splitlines()] == [
+            "single-crossing", "quasisupermodular"]
+        code, out = run(capsys, "check-function", VEINOTT, "--property", "supermodular")
+        assert [line.split()[1] for line in out.splitlines()] == ["supermodular"]
+        code, out = run(capsys, "check-function", VEINOTT)
+        assert [line.split()[1] for line in out.splitlines()] == ["quasisupermodular"]
+
     def test_quasisupermodular_failure_witness(self, capsys):
         code, out = run(capsys, "check-function", SUM_H, "--property", "qsm")
         assert code == 1
@@ -257,6 +280,28 @@ class TestGenerate:
                         "--dims", "2x3", "--payoff", "supermodular_then_transform")
         assert first == second
         assert json.loads(first)["codomain"] == {"kind": "rational"}
+
+    @staticmethod
+    def _generate_grid(*argv):
+        import subprocess
+        import sys
+
+        return subprocess.run([sys.executable, "-m", "latgames.cli", "generate", "--seed", "1",
+                               "--family", "grid", *argv], capture_output=True, text=True)
+
+    @pytest.mark.parametrize("dims", ["3xa", "3x", "x"])
+    def test_malformed_dims_exit_two_with_usage(self, dims):
+        proc = self._generate_grid("--dims", dims)
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr and "argument --dims: expected dimensions" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_out_in_a_missing_directory_exits_two(self, tmp_path):
+        out_path = tmp_path / "missing" / "grid.json"
+        proc = self._generate_grid("--dims", "2x2", "--out", str(out_path))
+        assert proc.returncode == 2
+        assert proc.stdout.startswith(f"ERROR ParseError: cannot write {out_path}")
+        assert "Traceback" not in proc.stderr
 
     def test_generated_function_passes_checker(self, capsys, tmp_path):
         out_path = tmp_path / "fn.json"

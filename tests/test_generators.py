@@ -87,11 +87,11 @@ class TestFamilies:
             assert L.n >= 2
 
     def test_caps(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="chain of 100 elements"):
             generate(GenSpec(seed=0, family="chain", size=100))
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="10000 cells"):
             grid_lattice((100, 100))
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="k = 50"):
             diamond_mk(50)
 
 

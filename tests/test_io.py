@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latgames.errors import NotALattice, ParseError
+from latgames.errors import InvariantViolation, NotALattice, ParseError
 from latgames.io import (
     canonical_dumps,
     format_value,
@@ -67,6 +67,16 @@ class TestValues:
             parse_value(True)
         with pytest.raises(ParseError):
             parse_value("1/0")
+
+    def test_rational_codomain_keeps_fractions(self):
+        from latgames import ChainCodomain
+
+        rational = ChainCodomain.rational()
+        value = Fraction(1, 3)
+        assert rational.validate(value) is value
+        assert type(rational.validate(2)) is Fraction and rational.validate(2) == 2
+        with pytest.raises(InvariantViolation):
+            rational.validate(True)
 
     def test_format(self):
         assert format_value(Fraction(4, 2)) == "2"
