@@ -142,8 +142,6 @@ class ArgmaxReport:
     upper_chain_subcomplete: Verdict
     argmax: tuple
     nonempty: bool
-    is_sublattice: bool
-    is_subcomplete: bool
     flags: SubsetFlags
 
     @property
@@ -152,7 +150,7 @@ class ArgmaxReport:
 
     @property
     def conclusion_holds(self) -> bool:
-        return self.nonempty and self.is_sublattice and self.is_subcomplete
+        return self.nonempty and self.flags.is_sublattice.holds and self.flags.is_subcomplete.holds
 
 
 def verify_kuku(f: LatticeFunction) -> ArgmaxReport:
@@ -166,19 +164,10 @@ def verify_kuku(f: LatticeFunction) -> ArgmaxReport:
     """
     from .properties import is_quasisupermodular, is_upper_chain_subcomplete
 
-    qsm = is_quasisupermodular(f)
-    ucs = is_upper_chain_subcomplete(f)
     arg = argmax_set(f)
-    flags = classify_subset(f.domain, arg)
-    report = ArgmaxReport(
-        quasisupermodular=qsm,
-        upper_chain_subcomplete=ucs,
-        argmax=arg,
-        nonempty=bool(arg),
-        is_sublattice=flags.is_sublattice.holds,
-        is_subcomplete=flags.is_subcomplete.holds,
-        flags=flags,
-    )
+    report = ArgmaxReport(quasisupermodular=is_quasisupermodular(f),
+                          upper_chain_subcomplete=is_upper_chain_subcomplete(f), argmax=arg,
+                          nonempty=bool(arg), flags=classify_subset(f.domain, arg))
     if report.premises_hold and not report.conclusion_holds:
         raise TheoremFalsified(
             f"quasisupermodular + upper chain subcomplete, yet argmax {arg} "

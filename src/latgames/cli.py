@@ -17,7 +17,7 @@ from .errors import CapExceeded, LatGamesError, NotALattice, ParseError, Theorem
 from .functions import LatticeFunction
 from .generators import GenSpec, generate
 from .io import load_path, save_path, serialize
-from .lattice import classify_subset
+from .lattice import first_unbounded, iter_chain_masks, iter_submasks, sublattice_witness
 from .topology import family_for
 
 
@@ -93,12 +93,12 @@ def cmd_verify(args) -> int:
             raise CapExceeded(f"veinott verification of a {L.n}-element lattice exceeds "
                               "the cap of 14 elements (2^n subsets)")
         for mask in range(1 << L.n):
-            flags = classify_subset(L, L.labels_of(mask))
-            if flags.is_subcomplete.holds != flags.is_sublattice.holds:
+            subcomplete = first_unbounded(L, mask, iter_submasks(mask)) is None
+            if subcomplete != (sublattice_witness(L, mask) is None):
                 print("PROPERTY subcomplete-iff-sublattice FAIL "
                       f"subset={','.join(L.labels_of(mask))}")
                 return 1
-            if not flags.is_chain_subcomplete.holds:
+            if first_unbounded(L, mask, iter_chain_masks(L.poset, mask)) is not None:
                 print(f"PROPERTY chain-subcomplete FAIL subset={','.join(L.labels_of(mask))}")
                 return 1
         print("PROPERTY subcomplete-iff-sublattice PASS")
@@ -108,8 +108,7 @@ def cmd_verify(args) -> int:
         L = _load(args.file, "lattice")
         family = family_for("interval", L)
         for mask in family.sets:
-            flags = classify_subset(L, L.labels_of(mask))
-            if not flags.is_chain_subcomplete.holds:
+            if first_unbounded(L, mask, iter_chain_masks(L.poset, mask)) is not None:
                 print("PROPERTY interval-closed-chain-subcomplete FAIL "
                       f"set={','.join(L.labels_of(mask))}")
                 return 1

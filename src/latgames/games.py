@@ -23,8 +23,8 @@ from .errors import (
     TheoremFalsified,
 )
 from .functions import LatticeFunction, image_map
-from .lattice import (FinitePoset, componentwise_up, extremal_in, extremes, pairwise_bounds,
-                      product_elements, tuple_label, validate_label)
+from .lattice import (FinitePoset, componentwise_up, extremal_in, extremes, iter_bits,
+                      pairwise_bounds, product_elements, tuple_label, validate_label)
 from .topology import explicit_closed_family
 from .verdict import Verdict
 
@@ -317,16 +317,18 @@ def tarski_extremes(G: Game) -> TarskiReport:
     return TarskiReport(largest=largest, least=least, iterations_up=up, iterations_down=down)
 
 
-def _sublattice_gap(G: Game, E: tuple, coords):
-    """First pair (a, b) of E, in ``combinations`` order, whose meet (tested
-    first) or join in the joint space is not in E, with that value; ``coords``
-    are E's coordinate tuples."""
+def _sublattice_gap(G: Game, order: FinitePoset, coords):
+    """First pair (a, b) of E's poset ``order``, in ``combinations`` order, whose
+    meet (tested first) or join in the joint space is not in E, with that value.
+    Comparable pairs are their own meet and join, so they are skipped."""
     members = set(coords)
-    for (a, ca), (b, cb) in itertools.combinations(zip(E, coords), 2):
-        for op in ("meet", "join"):
-            c = tuple(getattr(f, op)[x][y] for f, x, y in zip(G.factors, ca, cb))
-            if c not in members:
-                return a, b, op, tuple(f.labels[k] for f, k in zip(G.factors, c))
+    for a, ca in enumerate(coords):
+        for b in iter_bits((order.full & ~(order.up[a] | order.down[a])) >> a << a):
+            for op in ("meet", "join"):
+                c = tuple(getattr(f, op)[x][y] for f, x, y in zip(G.factors, ca, coords[b]))
+                if c not in members:
+                    return (order.labels[a], order.labels[b], op,
+                            tuple(f.labels[k] for f, k in zip(G.factors, c)))
     return None
 
 
@@ -344,7 +346,7 @@ def verify_equilibrium_structure(G: Game, cap: int = 1_000_000) -> NashReport:
     order, coords = _equilibrium_order(G, cap)
     complete = bool(E) and all(lub is not None and glb is not None
                                for _, _, lub, glb in pairwise_bounds(order))
-    gap = _sublattice_gap(G, E, coords)
+    gap = _sublattice_gap(G, order, coords)
     certifies = ("order", "topological") if all(
         G.codomains[p].is_rational for p in G.players) else ("order",)
     notes = ()

@@ -74,7 +74,7 @@ def grid_lattice(dims) -> FiniteLattice:
     """Product of integer chains; the workhorse domain for supermodular tables."""
     dims = tuple(dims)
     if not dims or any(d < 1 for d in dims):
-        raise CapExceeded("grid dimensions must be positive")
+        raise CapExceeded(f"grid dimensions {dims} must be positive")
     cells = 1
     for d in dims:
         cells *= d

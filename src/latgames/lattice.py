@@ -1,10 +1,11 @@
-"""Finite posets and lattices with exhaustive order-theoretic checkers.
+"""Finite posets and lattices, their bounds and subset classification.
 
 Elements are kept in lexicographic label order and that order is canonical
 for every subset-valued result in the package.  Subsets are bitmasks over
-the canonical order, the full relation is stored per element, and every
-predicate is decided by exhaustive scan.  All types are immutable after
-construction, so everything here is safe to use concurrently.
+the canonical order and the full relation is stored per element.  Every
+predicate is decided in polynomial time; the exponential chain and submask
+scans remain for the commands that test the equivalences used.  All types
+are immutable after construction, so they are safe to use concurrently.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .errors import (
     EmptyCarrier,
     EmptyFactorList,
     EmptySubset,
+    InvariantViolation,
     NotALattice,
     UnknownLabel,
 )
@@ -160,7 +162,8 @@ class FiniteLattice:
     and give each element its per-factor coordinates.
     """
 
-    __slots__ = ("poset", "meet", "join", "factors", "coords", "coord_index", "bottom", "top")
+    __slots__ = ("poset", "meet", "join", "factors", "coords", "coord_index", "bottom", "top",
+                 "_tables_checked")
 
     def __init__(self, poset, meet, join, factors=None, coords=None):
         self.poset = poset
@@ -169,16 +172,12 @@ class FiniteLattice:
         self.factors = factors
         self.coords = coords
         self.coord_index = None if coords is None else {c: i for i, c in enumerate(coords)}
-        bottom = top = None
-        for i in range(poset.n):
-            if poset.up[i] == poset.full:
-                bottom = i
-            if poset.down[i] == poset.full:
-                top = i
+        bottom, top = extremal_in(poset, poset.full, False), extremal_in(poset, poset.full)
         if bottom is None or top is None:
             raise NotALattice((), "glb" if bottom is None else "lub")
         self.bottom = bottom
         self.top = top
+        self._tables_checked = False
 
     @property
     def labels(self):
@@ -207,20 +206,38 @@ class FiniteLattice:
     def join_label(self, a: str, b: str) -> str:
         return self.labels[self.join[self.poset._index_of(a)][self.poset._index_of(b)]]
 
+    def check_tables(self) -> None:
+        """Raise ``InvariantViolation`` at the first entry, in ``pairwise_bounds``
+        order, where the join or meet table is not the order's bound: the
+        lattice is malformed.  O(n²) big-int operations, once per lattice."""
+        if self._tables_checked:
+            return
+        labels, join, meet = self.labels, self.join, self.meet
+        for i, j, lub, glb in pairwise_bounds(self.poset):
+            if join[i][j] == join[j][i] == lub and meet[i][j] == meet[j][i] == glb:
+                continue
+            for op, table, bound in (("join", join, lub), ("meet", meet, glb)):
+                for a, b in ((i, j), (j, i)):
+                    if table[a][b] != bound:
+                        raise InvariantViolation(
+                            f"{op} table entry ({labels[a]}, {labels[b]}) is "
+                            f"{labels[table[a][b]]}, but the order's {op} is "
+                            f"{'missing' if bound is None else labels[bound]}")
+        self._tables_checked = True
+
     def _sup_mask(self, mask: int) -> int:
-        acc = None
-        for i in iter_bits(mask):
-            acc = i if acc is None else self.join[acc][i]
-        if acc is None:
-            raise EmptySubset("sup of the empty subset")
+        """Join of a nonempty mask, folded in canonical order."""
+        bits = iter_bits(mask)
+        acc = next(bits)
+        for i in bits:
+            acc = self.join[acc][i]
         return acc
 
     def _inf_mask(self, mask: int) -> int:
-        acc = None
-        for i in iter_bits(mask):
-            acc = i if acc is None else self.meet[acc][i]
-        if acc is None:
-            raise EmptySubset("inf of the empty subset")
+        bits = iter_bits(mask)
+        acc = next(bits)
+        for i in bits:
+            acc = self.meet[acc][i]
         return acc
 
     def __eq__(self, other):
@@ -364,12 +381,55 @@ def iter_chain_masks(poset: FinitePoset, mask: int):
         yield from extend(low, mask & comp[i] & higher)
 
 
-def _iter_submasks_ascending(mask: int):
+def iter_submasks(mask: int):
     """Nonempty submasks of ``mask`` in increasing numeric order."""
     sub = (-mask) & mask
     while sub:
         yield sub
         sub = (sub - mask) & mask
+
+
+def first_unbounded(L: FiniteLattice, mask: int, submasks):
+    """Witness fields for the first of ``submasks`` whose sup (tested first)
+    or inf lies outside ``mask``, or None.  Over ``iter_submasks`` or
+    ``iter_chain_masks`` this is the exhaustive (exponential) subcompleteness
+    or chain-subcompleteness scan, kept for the theorem commands and tests."""
+    for sub in submasks:
+        for bound, value in (("sup", L._sup_mask(sub)), ("inf", L._inf_mask(sub))):
+            if not mask >> value & 1:
+                return ("subset", L.labels_of(sub)), ("bound", bound), ("value", L.labels[value])
+    return None
+
+
+def _least_unbounded(L: FiniteLattice, bits: list, mask: int) -> tuple:
+    """``first_unbounded(L, mask, iter_submasks(mask))`` in O(m²) table reads,
+    for a ``mask`` with elements ``bits`` (ascending) that is not a sublattice.
+
+    A set's join closure {sup T : T ⊆ P nonempty} leaves ``mask`` iff some
+    submask of P has its sup outside, and dually for meets.  Submasks topped
+    by bits[k] follow all submasks of bits[:k], so the least failing one is
+    topped by the end of the shortest prefix whose closure leaves ``mask``.
+    Lower bits are fixed from the top down: bits[j] is left out iff the set F
+    chosen so far, with some R ⊆ bits[:j], still fails, that is iff sup F or
+    sup F ∨ c, c in the join closure of bits[:j], is outside (or dually).
+    """
+    def escapes(x: int, closure, table) -> bool:
+        return not mask >> x & 1 or any(not mask >> table[x][c] & 1 for c in closure)
+
+    closures = [((), ())]  # closures[k]: the join and meet closures of bits[:k]
+    for k, b in enumerate(bits):
+        J, M = closures[k]
+        J, M = {b, *J, *(L.join[b][c] for c in J)}, {b, *M, *(L.meet[b][c] for c in M)}
+        if any(not mask >> c & 1 for c in J | M):
+            break
+        closures.append((J, M))
+    s = i = b
+    chosen = 1 << b
+    for j in range(k - 1, -1, -1):
+        if not (escapes(s, closures[j][0], L.join) or escapes(i, closures[j][1], L.meet)):
+            s, i = L.join[s][bits[j]], L.meet[i][bits[j]]
+            chosen |= 1 << bits[j]
+    return first_unbounded(L, mask, (chosen,))
 
 
 @dataclass(frozen=True)
@@ -392,13 +452,29 @@ class SubsetFlags:
         )
 
 
-def classify_subset(L: FiniteLattice, subset, subcomplete_cap: int = 20) -> SubsetFlags:
+def sublattice_witness(L: FiniteLattice, mask: int):
+    """Witness fields for the first pair of ``mask``'s elements, in
+    ``combinations`` order, whose meet (tested first) or join lies outside
+    ``mask``, or None when ``mask`` is a sublattice."""
+    labels = L.labels
+    for a, b in itertools.combinations(iter_bits(mask), 2):
+        m = L.meet[a][b]
+        if not mask >> m & 1:
+            return ("x", labels[a]), ("y", labels[b]), ("op", "meet"), ("value", labels[m])
+        v = L.join[a][b]
+        if not mask >> v & 1:
+            return ("x", labels[a]), ("y", labels[b]), ("op", "join"), ("value", labels[v])
+    return None
+
+
+def classify_subset(L: FiniteLattice, subset) -> SubsetFlags:
     """Decide chain / antichain / sublattice / subcomplete / chain-subcomplete.
 
-    Subcompleteness enumerates all nonempty subsets, which is exponential, so
-    it is guarded by ``subcomplete_cap``.  Above the cap the verdict is
-    decided through sublattice closure (equivalent on finite carriers) and the
-    shortcut is flagged in the verdict's note.
+    Chain, antichain and sublattice are pair scans.  Once ``L.check_tables``
+    passes, a finite chain's sup and inf are its own endpoints, so every
+    subset is chain-subcomplete, and a subset is subcomplete iff it is a
+    sublattice; a failing subcompleteness verdict carries the least failing
+    submask (``_least_unbounded``), the exhaustive scan's witness.
 
     The empty subset satisfies every flag by convention.
     """
@@ -406,6 +482,7 @@ def classify_subset(L: FiniteLattice, subset, subcomplete_cap: int = 20) -> Subs
     if mask == 0:
         empty = Verdict(True, note="empty subset: holds by convention")
         return SubsetFlags(empty, empty, empty, empty, empty)
+    L.check_tables()
     bits = list(iter_bits(mask))
     labels = L.labels
     poset = L.poset
@@ -421,58 +498,11 @@ def classify_subset(L: FiniteLattice, subset, subcomplete_cap: int = 20) -> Subs
         if not chain.holds and not antichain.holds:
             break
 
-    sublattice = Verdict(True)
-    for a, b in itertools.combinations(bits, 2):
-        m = L.meet[a][b]
-        if not mask >> m & 1:
-            sublattice = Verdict(False, witness=(
-                ("x", labels[a]), ("y", labels[b]), ("op", "meet"), ("value", labels[m])))
-            break
-        v = L.join[a][b]
-        if not mask >> v & 1:
-            sublattice = Verdict(False, witness=(
-                ("x", labels[a]), ("y", labels[b]), ("op", "join"), ("value", labels[v])))
-            break
-
-    if len(bits) <= subcomplete_cap:
-        subcomplete = Verdict(True)
-        for sub in _iter_submasks_ascending(mask):
-            s = L._sup_mask(sub)
-            if not mask >> s & 1:
-                subcomplete = Verdict(False, witness=(
-                    ("subset", L.labels_of(sub)), ("bound", "sup"), ("value", labels[s])))
-                break
-            i = L._inf_mask(sub)
-            if not mask >> i & 1:
-                subcomplete = Verdict(False, witness=(
-                    ("subset", L.labels_of(sub)), ("bound", "inf"), ("value", labels[i])))
-                break
-        chain_sub = Verdict(True)
-        for cmask in iter_chain_masks(poset, mask):
-            s = L._sup_mask(cmask)
-            if not mask >> s & 1:
-                chain_sub = Verdict(False, witness=(
-                    ("subset", L.labels_of(cmask)), ("bound", "sup"), ("value", labels[s])))
-                break
-            i = L._inf_mask(cmask)
-            if not mask >> i & 1:
-                chain_sub = Verdict(False, witness=(
-                    ("subset", L.labels_of(cmask)), ("bound", "inf"), ("value", labels[i])))
-                break
-    else:
-        note = "size cap exceeded: decided via sublattice closure, equivalent on finite carriers"
-        if sublattice.holds:
-            subcomplete = Verdict(True, note=note)
-        else:
-            w = sublattice.witness_dict()
-            subcomplete = Verdict(False, witness=(
-                ("subset", (w["x"], w["y"])),
-                ("bound", "inf" if w["op"] == "meet" else "sup"),
-                ("value", w["value"])), note=note)
-        chain_sub = Verdict(
-            True, note="size cap exceeded: finite chains attain sup and inf at their endpoints")
-
-    return SubsetFlags(chain, antichain, sublattice, subcomplete, chain_sub)
+    gap = sublattice_witness(L, mask)
+    if gap is None:
+        return SubsetFlags(chain, antichain, Verdict(True), Verdict(True), Verdict(True))
+    subcomplete = Verdict(False, witness=_least_unbounded(L, bits, mask))
+    return SubsetFlags(chain, antichain, Verdict(False, witness=gap), subcomplete, Verdict(True))
 
 
 def extremal_in(poset: FinitePoset, mask: int, greatest: bool = True) -> int | None:
@@ -497,10 +527,6 @@ def extremes(P: FinitePoset) -> Extremes:
     """Minimal/maximal elements by scan; least/greatest when they exist."""
     minimal = tuple(P.labels[i] for i in range(P.n) if P.down[i] == 1 << i)
     maximal = tuple(P.labels[i] for i in range(P.n) if P.up[i] == 1 << i)
-    least = greatest = None
-    for i in range(P.n):
-        if P.up[i] == P.full:
-            least = P.labels[i]
-        if P.down[i] == P.full:
-            greatest = P.labels[i]
-    return Extremes(minimal, maximal, least, greatest)
+    # In a finite poset an element is least iff it is the only minimal one.
+    return Extremes(minimal, maximal, minimal[0] if len(minimal) == 1 else None,
+                    maximal[0] if len(maximal) == 1 else None)

@@ -21,7 +21,8 @@ from latgames import (
     poset_from_covers,
     product_lattice,
 )
-from latgames.lattice import FiniteLattice, FinitePoset, tuple_label
+from latgames.lattice import (FiniteLattice, FinitePoset, first_unbounded, iter_chain_masks,
+                              iter_submasks, tuple_label)
 from latgames.generators import (all_lattices, chain_lattice, diamond, diamond_mk,
                                  fraction_chain, random_game)
 from latgames.rng import Xoshiro256StarStar
@@ -188,6 +189,14 @@ def small_product_functions(seed):
             D = product_lattice([L, C])
             for table in product_tables(rng, D, L, C):
                 yield LatticeFunction(D, RATIONAL, table)
+
+
+def with_join_entry(L, a: str, b: str, value: str) -> FiniteLattice:
+    """``L`` with its join table entry at (a, b) overwritten by ``value``: a
+    malformed lattice, which no file can describe."""
+    join = [list(row) for row in L.join]
+    join[L.index[a]][L.index[b]] = L.index[value]
+    return FiniteLattice(L.poset, L.meet, tuple(map(tuple, join)))
 
 
 # ------------------------------------------------------------------ oracles
@@ -360,6 +369,32 @@ def brute_is_subcomplete(L, labels):
             if oracle_inf_subset(L, combo) not in members:
                 return False
     return True
+
+
+def oracle_least_unbounded(L, mask: int):
+    """Witness fields of the first nonempty submask of ``mask``, in numeric
+    order, whose sup (tested first) or inf lies outside it: the exhaustive
+    subcompleteness scan over all 2^|mask| submasks.  None when there is none."""
+    return first_unbounded(L, mask, iter_submasks(mask))
+
+
+def oracle_chain_unbounded(L, mask: int):
+    """The same over every chain inside ``mask`` (``iter_chain_masks``)."""
+    return first_unbounded(L, mask, iter_chain_masks(L.poset, mask))
+
+
+def oracle_upper_chain_subcomplete(f) -> Verdict:
+    """Every chain of every upper level set of ``f``, levels ascending, with
+    its sup and inf folded from the tables: the exhaustive scan the table
+    check replaced."""
+    for a in sorted(set(f.keys)):
+        level = sum(1 << i for i, k in enumerate(f.keys) if k >= a)
+        hit = oracle_chain_unbounded(f.domain, level)
+        if hit is not None:
+            (_, chain), bound, value = hit
+            return Verdict(False, witness=(("level", f.values[f.keys.index(a)]),
+                                           ("chain", chain), bound, value))
+    return Verdict(True)
 
 
 def all_functions(L, values):

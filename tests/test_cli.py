@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from latgames import LatticeFunction
 from latgames.cli import main
 from latgames.corpus import DATA
+
+from conftest import RATIONAL, with_join_entry
 
 VEINOTT = DATA / "veinott_single_crossing.json"
 SUM_H = DATA / "sum_counterexample_h.json"
@@ -213,6 +216,32 @@ class TestVerify:
         assert code == 2
         assert out.startswith("ERROR CapExceeded")
         assert "15-element" in out
+
+    def test_ucs_and_kuku_on_a_12x12_grid_function(self, capsys, tmp_path):
+        # 144 elements: far beyond any chain enumeration, one table check.
+        path = tmp_path / "grid12.json"
+        run(capsys, "generate", "--seed", "6", "--family", "grid", "--dims", "12x12",
+            "--payoff", "supermodular_then_transform", "--out", path)
+        code, out = run(capsys, "check-function", path, "--property", "ucs")
+        assert (code, out) == (0, "PROPERTY upper-chain-subcomplete PASS\n")
+        code, out = run(capsys, "verify", path, "--theorem", "kuku")
+        assert code == 0
+        assert "PROPERTY upper-chain-subcomplete PASS" in out
+        assert "PROPERTY argmax-subcomplete PASS" in out
+
+    def test_corrupted_join_table_exits_two(self, capsys, monkeypatch, diamond_lattice):
+        # Files cannot carry such a table (io builds lattices through
+        # check_lattice), so the loaded instance is replaced.
+        from latgames import cli
+
+        bad = with_join_entry(diamond_lattice, "a", "b", "a")
+        f = LatticeFunction(bad, RATIONAL, dict.fromkeys(bad.labels, 0))
+        monkeypatch.setattr(cli, "load_path", lambda path: ("function", f))
+        for argv in (["check-function", "f.json", "--property", "ucs"],
+                     ["verify", "f.json", "--theorem", "kuku"]):
+            code, out = run(capsys, *argv)
+            assert code == 2
+            assert out.startswith("ERROR InvariantViolation: join table entry (a, b) is a")
 
     def test_zhou(self, capsys):
         code, out = run(capsys, "verify", STEP_GAME, "--theorem", "zhou")

@@ -93,6 +93,8 @@ class TestFamilies:
             grid_lattice((100, 100))
         with pytest.raises(CapExceeded, match="k = 50"):
             diamond_mk(50)
+        with pytest.raises(CapExceeded, match=r"grid dimensions \(0, 3\) must be positive"):
+            generate(GenSpec(seed=0, family="grid", dims=(0, 3)))
 
 
 class TestDeterminism:

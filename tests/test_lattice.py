@@ -18,19 +18,26 @@ from latgames.errors import (
     DuplicateLabel,
     EmptyFactorList,
     EmptySubset,
+    InvariantViolation,
     NotALattice,
     UnknownLabel,
 )
-from latgames.generators import all_lattices, chain_lattice, diamond, lattices_of_size
+from latgames.generators import (all_lattices, chain_lattice, diamond, grid_lattice,
+                                 lattices_of_size)
+from latgames.lattice import iter_bits
 from latgames.rng import Xoshiro256StarStar
+from latgames.verdict import Verdict
 
 from conftest import (
     brute_is_sublattice,
     brute_is_subcomplete,
+    oracle_chain_unbounded,
     oracle_glb,
+    oracle_least_unbounded,
     oracle_lub,
     oracle_sup_subset,
     oracle_inf_subset,
+    with_join_entry,
 )
 
 
@@ -237,21 +244,106 @@ class TestClassifySubset:
                 assert flags.is_subcomplete.holds == brute_is_subcomplete(star5, labels)
 
     def test_cap_shortcut_flagged(self):
+        # 25 elements, past the old enumeration cap of 20: there is no cap
+        # any more, so both flags are decided and carry no note.
         c = chain_lattice(25)
-        flags = classify_subset(c, c.labels, subcomplete_cap=20)
-        assert flags.is_subcomplete.holds
-        assert "sublattice closure" in flags.is_subcomplete.note
-        assert flags.is_chain_subcomplete.holds
+        flags = classify_subset(c, c.labels)
+        assert flags.is_subcomplete == Verdict(True)
+        assert flags.is_chain_subcomplete == Verdict(True)
 
     def test_cap_shortcut_false_witness_rechecks(self):
-        # 25-point grid minus an interior meet: failure survives the shortcut.
+        # 25-point grid minus an interior join: 24 elements, and the
+        # exhaustive scan stops at the least failing submask.
         c5 = chain_lattice(5)
         grid = product_lattice([c5, c5])
         labels = [l for l in grid.labels if l != "(c1,c1)"]
-        flags = classify_subset(grid, labels, subcomplete_cap=10)
+        flags = classify_subset(grid, labels)
         assert not flags.is_subcomplete.holds
-        w = flags.is_subcomplete.witness_dict()
-        assert w["value"] == "(c1,c1)"
+        assert flags.is_subcomplete.witness == oracle_least_unbounded(
+            grid, grid.subset_mask(labels))
+        assert flags.is_subcomplete.witness_dict() == {
+            "subset": ("(c0,c1)", "(c1,c0)"), "bound": "sup", "value": "(c1,c1)"}
+
+
+def _assert_matches_oracle(L, mask):
+    flags = classify_subset(L, L.labels_of(mask))
+    hit = oracle_least_unbounded(L, mask)
+    assert flags.is_subcomplete == Verdict(hit is None, witness=hit)
+    assert flags.is_chain_subcomplete == Verdict(True) and oracle_chain_unbounded(L, mask) is None
+    return hit
+
+
+class TestSubcompletenessDecider:
+    """``classify_subset`` decides subcompleteness by the sublattice scan and
+    builds the least submask witness from prefix closures; the exhaustive
+    submask and chain scans are the oracles."""
+
+    def test_every_subset_of_small_lattices(self):
+        for L in all_lattices(6):
+            for mask in range(1, 1 << L.n):
+                hit = _assert_matches_oracle(L, mask)
+                if hit is not None:
+                    assert len(hit[0][1]) == 2  # size <= 6: the least witness is a pair
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 2, 2)])
+    def test_every_subset_of_small_grids(self, dims):
+        L = grid_lattice(dims)
+        for mask in range(1, 1 << L.n):
+            _assert_matches_oracle(L, mask)
+
+    @pytest.mark.parametrize("dims", [(5, 5), (6, 6), (3, 3, 3), (2, 2, 2, 3)])
+    def test_seeded_subsets_of_larger_grids(self, dims):
+        L = grid_lattice(dims)
+        rng = Xoshiro256StarStar(0x5EED_0601)
+        for _ in range(40):
+            picks = list(range(L.n))
+            rng.shuffle(picks)
+            _assert_matches_oracle(L, sum(1 << i for i in picks[:10 + rng.below(11)]))
+
+    @pytest.mark.parametrize("dims", [(3, 3, 3), (2, 2, 2, 3), (4, 4, 2)])
+    def test_seeded_intervals_whole_and_punctured(self, dims):
+        # Random subsets of larger grids almost never hold; intervals do, and
+        # an interval less one element fails with witnesses beyond pairs.
+        L = grid_lattice(dims)
+        rng = Xoshiro256StarStar(0x5EED_0602)
+        sizes, tried = set(), 0
+        while tried < 8:
+            a, b = rng.below(L.n), rng.below(L.n)
+            interval = L.poset.up[L.meet[a][b]] & L.poset.down[L.join[a][b]]
+            if not 8 <= interval.bit_count() <= 16:
+                continue
+            tried += 1
+            assert _assert_matches_oracle(L, interval) is None
+            for i in iter_bits(interval):
+                hit = _assert_matches_oracle(L, interval & ~(1 << i))
+                sizes.add(0 if hit is None else len(hit[0][1]))
+        assert {2, 3} <= sizes
+
+    def test_cube_without_top_has_the_three_atoms_as_least_witness(self):
+        cube = grid_lattice((2, 2, 2))
+        labels = [l for l in cube.labels if l != "(1,1,1)"]
+        flags = classify_subset(cube, labels)
+        assert flags.is_subcomplete.witness_dict() == {
+            "subset": ("(0,0,1)", "(0,1,0)", "(1,0,0)"), "bound": "sup", "value": "(1,1,1)"}
+        assert flags.is_subcomplete.witness == oracle_least_unbounded(
+            cube, cube.subset_mask(labels))
+
+    def test_prefix_that_fails_only_through_a_triple(self):
+        # Every pair up to (1,0,1,0) has its join and meet inside, yet the
+        # join of a triple ending there escapes: the prefix test needs the
+        # closure, not the pairwise joins.  The only such subset of 2^4.
+        L = grid_lattice((2, 2, 2, 2))
+        labels = ["(0,0,0,0)", "(0,1,0,0)", "(1,0,0,0)", "(1,0,0,1)", "(1,0,1,0)",
+                  "(1,0,1,1)", "(1,1,0,0)", "(1,1,0,1)", "(1,1,1,0)"]
+        _assert_matches_oracle(L, L.subset_mask(labels))
+        assert classify_subset(L, labels).is_subcomplete.witness_dict() == {
+            "subset": ("(0,1,0,0)", "(1,0,0,1)", "(1,0,1,0)"), "bound": "sup",
+            "value": "(1,1,1,1)"}
+
+    def test_corrupted_join_table_is_an_invariant_violation(self, diamond_lattice):
+        bad = with_join_entry(diamond_lattice, "a", "b", "0")
+        with pytest.raises(InvariantViolation, match=r"join table entry \(a, b\) is 0"):
+            classify_subset(bad, ["a", "b"])
 
 
 class TestExtremes:

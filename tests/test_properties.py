@@ -25,6 +25,7 @@ from latgames import (
 from latgames.errors import (
     CarrierMismatch,
     DomainMismatch,
+    InvariantViolation,
     LabeledCodomainUnsupported,
     NotAProductDomain,
     NotStrictlyIncreasing,
@@ -38,9 +39,9 @@ from latgames.generators import (
     random_function,
 )
 from latgames.rng import Xoshiro256StarStar
+from latgames.verdict import Verdict
 
-from conftest import RATIONAL, all_functions
-
+from conftest import RATIONAL, all_functions, oracle_upper_chain_subcomplete, with_join_entry
 
 
 class TestQuasisupermodular:
@@ -220,7 +221,24 @@ class TestUpperChainSubcomplete:
         values = [Fraction(v) for v in (0, 1, 2)]
         for L in all_lattices(4):
             for f in all_functions(L, values):
-                assert is_upper_chain_subcomplete(f).holds
+                assert is_upper_chain_subcomplete(f) == oracle_upper_chain_subcomplete(f) \
+                    == Verdict(True)
+        rng = Xoshiro256StarStar(0x5EED_0603)
+        for L in all_lattices(6):
+            f = LatticeFunction(L, RATIONAL, {label: rng.below(3) for label in L.labels})
+            assert is_upper_chain_subcomplete(f) == oracle_upper_chain_subcomplete(f) \
+                == Verdict(True)
+
+    def test_corrupted_join_table_is_an_invariant_violation(self, diamond_lattice):
+        bad = with_join_entry(diamond_lattice, "b", "a", "a")
+        f = LatticeFunction(bad, RATIONAL, dict.fromkeys(bad.labels, 1))
+        # Every level set of a constant is the whole carrier: the chain scan passes.
+        assert oracle_upper_chain_subcomplete(f).holds
+        with pytest.raises(InvariantViolation,
+                           match=r"join table entry \(b, a\) is a, but the order's join is 1"):
+            is_upper_chain_subcomplete(f)
+        with pytest.raises(InvariantViolation):
+            is_order_upper_semicontinuous(f)
 
     def test_star_function(self, star_function):
         assert is_upper_chain_subcomplete(star_function).holds
