@@ -19,7 +19,6 @@ from .games import (
     Game,
     NashReport,
     TarskiReport,
-    TopologySpec,
     best_response,
     best_response_correspondence,
     enumerate_nash,
@@ -56,6 +55,7 @@ from .properties import (
 )
 from .topology import (
     ClosedFamily,
+    TopologySpec,
     discrete_closed_family,
     explicit_closed_family,
     interval_closed_family,

@@ -18,7 +18,9 @@ from .functions import LatticeFunction
 from .generators import GenSpec, generate
 from .io import load_path, save_path, serialize
 from .lattice import first_unbounded, iter_chain_masks, iter_submasks, sublattice_witness
-from .topology import family_for
+from .topology import DISCRETE, INTERVAL, TopologySpec, family_for
+
+SUBSET_SCAN_CAP = 14
 
 
 def _load(path, expected_kind):
@@ -39,22 +41,16 @@ def cmd_check_lattice(args) -> int:
     return 0 if ok else 1
 
 
-def _family_from_arg(arg, f: LatticeFunction):
-    if arg in (None, "interval"):
-        return family_for("interval", f.domain)
-    if arg == "discrete":
-        return family_for("discrete", f.domain)
-    spec = _load(arg, "topology")
-    return family_for(spec.kind, f.domain, closed_sets=spec.closed_sets)
-
-
 def cmd_check_function(args) -> int:
     f = _load(args.file, "function")
+    props = args.property or ["qsm"]
+    family = None
+    if {"transfer", "topo-usc"} & set(props):
+        arg = args.topology or INTERVAL
+        spec = TopologySpec(arg) if arg in (INTERVAL, DISCRETE) else _load(arg, "topology")
+        family = family_for(spec, f.domain)
     ok = True
-    for prop in args.property or ["qsm"]:
-        family = None
-        if prop in ("transfer", "topo-usc"):
-            family = _family_from_arg(args.topology, f)
+    for prop in props:
         lines, good = reports.function_property_report(f, prop, split=args.split, family=family)
         _print(lines)
         ok = ok and good
@@ -77,6 +73,16 @@ def cmd_solve(args) -> int:
     return 0 if ok else 1
 
 
+def _load_subset_scan_lattice(args):
+    """The lattice of ``verify --theorem veinott|chaincls``, which scan
+    every subset of it, so ``CapExceeded`` above ``SUBSET_SCAN_CAP``."""
+    L = _load(args.file, "lattice")
+    if L.n > SUBSET_SCAN_CAP:
+        raise CapExceeded(f"{args.theorem} verification of a {L.n}-element lattice exceeds "
+                          f"the cap of {SUBSET_SCAN_CAP} elements (2^n subsets)")
+    return L
+
+
 def cmd_verify(args) -> int:
     if args.theorem == "kuku":
         f = _load(args.file, "function")
@@ -88,10 +94,7 @@ def cmd_verify(args) -> int:
         _print(lines)
         return 0
     if args.theorem == "veinott":
-        L = _load(args.file, "lattice")
-        if L.n > 14:
-            raise CapExceeded(f"veinott verification of a {L.n}-element lattice exceeds "
-                              "the cap of 14 elements (2^n subsets)")
+        L = _load_subset_scan_lattice(args)
         for mask in range(1 << L.n):
             subcomplete = first_unbounded(L, mask, iter_submasks(mask)) is None
             if subcomplete != (sublattice_witness(L, mask) is None):
@@ -105,9 +108,8 @@ def cmd_verify(args) -> int:
         print("PROPERTY chain-subcomplete PASS")
         return 0
     if args.theorem == "chaincls":
-        L = _load(args.file, "lattice")
-        family = family_for("interval", L)
-        for mask in family.sets:
+        L = _load_subset_scan_lattice(args)
+        for mask in family_for(TopologySpec(INTERVAL), L).sets:
             if first_unbounded(L, mask, iter_chain_masks(L.poset, mask)) is not None:
                 print("PROPERTY interval-closed-chain-subcomplete FAIL "
                       f"set={','.join(L.labels_of(mask))}")

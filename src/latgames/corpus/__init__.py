@@ -14,7 +14,7 @@ from pathlib import Path
 from .. import reports
 from ..errors import ExpectationMismatch, ParseError
 from ..io import load_path
-from ..topology import family_for
+from ..topology import TopologySpec, family_for
 
 DATA = Path(__file__).parent / "data"
 
@@ -187,14 +187,14 @@ def _load_instance(entry: CorpusEntry):
 
 
 def _topology_family(entry: CorpusEntry, ref: str, domain):
-    if ref in ("interval", "discrete"):
-        return family_for(ref, domain)
+    """``ref`` is a topology kind, or "file" for the entry's topology document."""
     if ref == "file":
         kind, spec = load_path(DATA / f"{entry.topology}.json")
         if kind != "topology":
             raise ParseError(f"{entry.topology} is not a topology file")
-        return family_for(spec.kind, domain, closed_sets=spec.closed_sets)
-    raise ParseError(f"unknown topology reference {ref!r}")
+    else:
+        spec = TopologySpec(ref)
+    return family_for(spec, domain)
 
 
 def run_entry(entry: CorpusEntry) -> str:

@@ -50,10 +50,6 @@ class EmptyFactorList(LatGamesError):
     pass
 
 
-class CarrierTooLarge(LatGamesError):
-    pass
-
-
 class CarrierMismatch(LatGamesError):
     pass
 

@@ -25,16 +25,8 @@ from .errors import (
 from .functions import LatticeFunction, image_map
 from .lattice import (FinitePoset, componentwise_up, extremal_in, extremes, iter_bits,
                       pairwise_bounds, product_elements, tuple_label, validate_label)
-from .topology import explicit_closed_family
+from .topology import TopologySpec, explicit_closed_family
 from .verdict import Verdict
-
-
-@dataclass(frozen=True)
-class TopologySpec:
-    """Per-player topology declaration: interval, discrete, or explicit sets."""
-
-    kind: str
-    closed_sets: tuple | None = None
 
 
 class Game:
@@ -68,8 +60,8 @@ class Game:
                 raise StructuralError(f"topologies declared for unknown players {extra}")
             for p, spec in topologies.items():
                 if spec.kind == "explicit":
-                    # materializing validates the closed-family axioms against
-                    # the player's strategy labels
+                    # building the family validates the closed-family axioms
+                    # against the player's strategy labels
                     explicit_closed_family(strategies[p].labels, spec.closed_sets)
         self.topologies = dict(topologies) if topologies else {}
         self.factors = tuple(self.strategies[p] for p in self.players)

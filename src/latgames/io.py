@@ -17,9 +17,9 @@ from fractions import Fraction
 
 from .errors import LatGamesError, ParseError
 from .functions import ChainCodomain, LatticeFunction
-from .games import Game, TopologySpec
+from .games import Game
 from .lattice import FiniteLattice, check_lattice, poset_from_covers, product_lattice
-from .topology import KINDS, EXPLICIT
+from .topology import EXPLICIT, KINDS, TopologySpec
 
 
 def parse_value(raw):

@@ -278,8 +278,9 @@ def pairwise_bounds(poset: FinitePoset):
                    order[s] if lb and lb & down_at[s] == lb else None)
 
 
-def check_lattice(poset: FinitePoset) -> FiniteLattice:
-    """Fill meet/join tables from ``pairwise_bounds``.
+def check_lattice(poset: FinitePoset, factors=None, coords=None) -> FiniteLattice:
+    """Fill meet/join tables from ``pairwise_bounds``; the lattice starts out
+    with ``check_tables`` done, since its tables are that search's bounds.
 
     Raises ``NotALattice`` with the first pair, in canonical order, that has
     no least upper bound (checked first) or no greatest lower bound.
@@ -294,7 +295,9 @@ def check_lattice(poset: FinitePoset) -> FiniteLattice:
             raise NotALattice((poset.labels[i], poset.labels[j]), "lub" if lub is None else "glb")
         join[i][j] = join[j][i] = lub
         meet[i][j] = meet[j][i] = glb
-    return FiniteLattice(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)))
+    L = FiniteLattice(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)), factors, coords)
+    L._tables_checked = True
+    return L
 
 
 def sup_subset(L: FiniteLattice, labels) -> str:
@@ -350,8 +353,7 @@ def product_lattice(factors) -> FiniteLattice:
     if not factors:
         raise EmptyFactorList("a product needs at least one factor")
     labels, coords = product_elements(factors)
-    L = check_lattice(FinitePoset(labels, componentwise_up(factors, coords)))
-    return FiniteLattice(L.poset, L.meet, L.join, factors=factors, coords=coords)
+    return check_lattice(FinitePoset(labels, componentwise_up(factors, coords)), factors, coords)
 
 
 def iter_chain_masks(poset: FinitePoset, mask: int):

@@ -248,50 +248,31 @@ def _check_carrier(f: LatticeFunction, family: ClosedFamily):
 
 
 def transfer_continuity(f: LatticeFunction, family: ClosedFamily) -> TransferContinuityReport:
-    """Transfer (and weak transfer) upper continuity against a closed family.
+    """Transfer (and weak transfer) upper continuity in a finite topology.
 
     For each pair with f(y) < f(x) there must be some x' and an open U
-    containing y with f(z) < f(x') (resp. <=) for every z in U.  Opens are
-    complements of family members.  Labeled chains are compared by position,
-    an extension of the real-valued definition, and flagged as such.
+    containing y with f(z) < f(x') (resp. <=) for every z in U.  The best x'
+    is a global maximizer and the best U is y's least open neighbourhood,
+    so transfer upper continuity fails exactly at the y whose neighbourhood
+    reaches max f; the witness is the least x, then the least such y, with
+    f(y) < f(x).  O(n²).  Weak transfer always holds on a finite carrier:
+    take x' to be a global maximizer and U the whole carrier.  Labeled
+    chains are compared by position, an extension of the real-valued
+    definition, and flagged as such.
     """
     _check_carrier(f, family)
     L = f.domain
     keys = f.keys
-    n = L.n
     best_key = max(keys)
-    opens = family.open_masks()
-    # The best possible x' is a global maximizer, so precompute, per y, the
-    # smallest achievable sup of f over an open neighborhood of y.
-    strict_ok = [False] * n
-    weak_ok = [False] * n
-    for y in range(n):
-        for u in opens:
-            if not u >> y & 1:
-                continue
-            sup_u = max(keys[z] for z in iter_bits(u))
-            if sup_u <= best_key:
-                weak_ok[y] = True
-            if sup_u < best_key:
-                strict_ok[y] = True
-                break
+    stuck = [y for y, u in enumerate(family.neighbourhoods())
+             if max(keys[z] for z in iter_bits(u)) == best_key]
     note = None
     if not f.codomain.is_rational:
         note = "labeled chain compared by position (extension of the real-valued definition)"
     upper = Verdict(True, note=note)
-    weak = Verdict(True, note=note)
-    for x in range(n):
-        for y in range(n):
-            if keys[y] >= keys[x]:
-                continue
-            if not strict_ok[y] and upper.holds:
-                upper = Verdict(False, witness=(
-                    ("x", L.labels[x]), ("y", L.labels[y])), note=note)
-            if not weak_ok[y] and weak.holds:
-                weak = Verdict(False, witness=(
-                    ("x", L.labels[x]), ("y", L.labels[y])), note=note)
-            if not upper.holds and not weak.holds:
-                return TransferContinuityReport(upper, weak)
-        if not upper.holds and not weak.holds:
+    for x in range(L.n):
+        y = next((y for y in stuck if keys[y] < keys[x]), None)
+        if y is not None:
+            upper = Verdict(False, witness=(("x", L.labels[x]), ("y", L.labels[y])), note=note)
             break
-    return TransferContinuityReport(upper, weak)
+    return TransferContinuityReport(upper, Verdict(True, note=note))

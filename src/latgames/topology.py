@@ -1,12 +1,25 @@
-"""Finite topologies on lattice carriers, materialized as closed-set families.
+"""Finite topologies on lattice carriers, stored as their point closures.
 
-Closed sets are bitmasks over the carrier's canonical element order and the
-family is a sorted tuple of bitmasks, so membership and closure queries are
-cheap and iteration order is deterministic.
+Every topology on a finite set is Alexandrov: its closed sets are closed
+under arbitrary unions, so each point x has a least closed set cl{x}
+containing it, and these n closures determine the topology (Alexandroff
+1937, "Diskrete Räume"; Stong 1966, "Finite topological spaces").  A
+``ClosedFamily`` keeps cl{x} as a bitmask over the carrier's canonical
+element order, for each x:
+
+- the closure of S is the union of cl{x} over x in S, and S is closed iff
+  that union is S;
+- the least open neighbourhood of y is {z : y in cl{z}}.
+
+So every query is O(n) mask operations, where the closed sets themselves
+number 2^n for the interval topology of a finite lattice.  ``sets`` lists
+them on demand, for small carriers only.
 """
 from __future__ import annotations
 
-from .errors import CarrierTooLarge, InvariantViolation
+from dataclasses import dataclass
+
+from .errors import InvariantViolation
 from .lattice import FiniteLattice, iter_bits
 
 INTERVAL = "interval"
@@ -16,39 +29,29 @@ EXPLICIT = "explicit"
 KINDS = (INTERVAL, DISCRETE, EXPLICIT)
 
 
-class ClosedFamily:
-    """The closed sets of a finite topology on a fixed carrier.
+@dataclass(frozen=True)
+class TopologySpec:
+    """A topology declaration: interval, discrete, or explicit closed sets."""
 
-    Invariants: contains the empty set and the full carrier, and is closed
-    under pairwise union and pairwise intersection (which covers arbitrary
-    ones on a finite carrier).
+    kind: str
+    closed_sets: tuple | None = None
+
+
+class ClosedFamily:
+    """A finite topology on a fixed carrier, given by its point closures.
+
+    ``point_closures[x]`` is the mask of cl{x}.  The builders below derive
+    it from rays, singletons or a validated closed-set list, so the closures
+    always come from a family closed under union and intersection.
     """
 
-    __slots__ = ("labels", "index", "kind", "sets", "_lookup", "full")
+    __slots__ = ("labels", "index", "full", "point_closures")
 
-    def __init__(self, labels, sets, kind=EXPLICIT):
+    def __init__(self, labels, point_closures):
         self.labels = tuple(labels)
         self.index = {label: i for i, label in enumerate(self.labels)}
-        self.kind = kind
         self.full = (1 << len(self.labels)) - 1
-        self.sets = tuple(sorted(set(sets)))
-        self._lookup = frozenset(self.sets)
-        self._validate()
-
-    def _validate(self):
-        if 0 not in self._lookup or self.full not in self._lookup:
-            raise InvariantViolation("a closed family must contain the empty set and the carrier")
-        for a in self.sets:
-            for b in self.sets:
-                if a | b not in self._lookup:
-                    raise InvariantViolation(
-                        f"family not closed under union: {self._render(a)} | {self._render(b)}")
-                if a & b not in self._lookup:
-                    raise InvariantViolation(
-                        f"family not closed under intersection: {self._render(a)} & {self._render(b)}")
-
-    def _render(self, mask):
-        return "{" + ",".join(self.labels[i] for i in iter_bits(mask)) + "}"
+        self.point_closures = tuple(point_closures)
 
     def subset_mask(self, labels) -> int:
         mask = 0
@@ -62,98 +65,109 @@ class ClosedFamily:
     def labels_of(self, mask: int) -> tuple:
         return tuple(self.labels[i] for i in iter_bits(mask))
 
-    def is_closed(self, labels) -> bool:
-        return self.subset_mask(labels) in self._lookup
-
-    def is_closed_mask(self, mask: int) -> bool:
-        return mask in self._lookup
-
     def closure_mask(self, mask: int) -> int:
-        acc = self.full
-        for c in self.sets:
-            if c & mask == mask:
-                acc &= c
+        acc = 0
+        for i in iter_bits(mask):
+            acc |= self.point_closures[i]
         return acc
 
+    def is_closed_mask(self, mask: int) -> bool:
+        return self.closure_mask(mask) == mask
+
+    def is_closed(self, labels) -> bool:
+        return self.is_closed_mask(self.subset_mask(labels))
+
     def closure(self, labels) -> tuple:
-        """Smallest closed superset (the family is intersection-closed)."""
+        """Smallest closed superset."""
         return self.labels_of(self.closure_mask(self.subset_mask(labels)))
 
-    def open_masks(self) -> tuple:
-        return tuple(sorted(self.full ^ c for c in self.sets))
+    def neighbourhoods(self) -> list:
+        """``out[y]``: the least open set containing y, {z : y in cl{z}}."""
+        out = [0] * len(self.labels)
+        for z, closure in enumerate(self.point_closures):
+            for y in iter_bits(closure):
+                out[y] |= 1 << z
+        return out
 
-    def __len__(self):
-        return len(self.sets)
-
-
-def _saturate(n: int, seeds) -> tuple:
-    """Least family containing the seeds closed under union and intersection."""
-    family = set(seeds)
-    family.add(0)
-    family.add((1 << n) - 1)
-    work = sorted(family)
-    while work:
-        new = []
-        items = sorted(family)
-        for a in work:
-            for b in items:
-                for c in (a | b, a & b):
-                    if c not in family:
-                        family.add(c)
-                        new.append(c)
-        work = new
-    return tuple(sorted(family))
+    @property
+    def sets(self) -> tuple:
+        """Every closed set, ascending.  Tests all 2^n masks."""
+        return tuple(mask for mask in range(self.full + 1) if self.is_closed_mask(mask))
 
 
-def interval_closed_family(L: FiniteLattice, max_size: int = 10) -> ClosedFamily:
-    """Closed sets of the smallest topology whose up-rays and down-rays are closed.
+def interval_closed_family(L: FiniteLattice) -> ClosedFamily:
+    """The smallest topology whose up-rays and down-rays are closed.
 
-    The family can be exponential in the carrier, hence the size cap.  (On a
-    finite lattice every singleton is an intersection of two rays, so the
-    saturation always reaches the full power set; the computation is kept
-    honest rather than shortcut.)
+    cl{x} is the intersection of the rays through x.  On a finite lattice
+    that is {x} (the up-ray and down-ray of x meet there), so the topology
+    is discrete; the closures are still computed from the rays.
     """
-    if L.n > max_size:
-        raise CarrierTooLarge(f"carrier of size {L.n} exceeds the interval-topology cap {max_size}")
-    rays = []
-    for i in range(L.n):
-        rays.append(L.poset.up[i])
-        rays.append(L.poset.down[i])
-    return ClosedFamily(L.labels, _saturate(L.n, rays), kind=INTERVAL)
+    up, down = L.poset.up, L.poset.down
+    closures = []
+    for x in range(L.n):
+        acc = L.poset.full  # the rays through x: up[i] for i <= x, down[i] for i >= x
+        for i in iter_bits(down[x]):
+            acc &= up[i]
+        for i in iter_bits(up[x]):
+            acc &= down[i]
+        closures.append(acc)
+    return ClosedFamily(L.labels, closures)
 
 
-def discrete_closed_family(labels, max_size: int = 16) -> ClosedFamily:
+def discrete_closed_family(labels) -> ClosedFamily:
     labels = tuple(labels)
-    if len(labels) > max_size:
-        raise CarrierTooLarge(
-            f"carrier of size {len(labels)} exceeds the discrete-topology cap {max_size}")
-    return ClosedFamily(labels, range(1 << len(labels)), kind=DISCRETE)
+    return ClosedFamily(labels, (1 << i for i in range(len(labels))))
 
 
 def explicit_closed_family(labels, closed_sets) -> ClosedFamily:
-    """Validate a user-supplied family against the ClosedFamily invariants."""
+    """Validate a listed family pairwise, then take cl{x} as the intersection
+    of the listed sets containing x.
+
+    The list must contain the empty set and the carrier and be closed under
+    pairwise union and intersection, which covers arbitrary ones on a
+    finite carrier.  O(|F|²) for |F| listed sets.
+    """
     carrier = tuple(labels)
     index = {label: i for i, label in enumerate(carrier)}
-    masks = []
+    masks = set()
     for s in closed_sets:
         mask = 0
         for label in s:
             if label not in index:
                 raise InvariantViolation(f"label {label!r} is not in the carrier")
             mask |= 1 << index[label]
-        masks.append(mask)
-    return ClosedFamily(carrier, masks, kind=EXPLICIT)
+        masks.add(mask)
+    full = (1 << len(carrier)) - 1
+    if 0 not in masks or full not in masks:
+        raise InvariantViolation("a closed family must contain the empty set and the carrier")
+
+    def render(mask):
+        return "{" + ",".join(carrier[i] for i in iter_bits(mask)) + "}"
+
+    sets = sorted(masks)
+    for a in sets:
+        for b in sets:
+            if a | b not in masks:
+                raise InvariantViolation(
+                    f"family not closed under union: {render(a)} | {render(b)}")
+            if a & b not in masks:
+                raise InvariantViolation(
+                    f"family not closed under intersection: {render(a)} & {render(b)}")
+    closures = [full] * len(carrier)
+    for c in sets:
+        for x in iter_bits(c):
+            closures[x] &= c
+    return ClosedFamily(carrier, closures)
 
 
-def family_for(kind: str, L: FiniteLattice, closed_sets=None,
-               interval_cap: int = 10, discrete_cap: int = 16) -> ClosedFamily:
-    """Build the closed family named by a topology kind for carrier ``L``."""
-    if kind == INTERVAL:
-        return interval_closed_family(L, max_size=interval_cap)
-    if kind == DISCRETE:
-        return discrete_closed_family(L.labels, max_size=discrete_cap)
-    if kind == EXPLICIT:
-        if closed_sets is None:
+def family_for(spec: TopologySpec, L: FiniteLattice) -> ClosedFamily:
+    """The closed family that ``spec`` declares on carrier ``L``."""
+    if spec.kind == INTERVAL:
+        return interval_closed_family(L)
+    if spec.kind == DISCRETE:
+        return discrete_closed_family(L.labels)
+    if spec.kind == EXPLICIT:
+        if spec.closed_sets is None:
             raise InvariantViolation("explicit topology requires its closed sets")
-        return explicit_closed_family(L.labels, closed_sets)
-    raise InvariantViolation(f"unknown topology kind {kind!r}")
+        return explicit_closed_family(L.labels, spec.closed_sets)
+    raise InvariantViolation(f"unknown topology kind {spec.kind!r}")

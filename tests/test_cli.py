@@ -217,6 +217,29 @@ class TestVerify:
         assert out.startswith("ERROR CapExceeded")
         assert "15-element" in out
 
+    def test_chaincls_cap_exits_two_with_size(self, capsys, tmp_path):
+        labels = [f"c{i:02d}" for i in range(15)]
+        path = tmp_path / "chain15.json"
+        path.write_text(json.dumps({"elements": labels,
+                                    "covers": [list(c) for c in zip(labels, labels[1:])]}))
+        code, out = run(capsys, "verify", path, "--theorem", "chaincls")
+        assert code == 2
+        assert out.startswith("ERROR CapExceeded")
+        assert "15-element" in out
+
+    def test_transfer_and_topo_usc_on_a_12x12_grid_function(self, capsys, tmp_path):
+        # 144 points: the interval topology has 2^144 closed sets, and its
+        # point closures are 144 masks.
+        path = tmp_path / "grid12.json"
+        run(capsys, "generate", "--seed", "6", "--family", "grid", "--dims", "12x12",
+            "--payoff", "supermodular_then_transform", "--out", path)
+        for topology in ("interval", "discrete"):
+            code, out = run(capsys, "check-function", path, "--property", "transfer",
+                            "--property", "topo-usc", "--topology", topology)
+            assert (code, out) == (0, "PROPERTY transfer-upper PASS\n"
+                                      "PROPERTY transfer-weak-upper PASS\n"
+                                      "PROPERTY topological-usc PASS\n")
+
     def test_ucs_and_kuku_on_a_12x12_grid_function(self, capsys, tmp_path):
         # 144 elements: far beyond any chain enumeration, one table check.
         path = tmp_path / "grid12.json"

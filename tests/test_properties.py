@@ -240,6 +240,21 @@ class TestUpperChainSubcomplete:
         with pytest.raises(InvariantViolation):
             is_order_upper_semicontinuous(f)
 
+    def test_lattices_from_check_lattice_start_checked(self, monkeypatch):
+        # check_lattice filled the tables from pairwise_bounds, so the table
+        # check does not run that search again.
+        from latgames import lattice
+
+        built = [diamond(), product_lattice([diamond(), chain_lattice(3)])]
+
+        def refuse(poset):
+            raise AssertionError("pairwise_bounds ran again")
+
+        monkeypatch.setattr(lattice, "pairwise_bounds", refuse)
+        for L in built:
+            f = LatticeFunction(L, RATIONAL, dict.fromkeys(L.labels, 1))
+            assert is_upper_chain_subcomplete(f).holds
+
     def test_star_function(self, star_function):
         assert is_upper_chain_subcomplete(star_function).holds
         usc = is_order_upper_semicontinuous(star_function)

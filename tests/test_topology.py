@@ -1,14 +1,28 @@
-"""interval/discrete/explicit closed families: saturation, closure, queries."""
+"""interval/discrete/explicit closed families: point closures, queries, and
+the materialized closed-set family as oracle."""
 import pytest
 
 from latgames import (
+    TopologySpec,
     classify_subset,
     discrete_closed_family,
     explicit_closed_family,
     interval_closed_family,
+    is_topologically_usc,
+    transfer_continuity,
 )
-from latgames.errors import CarrierTooLarge, InvariantViolation
+from latgames.errors import InvariantViolation
 from latgames.generators import all_lattices, chain_lattice, diamond, diamond_mk
+from latgames.topology import family_for
+
+from conftest import (
+    all_closed_families,
+    oracle_closure,
+    oracle_interval_sets,
+    oracle_topologically_usc,
+    oracle_transfer,
+    seeded_functions,
+)
 
 
 class TestIntervalFamily:
@@ -19,7 +33,7 @@ class TestIntervalFamily:
     def test_chain_full_power_set(self):
         c = chain_lattice(3, labels=["0", "1", "2"])
         fam = interval_closed_family(c)
-        assert len(fam) == 2 ** 3
+        assert len(fam.sets) == 2 ** 3
         assert fam.is_closed(["0", "2"])
 
     def test_star_cosingleton_closed(self, star5):
@@ -38,11 +52,7 @@ class TestIntervalFamily:
         # Singletons are ray intersections, so unions rebuild every subset.
         for L in all_lattices(4):
             fam = interval_closed_family(L)
-            assert len(fam) == 2 ** L.n
-
-    def test_size_cap(self):
-        with pytest.raises(CarrierTooLarge):
-            interval_closed_family(chain_lattice(11))
+            assert len(fam.sets) == 2 ** L.n
 
 
 class TestClosureAndQueries:
@@ -67,13 +77,9 @@ class TestClosureAndQueries:
 
     def test_discrete_everything_closed(self):
         fam = discrete_closed_family(("p", "q", "r"))
-        assert len(fam) == 8
+        assert len(fam.sets) == 8
         assert fam.is_closed(["q"])
         assert fam.closure(["p", "r"]) == ("p", "r")
-
-    def test_discrete_cap(self):
-        with pytest.raises(CarrierTooLarge):
-            discrete_closed_family(tuple(f"e{i:02d}" for i in range(17)))
 
 
 class TestExplicitFamily:
@@ -106,3 +112,37 @@ class TestClosedSetsAreChainSubcomplete:
             for mask in fam.sets:
                 flags = classify_subset(L, L.labels_of(mask))
                 assert flags.is_chain_subcomplete.holds
+
+
+def assert_matches_materialized(fam, sets, functions):
+    """Every query of ``fam`` agrees with the closed-set list ``sets``."""
+    members = set(sets)
+    assert fam.sets == sets
+    for mask in range(fam.full + 1):
+        assert fam.is_closed_mask(mask) == (mask in members)
+        assert fam.closure_mask(mask) == oracle_closure(sets, mask)
+        assert fam.closure(fam.labels_of(mask)) == fam.labels_of(oracle_closure(sets, mask))
+    for f in functions:
+        assert is_topologically_usc(f, fam) == oracle_topologically_usc(f, sets)
+        assert transfer_continuity(f, fam) == oracle_transfer(f, sets)
+
+
+class TestAgainstMaterializedFamilies:
+    def test_topology_counts(self):
+        assert [len(all_closed_families(n)) for n in range(1, 5)] == [1, 4, 29, 355]
+
+    @pytest.mark.parametrize("L", [chain_lattice(n) for n in range(1, 5)] + [diamond()],
+                             ids=["chain1", "chain2", "chain3", "chain4", "diamond"])
+    def test_every_topology_on_small_carriers(self, L):
+        functions = list(seeded_functions(L, 0x7090 + L.n))
+        for sets in all_closed_families(L.n):
+            spec = TopologySpec("explicit", tuple(L.labels_of(mask) for mask in sets))
+            assert_matches_materialized(family_for(spec, L), sets, functions)
+
+    def test_interval_and_discrete_on_all_lattices_up_to_six(self):
+        for k, L in enumerate(all_lattices(6)):
+            functions = list(seeded_functions(L, 0x7091 + k))
+            assert_matches_materialized(family_for(TopologySpec("interval"), L),
+                                        oracle_interval_sets(L), functions)
+            assert_matches_materialized(family_for(TopologySpec("discrete"), L),
+                                        tuple(range(1 << L.n)), functions)
