@@ -60,12 +60,11 @@ def argmax_set(f: LatticeFunction) -> tuple:
 
 
 def level_correspondence(f: LatticeFunction) -> Correspondence:
-    """Upper level sets indexed by the function's image chain (ascending)."""
+    """Upper level sets indexed by the function's image chain (ascending);
+    the r-th value of the image is the one of rank r."""
     image = f.image()
-    values = {}
-    for v in image:
-        cut = f.codomain.key(v)
-        values[v] = tuple(label for label, k in zip(f.domain.labels, f.keys) if k >= cut)
+    values = {v: tuple(label for label, k in zip(f.domain.labels, f.keys) if k >= cut)
+              for cut, v in enumerate(image)}
     return Correspondence(f.domain, values, index_keys=image)
 
 

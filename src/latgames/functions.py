@@ -6,6 +6,7 @@ must be exact so that witnesses re-check.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -62,6 +63,8 @@ class ChainCodomain:
 
     def validate(self, value):
         if self.kind == RATIONAL:
+            if type(value) is Fraction:
+                return value
             if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                 raise InvariantViolation(f"rational codomain rejects value {value!r}")
             return value if isinstance(value, Fraction) else Fraction(value)
@@ -69,9 +72,25 @@ class ChainCodomain:
             raise InvariantViolation(f"value {value!r} is not on the labeled chain")
         return value
 
-    def key(self, value):
-        """Comparison key: the rational itself, or the chain position."""
-        return value if self.kind == RATIONAL else self._positions[value]
+    def ranks(self, values) -> list:
+        """Dense ranks 0..k-1 of validated values in chain order: equal values
+        share a rank, and a strictly increasing map leaves every rank as it
+        is.  One sort of the distinct values ranks them: rationals whose
+        denominators have a common multiple below 2**64 are sorted as
+        integers over it, any others as fractions; labels by position."""
+        if self.kind == RATIONAL:
+            keys = values
+            common = 1
+            for d in {v.denominator for v in values}:
+                common = math.lcm(common, d)
+                if common >> 64:
+                    break
+            else:
+                keys = [v.numerator * (common // v.denominator) for v in values]
+        else:
+            keys = list(map(self._positions.__getitem__, values))
+        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+        return list(map(rank.__getitem__, keys))
 
     def __eq__(self, other):
         if not isinstance(other, ChainCodomain):
@@ -106,8 +125,19 @@ def image_map(image, t) -> dict:
     return mapped
 
 
+def ranked_image(values, ranks) -> tuple:
+    """Distinct values in ascending chain order: the value of each dense rank."""
+    of_rank = dict(zip(ranks, values))
+    return tuple(map(of_rank.__getitem__, range(len(of_rank))))
+
+
 class LatticeFunction:
-    """A total, exact-valued table on a finite lattice."""
+    """A total, exact-valued table on a finite lattice.
+
+    ``values`` holds the exact values in element order, for the additive
+    checks; ``keys`` their dense ranks (``ChainCodomain.ranks``), which
+    every ordinal check compares.
+    """
 
     __slots__ = ("domain", "codomain", "values", "keys")
 
@@ -124,7 +154,7 @@ class LatticeFunction:
                 parts.append(f"entries for unknown elements {extra}")
             raise InvariantViolation("function table must be total: " + "; ".join(parts))
         self.values = tuple(codomain.validate(table[label]) for label in domain.labels)
-        self.keys = tuple(codomain.key(v) for v in self.values)
+        self.keys = tuple(codomain.ranks(self.values))
 
     def value(self, label: str):
         return self.values[self.domain.poset._index_of(label)]
@@ -134,10 +164,7 @@ class LatticeFunction:
 
     def image(self) -> tuple:
         """Distinct values in ascending chain order."""
-        seen = {}
-        for v, k in zip(self.values, self.keys):
-            seen.setdefault(k, v)
-        return tuple(seen[k] for k in sorted(seen))
+        return ranked_image(self.values, self.keys)
 
     def transform(self, t) -> "LatticeFunction":
         """Apply a strictly increasing rational map pointwise.

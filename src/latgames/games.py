@@ -1,9 +1,12 @@
 """Finite games with lattice strategy spaces: validation, best responses,
 equilibrium enumeration, and extremal equilibria by monotone iteration.
 
-The joint strategy space is never materialized as one big lattice; profiles
-are tuples of per-player labels in declaration order and all order structure
-is computed componentwise.  Scans run in canonical, deterministic order, so
+The joint strategy space is never materialized as one big lattice.  A
+profile is a tuple of per-player labels in declaration order, and its index
+is mixed radix over the label indexes, player 0 most significant; payoffs
+are flat lists over that index, and the scans work on indexes and label
+indexes, turning them into labels only for reports.  All order structure is
+computed componentwise.  Scans run in canonical, deterministic order, so
 reports are identical regardless of how work is partitioned.
 """
 from __future__ import annotations
@@ -22,22 +25,64 @@ from .errors import (
     StructuralError,
     TheoremFalsified,
 )
-from .functions import LatticeFunction, image_map
+from .functions import LatticeFunction, image_map, ranked_image
 from .lattice import (FinitePoset, componentwise_up, extremal_in, extremes, iter_bits,
                       pairwise_bounds, product_elements, tuple_label, validate_label)
 from .topology import TopologySpec, explicit_closed_family
 from .verdict import Verdict
 
 
+def radix_strides(factors) -> tuple:
+    """Place values of the mixed-radix index of coordinate tuples in nested
+    (``itertools.product``) order: factor 0 is the most significant."""
+    strides, stride = [], 1
+    for f in reversed(factors):
+        strides.append(stride)
+        stride *= f.n
+    return tuple(reversed(strides))
+
+
+def flat_table(factors, pairs):
+    """Values in profile-index order from ``(profile, value)`` pairs, each
+    profile a tuple of labels in player order.  A profile's index is the sum
+    of its coordinates' entries in the per-factor ``{label: label index ·
+    stride}`` slots.  None unless the pairs name every joint profile exactly
+    once, and when iterating them raises ``KeyError`` or ``TypeError``."""
+    slots = tuple({label: k * stride for k, label in enumerate(f.labels)}
+                  for f, stride in zip(factors, radix_strides(factors)))
+    count = math.prod(f.n for f in factors)
+    flat, taken = [None] * count, bytearray(count)
+    try:
+        for profile, value in pairs:
+            if type(profile) is not tuple or len(profile) != len(slots):
+                return None
+            k = sum(map(dict.__getitem__, slots, profile))
+            if taken[k]:
+                return None
+            taken[k] = 1
+            flat[k] = value
+    except (KeyError, TypeError):
+        return None
+    return flat if all(taken) else None
+
+
 class Game:
     """Players, per-player strategy lattices, and payoff tables on profiles.
 
-    ``payoffs[p]`` maps each joint profile (a tuple of labels in player
-    declaration order) to an exact value in player ``p``'s codomain.
-    Instances are immutable after construction; caches are fill-once.
+    ``values[p]`` holds player ``p``'s exact payoffs and ``ranks[p]`` their
+    dense ranks (``ChainCodomain.ranks``), both flat lists indexed by the
+    profile index, which enumerates profiles in ``profiles()`` order; every
+    check compares ranks.  ``payoffs[p]``, the same table keyed by profile
+    tuples, is built on first use.  Instances are immutable after
+    construction (the lists are never written to); caches are fill-once.
+    The flat tables are lists rather than tuples because CPython keeps up
+    to 2000 freed tuples of each length below 20 for reuse, so tables of
+    short games of many sizes would stay resident after their games die.
     """
 
     def __init__(self, players, strategies, codomains, payoffs, topologies=None):
+        """``payoffs[p]`` maps each joint profile to a value in player ``p``'s
+        codomain, or lists the values in ``profiles()`` order."""
         self.players = tuple(players)
         if not self.players:
             raise StructuralError("a game needs at least one player")
@@ -65,34 +110,45 @@ class Game:
                     explicit_closed_family(strategies[p].labels, spec.closed_sets)
         self.topologies = dict(topologies) if topologies else {}
         self.factors = tuple(self.strategies[p] for p in self.players)
-        expected = None
-        self.payoffs = {}
-        self.keys = {}
+        self.strides = radix_strides(self.factors)
+        self.values = {}
+        self.ranks = {}
         for p in self.players:
-            table = payoffs[p]
-            if expected is None:
-                expected = set(itertools.product(*(f.labels for f in self.factors)))
-            got = set(table)
-            if got != expected:
-                missing = sorted(expected - got)[:3]
-                extra = sorted(got - expected)[:3]
-                raise InvariantViolation(
-                    f"payoff table for player {p!r} must be total over the joint profiles; "
-                    f"missing e.g. {missing}, unknown e.g. {extra}")
             codomain = self.codomains[p]
-            values = {profile: codomain.validate(v) for profile, v in table.items()}
-            self.payoffs[p] = values
-            self.keys[p] = {profile: codomain.key(v) for profile, v in values.items()}
-        self._br_cache = {p: {} for p in self.players}
+            self.values[p] = list(map(codomain.validate, self._flat(p, payoffs[p])))
+            self.ranks[p] = codomain.ranks(self.values[p])
+        self._payoffs = None
+        self._br_cache = [{} for _ in self.players]
         self._validation = None
         self._equilibria = None
 
+    def _flat(self, player, table):
+        """The player's table as values in profile-index order."""
+        if isinstance(table, (list, tuple)):
+            if len(table) != self.profile_count:
+                raise InvariantViolation(
+                    f"payoff list for player {player!r} has {len(table)} values "
+                    f"for {self.profile_count} joint profiles")
+            return table
+        flat = flat_table(self.factors, table.items())
+        if flat is not None:
+            return flat
+        expected = set(self.profiles())
+        got = set(table)
+        raise InvariantViolation(
+            f"payoff table for player {player!r} must be total over the joint profiles; "
+            f"missing e.g. {sorted(expected - got)[:3]}, unknown e.g. {sorted(got - expected)[:3]}")
+
+    @property
+    def payoffs(self) -> dict:
+        if self._payoffs is None:
+            profiles = list(self.profiles())
+            self._payoffs = {p: dict(zip(profiles, self.values[p])) for p in self.players}
+        return self._payoffs
+
     @property
     def profile_count(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= f.n
-        return n
+        return math.prod(f.n for f in self.factors)
 
     def profiles(self):
         """All joint profiles, in canonical (componentwise label) order."""
@@ -113,53 +169,70 @@ class Game:
                 raise StructuralError(f"label {label!r} is not a strategy of its player")
         return profile
 
-    def opp_profile(self, i: int, profile) -> tuple:
-        return profile[:i] + profile[i + 1:]
+    def profile_index(self, profile) -> int:
+        """Index of a checked profile of labels."""
+        return sum(f.index[label] * stride
+                   for f, label, stride in zip(self.factors, profile, self.strides))
 
-    def _insert(self, i: int, opp: tuple, label: str) -> tuple:
-        return opp[:i] + (label,) + opp[i:]
+    def coords(self, x: int) -> tuple:
+        """Label indexes of the profile at index ``x``."""
+        return tuple(x // stride % f.n for f, stride in zip(self.factors, self.strides))
+
+    def labels_at(self, coords) -> tuple:
+        return tuple(f.labels[c] for f, c in zip(self.factors, coords))
 
     def opp_profiles(self, i: int):
         others = [f.labels for j, f in enumerate(self.factors) if j != i]
         return itertools.product(*others)
 
-    def _br(self, i: int, opp: tuple):
-        """Best-response labels and bitmask of player i against an opponent profile."""
-        cache = self._br_cache[self.players[i]]
-        hit = cache.get(opp)
-        if hit is not None:
-            return hit
-        factor = self.factors[i]
-        keys = self.keys[self.players[i]]
-        best = None
-        for label in factor.labels:
-            k = keys[self._insert(i, opp, label)]
-            if best is None or k > best:
-                best = k
-        labels = tuple(label for label in factor.labels
-                       if keys[self._insert(i, opp, label)] == best)
-        mask = factor.subset_mask(labels)
-        result = (labels, frozenset(labels), mask)
-        cache[opp] = result
-        return result
+    def opp_bases(self, i: int) -> list:
+        """The opponent profiles of player i in canonical order, each as its
+        base: the index of the profile where player i plays label index 0."""
+        stride, block = self.strides[i], self.strides[i] * self.factors[i].n
+        return [high + low for high in range(0, self.profile_count, block)
+                for low in range(stride)]
+
+    def _opp_labels(self, i: int, base: int) -> tuple:
+        profile = self.labels_at(self.coords(base))
+        return profile[:i] + profile[i + 1:]
+
+    def _br(self, i: int, base: int) -> int:
+        """Bitmask over S_i of player i's best responses to the opponents at
+        ``base``: the top ranks at base + s·stride_i; cached by base."""
+        cache = self._br_cache[i]
+        mask = cache.get(base)
+        if mask is None:
+            stride = self.strides[i]
+            row = self.ranks[self.players[i]][base:base + self.factors[i].n * stride:stride]
+            best = max(row)
+            mask = 0
+            for s, r in enumerate(row):
+                if r == best:
+                    mask |= 1 << s
+            cache[base] = mask
+        return mask
 
     def section(self, i: int, opp: tuple) -> LatticeFunction:
         """Player i's payoff as a function of their own strategy, opponents fixed."""
         factor = self.factors[i]
         player = self.players[i]
-        table = {label: self.payoffs[player][self._insert(i, opp, label)]
-                 for label in factor.labels}
-        return LatticeFunction(factor, self.codomains[player], table)
+        stride = self.strides[i]
+        base = self.profile_index(self.check_profile(opp[:i] + (factor.labels[0],) + opp[i:]))
+        return LatticeFunction(factor, self.codomains[player],
+                               {label: self.values[player][base + s * stride]
+                                for s, label in enumerate(factor.labels)})
 
     def transformed(self, player: str, t) -> "Game":
         """Copy of the game with a strictly increasing map applied to one payoff."""
-        i = self.player_index(player)
+        self.player_index(player)
         codomain = self.codomains[player]
         if not codomain.is_rational:
             raise LabeledCodomainUnsupported("transforms are defined for rational payoffs")
-        mapped = image_map(sorted(set(self.payoffs[player].values())), t)
-        payoffs = {p: dict(self.payoffs[p]) for p in self.players}
-        payoffs[player] = {profile: mapped[v] for profile, v in self.payoffs[player].items()}
+        image = ranked_image(self.values[player], self.ranks[player])
+        mapped = image_map(image, t)
+        by_rank = [mapped[v] for v in image]
+        payoffs = dict(self.values)
+        payoffs[player] = [by_rank[r] for r in self.ranks[player]]
         return Game(self.players, self.strategies, self.codomains, payoffs,
                     topologies=self.topologies or None)
 
@@ -175,26 +248,31 @@ def validate_game(G: Game) -> Verdict:
     if G._validation is not None:
         return G._validation
     verdict = Verdict(True)
+    count = G.profile_count
     for i, player in enumerate(G.players):
-        opps = list(G.opp_profiles(i))
-        factor = G.factors[i]
-        keys = G.keys[player]
-        columns = [[keys[G._insert(i, q, label)] for q in opps] for label in factor.labels]
+        factor, stride = G.factors[i], G.strides[i]
+        block = stride * factor.n
+        ranks = G.ranks[player]
+        # columns[s][c]: the rank at own label index s against the c-th opponent profile
+        columns = [[r for high in range(s * stride, count, block)
+                    for r in ranks[high:high + stride]] for s in range(factor.n)]
         hit = qsm_witness(factor, list(zip(*columns)))
         if hit is not None:
             c, x, y, clause = hit
             verdict = Verdict(False, witness=(
                 ("player", player), ("check", "section-quasisupermodular"),
-                ("opponents", opps[c]), ("x", factor.labels[x]), ("y", factor.labels[y]),
-                ("clause", clause)))
+                ("opponents", G._opp_labels(i, G.opp_bases(i)[c])),
+                ("x", factor.labels[x]), ("y", factor.labels[y]), ("clause", clause)))
             break
         hit = single_crossing_witness([factor], G.factors[:i] + G.factors[i + 1:], columns)
         if hit is not None:
             p, p2, q, q2, clause = hit
+            bases = G.opp_bases(i)
             verdict = Verdict(False, witness=(
                 ("player", player), ("check", "single-crossing"),
                 ("p", factor.labels[p]), ("p2", factor.labels[p2]),
-                ("q", opps[q]), ("q2", opps[q2]), ("clause", clause)))
+                ("q", G._opp_labels(i, bases[q])), ("q2", G._opp_labels(i, bases[q2])),
+                ("clause", clause)))
             break
     G._validation = verdict
     return verdict
@@ -204,17 +282,19 @@ def best_response(G: Game, player: str, profile) -> tuple:
     """Maximizers of the player's section at the profile; depends only on the
     opponents' coordinates."""
     i = G.player_index(player)
-    profile = G.check_profile(profile)
-    return G._br(i, G.opp_profile(i, profile))[0]
+    x = G.profile_index(G.check_profile(profile))
+    return G.factors[i].labels_of(G._br(i, x - G.coords(x)[i] * G.strides[i]))
 
 
 def is_nash(G: Game, profile) -> bool:
-    return _is_equilibrium(G, G.check_profile(profile))
+    return _is_equilibrium(G, G.profile_index(G.check_profile(profile)))
 
 
-def _is_equilibrium(G: Game, profile: tuple) -> bool:
-    for i in range(len(G.players)):
-        if profile[i] not in G._br(i, G.opp_profile(i, profile))[1]:
+def _is_equilibrium(G: Game, x: int) -> bool:
+    """Whether every player best-responds at the profile with index ``x``."""
+    for i, (f, stride) in enumerate(zip(G.factors, G.strides)):
+        s = x // stride % f.n
+        if not G._br(i, x - s * stride) >> s & 1:
             return False
     return True
 
@@ -242,9 +322,9 @@ def _equilibrium_order(G: Game, cap: int) -> tuple:
         raise StateSpaceTooLarge(
             f"{G.profile_count} joint strategies exceed the enumeration cap {cap}")
     if G._equilibria is None:
-        equilibria = [e for e in G.profiles() if _is_equilibrium(G, e)]
-        coords = [tuple(f.index[x] for f, x in zip(G.factors, e)) for e in equilibria]
-        G._equilibria = FinitePoset(equilibria, componentwise_up(G.factors, coords)), coords
+        coords = [G.coords(x) for x in range(G.profile_count) if _is_equilibrium(G, x)]
+        G._equilibria = (FinitePoset(map(G.labels_at, coords), componentwise_up(G.factors, coords)),
+                         coords)
     return G._equilibria
 
 
@@ -263,14 +343,15 @@ class TarskiReport:
     iterations_down: int
 
 
-def _extremal_br(G: Game, i: int, opp: tuple, want_greatest: bool) -> str:
-    """Greatest (or least) element of a best-response set, as a set in S_i."""
-    factor = G.factors[i]
-    idx = extremal_in(factor.poset, G._br(i, opp)[2], want_greatest)
+def _extremal_br(G: Game, i: int, base: int, want_greatest: bool) -> int:
+    """Label index of the greatest (or least) best response of player i to
+    the opponents at ``base``."""
+    idx = extremal_in(G.factors[i].poset, G._br(i, base), want_greatest)
     if idx is None:
-        raise NoGreatestElement(f"best response of player {G.players[i]} against {tuple_label(opp)}"
+        raise NoGreatestElement(f"best response of player {G.players[i]} against "
+                                f"{tuple_label(G._opp_labels(i, base))}"
                                 f" has no {'greatest' if want_greatest else 'least'} element")
-    return factor.labels[idx]
+    return idx
 
 
 def tarski_extremes(G: Game) -> TarskiReport:
@@ -286,14 +367,12 @@ def tarski_extremes(G: Game) -> TarskiReport:
     results = []
     limit = sum(f.n for f in G.factors) + 2
     for want_greatest in (True, False):
-        if want_greatest:
-            x = tuple(f.labels[f.top] for f in G.factors)
-        else:
-            x = tuple(f.labels[f.bottom] for f in G.factors)
+        x = [f.top if want_greatest else f.bottom for f in G.factors]
         steps = 0
         while True:
-            y = tuple(_extremal_br(G, i, G.opp_profile(i, x), want_greatest)
-                      for i in range(len(G.players)))
+            index = sum(c * stride for c, stride in zip(x, G.strides))
+            y = [_extremal_br(G, i, index - c * stride, want_greatest)
+                 for i, (c, stride) in enumerate(zip(x, G.strides))]
             steps += 1
             if y == x:
                 break
@@ -301,10 +380,10 @@ def tarski_extremes(G: Game) -> TarskiReport:
             if steps > limit:
                 raise TheoremFalsified("extremal best-response iteration failed to converge "
                                        "on a validated game")
-        if not is_nash(G, x):
+        if not _is_equilibrium(G, index):
             raise TheoremFalsified("extremal iteration converged to a non-equilibrium "
                                    "on a validated game")
-        results.append((x, steps))
+        results.append((G.labels_at(x), steps))
     (largest, up), (least, down) = results
     return TarskiReport(largest=largest, least=least, iterations_up=up, iterations_down=down)
 
@@ -359,7 +438,9 @@ def best_response_correspondence(G: Game, player: str, max_index_size: int = 409
         raise StateSpaceTooLarge(
             f"opponent space of size {count} exceeds the correspondence cap {max_index_size}")
     labels, coords = product_elements(others)
-    values = {label: G._br(i, tuple(f.labels[c] for f, c in zip(others, coord)))[0]
+    strides = G.strides[:i] + G.strides[i + 1:]
+    labels_of = G.factors[i].labels_of
+    values = {label: labels_of(G._br(i, sum(c * stride for c, stride in zip(coord, strides))))
               for label, coord in zip(labels, coords)}
     return Correspondence(G.strategies[player], values,
                           index_poset=FinitePoset(labels, componentwise_up(others, coords)))

@@ -49,6 +49,10 @@ class GenSpec:
     budget: int = 100_000
 
 
+GRID_CELL_CAP = 4096
+LATTICE_ENUMERATION_CAP = 7
+
+
 def chain_lattice(n: int, labels=None) -> FiniteLattice:
     if n < 1:
         raise CapExceeded(f"a chain needs at least one element, got {n}")
@@ -78,8 +82,9 @@ def grid_lattice(dims) -> FiniteLattice:
     cells = 1
     for d in dims:
         cells *= d
-    if cells > 4096:
-        raise CapExceeded(f"grid with {cells} cells exceeds the generator cap")
+    if cells > GRID_CELL_CAP:
+        raise CapExceeded(f"grid with {cells} cells exceeds the generator cap of "
+                          f"{GRID_CELL_CAP} cells")
     chains = []
     for d in dims:
         width = len(str(d - 1))
@@ -116,8 +121,9 @@ def lattices_of_size(n: int) -> tuple:
     """
     if n in _LATTICES_BY_SIZE:
         return _LATTICES_BY_SIZE[n]
-    if n > 7:
-        raise CapExceeded("exhaustive lattice enumeration is capped at size 7")
+    if n > LATTICE_ENUMERATION_CAP:
+        raise CapExceeded(f"exhaustive lattice enumeration of size {n} exceeds the cap of "
+                          f"{LATTICE_ENUMERATION_CAP} elements")
     labels = list(string.ascii_lowercase[:n])
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     found = []

@@ -13,29 +13,53 @@ floats are rejected to keep everything exact.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import LatGamesError, ParseError
 from .functions import ChainCodomain, LatticeFunction
-from .games import Game
+from .games import Game, flat_table
 from .lattice import FiniteLattice, check_lattice, poset_from_covers, product_lattice
 from .topology import EXPLICIT, KINDS, TopologySpec
 
 
+_PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_value(raw):
-    """Exact rational from an int or a "p" / "p/q" string."""
+    """Exact rational from an int or a "p" / "p/q" string.
+
+    A plain ASCII ``-?digits[/digits]`` string is split and read by ``int``;
+    anything else (signs, spaces, decimals, exponents, other digits) goes
+    through ``Fraction``'s own parser.  Both give the same value or both fail.
+    """
+    if isinstance(raw, str):
+        try:
+            if _PLAIN_RATIONAL.fullmatch(raw):
+                numerator, _, denominator = raw.partition("/")
+                if denominator:
+                    return Fraction(int(numerator), int(denominator))
+                return Fraction(int(numerator))
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"cannot read {raw!r} as an exact rational") from exc
     if isinstance(raw, bool):
         raise ParseError(f"boolean {raw!r} is not a rational value")
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, float):
         raise ParseError("floating-point values are rejected; use exact \"p/q\" strings")
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"cannot read {raw!r} as an exact rational") from exc
     raise ParseError(f"cannot read {raw!r} as an exact rational")
+
+
+def _cached_value(cache: dict, raw):
+    """``parse_value`` with a per-document memo of the strings already read."""
+    if type(raw) is not str:
+        return parse_value(raw)
+    value = cache.get(raw)
+    if value is None:
+        value = cache[raw] = parse_value(raw)
+    return value
 
 
 def format_value(value: Fraction) -> str:
@@ -116,9 +140,9 @@ def codomain_obj(codomain: ChainCodomain) -> dict:
     return {"kind": "labeled", "labels": list(codomain.labels)}
 
 
-def _read_table_value(codomain, raw, where):
+def _read_table_value(codomain, raw, where, cache):
     if codomain.is_rational:
-        return parse_value(raw)
+        return _cached_value(cache, raw)
     if not isinstance(raw, str):
         raise ParseError(f"{where}: labeled values must be strings")
     return raw
@@ -129,12 +153,13 @@ def parse_function(obj, where: str = "function") -> LatticeFunction:
     codomain = parse_codomain(_expect(obj, "codomain", dict, where), where=f"{where}.codomain")
     rows = _expect(obj, "table", list, where)
     table = {}
+    cache = {}
     for row in rows:
         element = _expect(row, "element", str, f"{where}.table")
         if element in table:
             raise ParseError(f"{where}: duplicate table entry for {element!r}")
         table[element] = _read_table_value(codomain, _expect(row, "value", None, f"{where}.table"),
-                                           f"{where}.table")
+                                           f"{where}.table", cache)
     try:
         return LatticeFunction(domain, codomain, table)
     except LatGamesError as exc:
@@ -166,17 +191,44 @@ def topology_obj(spec: TopologySpec) -> dict:
     return {"kind": spec.kind}
 
 
-def parse_game(obj, where: str = "game") -> Game:
-    players = _labels(_expect(obj, "players", None, where), where, "players")
-    strategies_obj = _expect(obj, "strategies", dict, where)
-    codomains_obj = _expect(obj, "codomains", dict, where)
-    payoffs_obj = _expect(obj, "payoffs", dict, where)
-    strategies = {p: parse_lattice(_expect(strategies_obj, p, dict, f"{where}.strategies"),
-                                   where=f"{where}.strategies[{p}]")
-                  for p in players}
-    codomains = {p: parse_codomain(_expect(codomains_obj, p, dict, f"{where}.codomains"),
-                                   where=f"{where}.codomains[{p}]")
-                 for p in players}
+def _row_pairs(players, rows):
+    """Each payoff row as (profile tuple in player order, raw value); a profile
+    that is not an object with one name per player comes out as None."""
+    for row in rows:
+        profile = row["profile"]
+        if type(profile) is dict and len(profile) == len(players):
+            profile = tuple(map(profile.__getitem__, players))
+        else:
+            profile = None
+        yield profile, row["value"]
+
+
+def _flat_payoffs(players, strategies, codomains, payoffs_obj, cache):
+    """Each player's payoff rows read in one pass into values in profile-index
+    order (``games.flat_table``, which ``Game`` places its tables with too).
+    None when any row is not plainly well formed, so that ``_payoff_tables``
+    reports it.  Labeled values are checked by ``Game``."""
+    factors = [strategies[p] for p in players]
+    payoffs = {}
+    try:
+        for p in players:
+            rows = payoffs_obj[p]
+            flat = flat_table(factors, _row_pairs(players, rows)) if type(rows) is list else None
+            if flat is None:
+                return None
+            if codomains[p].is_rational:
+                flat = [_cached_value(cache, raw) for raw in flat]
+            elif any(type(raw) is not str for raw in flat):
+                return None
+            payoffs[p] = flat
+    except (KeyError, ParseError):
+        return None
+    return payoffs
+
+
+def _payoff_tables(players, codomains, payoffs_obj, where, cache) -> dict:
+    """Each player's payoff rows as a profile-keyed table, with every row
+    checked for its shape in turn and the first fault raised."""
     payoffs = {}
     for p in players:
         rows = _expect(payoffs_obj, p, list, f"{where}.payoffs")
@@ -194,8 +246,26 @@ def parse_game(obj, where: str = "game") -> Game:
                 raise ParseError(f"{where}.payoffs[{p}]: duplicate profile {profile}")
             table[profile] = _read_table_value(codomains[p],
                                                _expect(row, "value", None, f"{where}.payoffs[{p}]"),
-                                               f"{where}.payoffs[{p}]")
+                                               f"{where}.payoffs[{p}]", cache)
         payoffs[p] = table
+    return payoffs
+
+
+def parse_game(obj, where: str = "game") -> Game:
+    players = _labels(_expect(obj, "players", None, where), where, "players")
+    strategies_obj = _expect(obj, "strategies", dict, where)
+    codomains_obj = _expect(obj, "codomains", dict, where)
+    payoffs_obj = _expect(obj, "payoffs", dict, where)
+    strategies = {p: parse_lattice(_expect(strategies_obj, p, dict, f"{where}.strategies"),
+                                   where=f"{where}.strategies[{p}]")
+                  for p in players}
+    codomains = {p: parse_codomain(_expect(codomains_obj, p, dict, f"{where}.codomains"),
+                                   where=f"{where}.codomains[{p}]")
+                 for p in players}
+    cache = {}
+    payoffs = _flat_payoffs(players, strategies, codomains, payoffs_obj, cache)
+    if payoffs is None:
+        payoffs = _payoff_tables(players, codomains, payoffs_obj, where, cache)
     topologies = None
     if "topologies" in obj:
         topologies = {}
@@ -211,16 +281,12 @@ def parse_game(obj, where: str = "game") -> Game:
 
 
 def game_obj(G: Game) -> dict:
+    profiles = [dict(zip(G.players, profile)) for profile in G.profiles()]
     payoffs = {}
     for p in G.players:
-        rows = []
-        for profile in G.profiles():
-            value = G.payoffs[p][profile]
-            rows.append({
-                "profile": dict(zip(G.players, profile)),
-                "value": format_value(value) if G.codomains[p].is_rational else value,
-            })
-        payoffs[p] = rows
+        fmt = format_value if G.codomains[p].is_rational else str
+        payoffs[p] = [{"profile": profile, "value": fmt(value)}
+                      for profile, value in zip(profiles, G.values[p])]
     obj = {
         "players": list(G.players),
         "strategies": {p: lattice_obj(G.strategies[p]) for p in G.players},

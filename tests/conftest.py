@@ -294,13 +294,25 @@ def sc_clause(lo_q, hi_q, lo_q2, hi_q2):
     return None
 
 
+def value_order(codomain):
+    """Order key of a codomain's values read straight from its definition:
+    the rational itself, or the position on the labeled chain."""
+    return (lambda v: v) if codomain.is_rational else codomain.labels.index
+
+
+def payoff_keys(G, player) -> dict:
+    """The player's payoffs by profile, as ``value_order`` keys."""
+    key = value_order(G.codomains[player])
+    return {profile: key(v) for profile, v in G.payoffs[player].items()}
+
+
 def oracle_validate_game(G) -> Verdict:
     """Sectionwise quasisupermodularity by ``oracle_qsm``, then the exhaustive
     single-crossing scan over opponent profiles, player by player."""
     for i, player in enumerate(G.players):
         factor = G.factors[i]
         others = G.factors[:i] + G.factors[i + 1:]
-        keys = G.keys[player]
+        keys = payoff_keys(G, player)
         opps = list(G.opp_profiles(i))
         for opp in opps:
             hit = oracle_qsm(factor, [keys[opp[:i] + (s,) + opp[i:]] for s in factor.labels])
@@ -334,10 +346,10 @@ def profile_leq(G, a, b) -> bool:
 def brute_nash_set(G):
     """Nash set straight from the definition: no best-response machinery."""
     out = []
+    tables = [payoff_keys(G, p) for p in G.players]
     for profile in G.profiles():
         good = True
-        for i, p in enumerate(G.players):
-            keys = G.keys[p]
+        for i, keys in enumerate(tables):
             mine = keys[profile]
             for dev in G.factors[i].labels:
                 other = profile[:i] + (dev,) + profile[i + 1:]

@@ -231,9 +231,9 @@ class TestStructure:
 
     def test_best_response_values_are_subcomplete_sublattices(self, step_grid6_game):
         G = step_grid6_game
-        for i, p in enumerate(G.players):
-            for opp in G.opp_profiles(i):
-                flags = classify_subset(G.strategies[p], G._br(i, opp)[0])
+        for p in G.players:
+            for profile in G.profiles():
+                flags = classify_subset(G.strategies[p], best_response(G, p, profile))
                 assert flags.is_sublattice.holds and flags.is_subcomplete.holds
 
 
@@ -243,7 +243,10 @@ class TestTarskiFixedPointFormula:
                                                         indicator_grid4_game):
         # independent route: largest = max{y : y <= maxBR(y)} over all profiles,
         # least = min{y : y >= minBR(y)}, computed by raw scan
-        from latgames.games import _extremal_br
+        def _extremal_br(G, i, y, greatest):
+            S, br = G.factors[i], best_response(G, G.players[i], y)
+            return next(a for a in br
+                        if all(S.leq(b, a) if greatest else S.leq(a, b) for b in br))
 
         rng = Xoshiro256StarStar(606)
         games = [star_diamond_game, step_grid6_game, indicator_grid4_game]
@@ -253,11 +256,11 @@ class TestTarskiFixedPointFormula:
             pre_up = []
             pre_down = []
             for y in G.profiles():
-                max_br = tuple(_extremal_br(G, i, G.opp_profile(i, y), True)
+                max_br = tuple(_extremal_br(G, i, y, True)
                                for i in range(len(G.players)))
                 if profile_leq(G, y, max_br):
                     pre_up.append(y)
-                min_br = tuple(_extremal_br(G, i, G.opp_profile(i, y), False)
+                min_br = tuple(_extremal_br(G, i, y, False)
                                for i in range(len(G.players)))
                 if profile_leq(G, min_br, y):
                     pre_down.append(y)

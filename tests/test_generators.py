@@ -96,6 +96,16 @@ class TestFamilies:
         with pytest.raises(CapExceeded, match=r"grid dimensions \(0, 3\) must be positive"):
             generate(GenSpec(seed=0, family="grid", dims=(0, 3)))
 
+    def test_grid_cap_message_names_the_cap(self):
+        with pytest.raises(CapExceeded, match=r"^grid with 4097 cells exceeds the generator cap "
+                                              r"of 4096 cells$"):
+            grid_lattice((17, 241))
+
+    def test_lattice_enumeration_cap_message_names_the_sizes(self):
+        with pytest.raises(CapExceeded, match=r"^exhaustive lattice enumeration of size 8 exceeds "
+                                              r"the cap of 7 elements$"):
+            lattices_of_size(8)
+
 
 class TestDeterminism:
     def test_identical_specs_identical_bytes(self):

@@ -1,9 +1,11 @@
 """parsing, validation errors, canonical round-trips."""
+import copy
 import json
 from fractions import Fraction
 
 import pytest
 
+from latgames.cli import main
 from latgames.errors import InvariantViolation, NotALattice, ParseError
 from latgames.io import (
     canonical_dumps,
@@ -193,6 +195,113 @@ class TestGameDocs:
         assert G.players == ("right", "left")
         # serialization preserves declaration order bit-exactly
         assert json.loads(serialize(G))["players"] == ["right", "left"]
+
+
+def _game_doc(edit, player="left", labeled=False):
+    doc = copy.deepcopy(GAME_DOC)
+    if labeled:
+        doc["codomains"][player] = {"kind": "labeled", "labels": ["lo", "hi"]}
+        for row in doc["payoffs"][player]:
+            row["value"] = "lo"
+    edit(doc["payoffs"][player])
+    return doc
+
+
+def _function_doc(edit):
+    doc = copy.deepcopy(FUNCTION_DOC)
+    edit(doc["table"])
+    return doc
+
+
+def _set(k, row):
+    return lambda rows: rows.__setitem__(k, row)
+
+
+def _set_value(k, value):
+    return lambda rows: rows[k].__setitem__("value", value)
+
+
+DD = {"left": "d", "right": "d"}
+G = "ERROR ParseError: game.payoffs[left]: "
+TOTAL = "ERROR ParseError: game: payoff table for player 'left' must be total over the joint profiles; "
+
+# (case, command, document, the exact output line); every case exits 2.
+MALFORMED_TABLES = [
+    ("row-not-object", "check-game", _game_doc(_set(0, 5)), G + "missing field 'profile'"),
+    ("row-without-profile", "check-game", _game_doc(_set(0, {"value": 0})),
+     G + "missing field 'profile'"),
+    ("row-without-value", "check-game", _game_doc(_set(0, {"profile": DD})),
+     G + "missing field 'value'"),
+    ("profile-not-object", "check-game", _game_doc(_set(0, {"profile": ["d", "d"], "value": 0})),
+     G + "field 'profile' has the wrong type"),
+    ("missing-coordinate", "check-game", _game_doc(_set(0, {"profile": {"left": "d"}, "value": 0})),
+     G + "profile missing coordinate 'right'"),
+    ("extra-player", "check-game",
+     _game_doc(_set(0, {"profile": {"left": "d", "right": "d", "other": "d"}, "value": 0})),
+     G + "profile names unknown players"),
+    ("coordinate-not-string", "check-game",
+     _game_doc(_set(0, {"profile": {"left": 1, "right": "d"}, "value": 0})),
+     G + "profile coordinates must be a list of label strings"),
+    ("unknown-label", "check-game",
+     _game_doc(_set(0, {"profile": {"left": "z", "right": "d"}, "value": 0})),
+     TOTAL + "missing e.g. [('d', 'd')], unknown e.g. [('z', 'd')]"),
+    ("duplicate-profile", "check-game", _game_doc(_set(1, {"profile": DD, "value": 0})),
+     G + "duplicate profile ('d', 'd')"),
+    ("not-total", "check-game", _game_doc(lambda rows: rows.pop(1)),
+     TOTAL + "missing e.g. [('d', 'u')], unknown e.g. []"),
+    ("value-1/0", "check-game", _game_doc(_set_value(0, "1/0")),
+     "ERROR ParseError: cannot read '1/0' as an exact rational"),
+    ("value-x", "check-game", _game_doc(_set_value(0, "x")),
+     "ERROR ParseError: cannot read 'x' as an exact rational"),
+    ("value-float", "check-game", _game_doc(_set_value(0, 1.5)),
+     'ERROR ParseError: floating-point values are rejected; use exact "p/q" strings'),
+    ("value-true", "check-game", _game_doc(_set_value(0, True)),
+     "ERROR ParseError: boolean True is not a rational value"),
+    ("value-list", "check-game", _game_doc(_set_value(1, [1])),
+     "ERROR ParseError: cannot read [1] as an exact rational"),
+    ("value-1-after-true", "check-game",
+     _game_doc(lambda rows: (_set_value(0, "1")(rows), _set_value(1, True)(rows))),
+     "ERROR ParseError: boolean True is not a rational value"),
+    # a bad value anywhere is reported before a table that is not total
+    ("unknown-label-then-bad-value", "check-game",
+     _game_doc(lambda rows: (_set(0, {"profile": {"left": "z", "right": "d"}, "value": 0})(rows),
+                             _set_value(3, "x")(rows))),
+     "ERROR ParseError: cannot read 'x' as an exact rational"),
+    ("bad-value-of-second-player", "check-game", _game_doc(_set_value(2, "1/0"), player="right"),
+     "ERROR ParseError: cannot read '1/0' as an exact rational"),
+    ("labeled-off-chain", "check-game", _game_doc(_set_value(2, "mid"), labeled=True),
+     "ERROR ParseError: game: value 'mid' is not on the labeled chain"),
+    ("labeled-not-string", "check-game", _game_doc(_set_value(2, 3), labeled=True),
+     G + "labeled values must be strings"),
+    ("function-row-not-object", "check-function", _function_doc(_set(0, 7)),
+     "ERROR ParseError: function.table: missing field 'element'"),
+    ("function-element-not-string", "check-function",
+     _function_doc(_set(0, {"element": 0, "value": 1})),
+     "ERROR ParseError: function.table: field 'element' has the wrong type"),
+    ("function-row-without-value", "check-function", _function_doc(_set(0, {"element": "0"})),
+     "ERROR ParseError: function.table: missing field 'value'"),
+    ("function-duplicate", "check-function", _function_doc(_set(1, {"element": "0", "value": 1})),
+     "ERROR ParseError: function: duplicate table entry for '0'"),
+    ("function-unknown-element", "check-function",
+     _function_doc(_set(1, {"element": "z", "value": 1})),
+     "ERROR ParseError: function: function table must be total: missing entries for ['1']; "
+     "entries for unknown elements ['z']"),
+    ("function-not-total", "check-function", _function_doc(lambda rows: rows.pop(2)),
+     "ERROR ParseError: function: function table must be total: missing entries for ['a']"),
+    ("function-value-1/0", "check-function", _function_doc(_set_value(1, "1/0")),
+     "ERROR ParseError: cannot read '1/0' as an exact rational"),
+    ("function-value-list", "check-function", _function_doc(_set_value(1, [1])),
+     "ERROR ParseError: cannot read [1] as an exact rational"),
+]
+
+
+@pytest.mark.parametrize("command, doc, line", [case[1:] for case in MALFORMED_TABLES],
+                         ids=[case[0] for case in MALFORMED_TABLES])
+def test_malformed_table_messages(tmp_path, capsys, command, doc, line):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().out == line + "\n"
 
 
 class TestCanonicalForm:

@@ -10,7 +10,7 @@ from latgames import best_response_correspondence, check_lattice, poset_from_cov
 from latgames.errors import DuplicateLabel
 from latgames.generators import all_lattices, chain_lattice, diamond
 
-from conftest import oracle_product_lattice
+from conftest import oracle_product_lattice, payoff_keys
 
 
 def _assert_same_product(factors):
@@ -56,7 +56,8 @@ def test_opponent_index_on_criterion_06_games(criterion_06_games):
             want = oracle_product_lattice(others)
             assert F.index_poset == want.poset
             own = G.factors[i].labels
+            table = payoff_keys(G, player)
             for label, coord in zip(want.labels, want.coords):
                 opp = tuple(f.labels[c] for f, c in zip(others, coord))
-                keys = [G.keys[player][opp[:i] + (s,) + opp[i:]] for s in own]
+                keys = [table[opp[:i] + (s,) + opp[i:]] for s in own]
                 assert F.values[label] == tuple(s for s, k in zip(own, keys) if k == max(keys))

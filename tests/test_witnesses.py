@@ -163,7 +163,7 @@ class TestGameWitnesses:
             seen += 1
             w = verdict.witness_dict()
             i = H.player_index(w["player"])
-            keys = H.keys[w["player"]]
+            keys = H.payoffs[w["player"]]
             if w["check"] == "section-quasisupermodular":
                 opp = w["opponents"]
                 S = H.strategies[w["player"]]
