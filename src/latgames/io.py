@@ -24,6 +24,8 @@ from .topology import EXPLICIT, KINDS, TopologySpec
 
 
 _PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+MAX_EXPONENT = 4300  # Python's default digit limit for reading an int
 
 
 def parse_value(raw):
@@ -31,7 +33,9 @@ def parse_value(raw):
 
     A plain ASCII ``-?digits[/digits]`` string is split and read by ``int``;
     anything else (signs, spaces, decimals, exponents, other digits) goes
-    through ``Fraction``'s own parser.  Both give the same value or both fail.
+    through ``Fraction``'s own parser.  Both give the same value or both fail,
+    except that an exponent beyond ±``MAX_EXPONENT`` is a ``ParseError``
+    before ``Fraction`` would build 10**exponent exactly.
     """
     if isinstance(raw, str):
         try:
@@ -40,6 +44,10 @@ def parse_value(raw):
                 if denominator:
                     return Fraction(int(numerator), int(denominator))
                 return Fraction(int(numerator))
+            exponent = _EXPONENT.search(raw)
+            if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+                raise ParseError(f"exponent {exponent[1]} of {raw!r} exceeds the cap of "
+                                 f"±{MAX_EXPONENT}")
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"cannot read {raw!r} as an exact rational") from exc

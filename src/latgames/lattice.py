@@ -3,14 +3,17 @@
 Elements are kept in lexicographic label order and that order is canonical
 for every subset-valued result in the package.  Subsets are bitmasks over
 the canonical order and the full relation is stored per element.  Every
-predicate is decided in polynomial time; the exponential chain and submask
-scans remain for the commands that test the equivalences used.  All types
-are immutable after construction, so they are safe to use concurrently.
+predicate is decided in polynomial time; the commands that test the
+equivalences used on every subset read per-subset tables of sups, infs and
+chains (``subset_bound_masks``), O(n·2^n).  All types are immutable after
+construction, so they are safe to use concurrently.
 """
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
+from operator import or_
 
 from .errors import (
     BadLabel,
@@ -356,46 +359,46 @@ def product_lattice(factors) -> FiniteLattice:
     return check_lattice(FinitePoset(labels, componentwise_up(factors, coords)), factors, coords)
 
 
-def iter_chain_masks(poset: FinitePoset, mask: int):
-    """Yield every nonempty chain contained in ``mask``, as bitmasks.
-
-    Deterministic depth-first order; each chain is produced exactly once,
-    with members added in canonical index order.
-    """
-    comp = [poset.up[i] | poset.down[i] for i in range(poset.n)]
-
-    def extend(chain: int, allowed: int):
-        yield chain
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            higher = ~((1 << (j + 1)) - 1)
-            yield from extend(chain | low, allowed & comp[j] & higher)
-
-    bits = mask
-    while bits:
-        low = bits & -bits
-        i = low.bit_length() - 1
-        bits ^= low
-        higher = ~((1 << (i + 1)) - 1)
-        yield from extend(low, mask & comp[i] & higher)
-
-
-def iter_submasks(mask: int):
-    """Nonempty submasks of ``mask`` in increasing numeric order."""
-    sub = (-mask) & mask
-    while sub:
-        yield sub
-        sub = (sub - mask) & mask
+def subset_bound_masks(L: FiniteLattice) -> tuple:
+    """``(every, chains)``: for each mask, the OR of ``1 << sup T | 1 << inf T``
+    over its nonempty subsets T, and over its chains T.  So a mask is
+    subcomplete iff ``every[mask] & ~mask`` is 0 and chain-subcomplete iff
+    ``chains[mask] & ~mask`` is 0, as ``first_unbounded`` over every submask
+    or chain finds, for all masks in O(n·2^n).  With hi the highest bit of
+    T, sup T is ``join[sup(T - hi)][hi]``, the ascending fold of
+    ``_sup_mask`` even on a malformed table (dually inf T), and T is a chain
+    iff T - hi is one inside hi's comparables."""
+    n = L.n
+    sup, inf, chain = bytearray(1), bytearray(1), bytearray(b"\1")  # [0]: the empty set
+    for hi in range(n):
+        above = sup.translate(bytes(row[hi] for row in L.join).ljust(256, b"\0"))
+        below = inf.translate(bytes(row[hi] for row in L.meet).ljust(256, b"\0"))
+        above[0] = below[0] = hi
+        apart = ~(L.poset.up[hi] | L.poset.down[hi])
+        chain += bytes(c and not rest & apart for rest, c in enumerate(chain))
+        sup += above
+        inf += below
+    code = "H" if n <= 16 else "Q"
+    every = array(code, [1 << s | 1 << i for s, i in zip(sup, inf)])
+    every[0] = 0
+    chains = array(code, [v if c else 0 for v, c in zip(every, chain)])
+    # The OR over submasks, one pass per table and bit: each entry without
+    # the bit goes into its partner with it, through 2^i strided slices or
+    # 2^(n-1-i) contiguous ones, whichever are fewer; n·2^(n-1) ORs a table.
+    for table, i in itertools.product((every, chains), range(n)):
+        bit, step = 1 << i, 2 << i
+        if bit * step <= len(table):
+            for r in range(bit, step):
+                table[r::step] = array(code, map(or_, table[r::step], table[r - bit::step]))
+        else:
+            for t in range(bit, len(table), step):
+                table[t:t + bit] = array(code, map(or_, table[t:t + bit], table[t - bit:t]))
+    return every, chains
 
 
 def first_unbounded(L: FiniteLattice, mask: int, submasks):
     """Witness fields for the first of ``submasks`` whose sup (tested first)
-    or inf lies outside ``mask``, or None.  Over ``iter_submasks`` or
-    ``iter_chain_masks`` this is the exhaustive (exponential) subcompleteness
-    or chain-subcompleteness scan, kept for the theorem commands and tests."""
+    or inf lies outside ``mask``, or None."""
     for sub in submasks:
         for bound, value in (("sup", L._sup_mask(sub)), ("inf", L._inf_mask(sub))):
             if not mask >> value & 1:
@@ -404,8 +407,9 @@ def first_unbounded(L: FiniteLattice, mask: int, submasks):
 
 
 def _least_unbounded(L: FiniteLattice, bits: list, mask: int) -> tuple:
-    """``first_unbounded(L, mask, iter_submasks(mask))`` in O(m²) table reads,
-    for a ``mask`` with elements ``bits`` (ascending) that is not a sublattice.
+    """``first_unbounded`` over the nonempty submasks of ``mask`` in numeric
+    order, in O(m²) table reads, for a ``mask`` with elements ``bits``
+    (ascending) that is not a sublattice.
 
     A set's join closure {sup T : T ⊆ P nonempty} leaves ``mask`` iff some
     submask of P has its sup outside, and dually for meets.  Submasks topped

@@ -19,7 +19,8 @@ from .games import (
     validate_game,
     verify_equilibrium_structure,
 )
-from .lattice import FiniteLattice, classify_subset, extremes
+from .lattice import (FiniteLattice, classify_subset, extremes, sublattice_witness,
+                      subset_bound_masks)
 from .properties import (
     has_increasing_differences,
     is_quasisupermodular,
@@ -30,6 +31,7 @@ from .properties import (
     sections_quasisupermodular,
     transfer_continuity,
 )
+from .topology import INTERVAL, TopologySpec, family_for
 from .verdict import Verdict
 
 
@@ -68,6 +70,33 @@ def kuku_report(f: LatticeFunction) -> tuple:
         property_line("argmax-subcomplete", report.flags.is_subcomplete),
     ]
     return lines, True
+
+
+def veinott_report(L: FiniteLattice) -> tuple:
+    """Veinott's equivalences on every subset of ``L``, masks ascending: a
+    subset is subcomplete iff it is a sublattice, and every subset is
+    chain-subcomplete.  A failure names the least failing mask."""
+    every, chains = subset_bound_masks(L)
+    for mask in range(1 << L.n):
+        if (every[mask] & ~mask == 0) != (sublattice_witness(L, mask) is None):
+            name = "subcomplete-iff-sublattice"
+        elif chains[mask] & ~mask:
+            name = "chain-subcomplete"
+        else:
+            continue
+        return [f"PROPERTY {name} FAIL subset={','.join(L.labels_of(mask))}"], False
+    return ["PROPERTY subcomplete-iff-sublattice PASS", "PROPERTY chain-subcomplete PASS"], True
+
+
+def chaincls_report(L: FiniteLattice) -> tuple:
+    """Every closed set of the interval topology on ``L`` is
+    chain-subcomplete; a failure names the least failing set."""
+    _, chains = subset_bound_masks(L)
+    for mask in family_for(TopologySpec(INTERVAL), L).sets:
+        if chains[mask] & ~mask:
+            return ["PROPERTY interval-closed-chain-subcomplete FAIL "
+                    f"set={','.join(L.labels_of(mask))}"], False
+    return ["PROPERTY interval-closed-chain-subcomplete PASS"], True
 
 
 def weak_veinott_report(f: LatticeFunction) -> tuple:

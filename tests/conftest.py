@@ -22,8 +22,7 @@ from latgames import (
     poset_from_covers,
     product_lattice,
 )
-from latgames.lattice import (FiniteLattice, FinitePoset, first_unbounded, iter_bits,
-                              iter_chain_masks, iter_submasks, tuple_label)
+from latgames.lattice import FiniteLattice, FinitePoset, first_unbounded, iter_bits, tuple_label
 from latgames.generators import (all_lattices, chain_lattice, diamond, diamond_mk,
                                  fraction_chain, random_game)
 from latgames.rng import Xoshiro256StarStar
@@ -382,6 +381,41 @@ def brute_is_subcomplete(L, labels):
             if oracle_inf_subset(L, combo) not in members:
                 return False
     return True
+
+
+def iter_chain_masks(poset: FinitePoset, mask: int):
+    """Yield every nonempty chain contained in ``mask``, as bitmasks.
+
+    Deterministic depth-first order; each chain is produced exactly once,
+    with members added in canonical index order.
+    """
+    comp = [poset.up[i] | poset.down[i] for i in range(poset.n)]
+
+    def extend(chain: int, allowed: int):
+        yield chain
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            rest ^= low
+            higher = ~((1 << (j + 1)) - 1)
+            yield from extend(chain | low, allowed & comp[j] & higher)
+
+    bits = mask
+    while bits:
+        low = bits & -bits
+        i = low.bit_length() - 1
+        bits ^= low
+        higher = ~((1 << (i + 1)) - 1)
+        yield from extend(low, mask & comp[i] & higher)
+
+
+def iter_submasks(mask: int):
+    """Nonempty submasks of ``mask`` in increasing numeric order."""
+    sub = (-mask) & mask
+    while sub:
+        yield sub
+        sub = (sub - mask) & mask
 
 
 def oracle_least_unbounded(L, mask: int):

@@ -227,6 +227,43 @@ class TestVerify:
         assert out.startswith("ERROR CapExceeded")
         assert "15-element" in out
 
+    @pytest.mark.parametrize("theorem, lines", [
+        ("veinott", "PROPERTY subcomplete-iff-sublattice PASS\nPROPERTY chain-subcomplete PASS\n"),
+        ("chaincls", "PROPERTY interval-closed-chain-subcomplete PASS\n")], ids=["veinott", "chaincls"])
+    def test_subset_scans_at_the_cap(self, capsys, tmp_path, theorem, lines):
+        # 14 elements, 2^14 subsets: a 14-chain (every subset is a chain)
+        # and the 2x7 grid.
+        labels = [f"c{i:02d}" for i in range(14)]
+        chain = tmp_path / "chain14.json"
+        chain.write_text(json.dumps({"elements": labels,
+                                     "covers": [list(c) for c in zip(labels, labels[1:])]}))
+        grid = tmp_path / "grid2x7.json"
+        run(capsys, "generate", "--seed", "0", "--family", "grid", "--dims", "2x7", "--out", grid)
+        for path in (chain, grid):
+            assert run(capsys, "verify", path, "--theorem", theorem) == (0, lines)
+
+    def test_subset_scans_fail_on_corrupted_join_tables(self, capsys, monkeypatch,
+                                                        diamond_lattice):
+        # Files cannot carry such tables, so the loaded instance is replaced.
+        from latgames import check_lattice, cli, poset_from_covers
+
+        m3 = check_lattice(poset_from_covers("abcde", [("a", "b"), ("a", "c"), ("a", "d"),
+                                                       ("b", "e"), ("c", "e"), ("d", "e")]))
+        # The fold of the sublattice {a, c, d, e} reads join(e, e) = b after
+        # c ∨ d = e, and no pair scan reads a diagonal entry.
+        top_is_b = with_join_entry(m3, "e", "e", "b")
+        # join(0, 1) = a puts the sup of the chain {0, 1} outside it.
+        chain_sup_is_a = with_join_entry(diamond_lattice, "0", "1", "a")
+        for L, theorem, want in (
+                (top_is_b, "veinott", (1, "PROPERTY subcomplete-iff-sublattice FAIL "
+                                          "subset=a,c,d,e\n")),
+                (top_is_b, "chaincls", (0, "PROPERTY interval-closed-chain-subcomplete PASS\n")),
+                (chain_sup_is_a, "veinott", (1, "PROPERTY chain-subcomplete FAIL subset=0,1\n")),
+                (chain_sup_is_a, "chaincls",
+                 (1, "PROPERTY interval-closed-chain-subcomplete FAIL set=0,1\n"))):
+            monkeypatch.setattr(cli, "load_path", lambda path, L=L: ("lattice", L))
+            assert run(capsys, "verify", "L.json", "--theorem", theorem) == want
+
     def test_transfer_and_topo_usc_on_a_12x12_grid_function(self, capsys, tmp_path):
         # 144 points: the interval topology has 2^144 closed sets, and its
         # point closures are 144 masks.

@@ -31,6 +31,7 @@ from latgames.verdict import Verdict
 from conftest import (
     brute_is_sublattice,
     brute_is_subcomplete,
+    iter_chain_masks,
     oracle_chain_unbounded,
     oracle_glb,
     oracle_least_unbounded,
@@ -166,7 +167,6 @@ class TestSupInfSubset:
 
 
 def _chain_masks(L):
-    from latgames.lattice import iter_chain_masks
     return iter_chain_masks(L.poset, L.poset.full)
 
 

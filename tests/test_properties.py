@@ -41,7 +41,8 @@ from latgames.generators import (
 from latgames.rng import Xoshiro256StarStar
 from latgames.verdict import Verdict
 
-from conftest import RATIONAL, all_functions, oracle_upper_chain_subcomplete, with_join_entry
+from conftest import (RATIONAL, all_functions, iter_chain_masks, oracle_upper_chain_subcomplete,
+                      with_join_entry)
 
 
 class TestQuasisupermodular:
@@ -404,8 +405,6 @@ class TestSectionRestrictionProperty:
 
 
 def _all_chain_restrictions_qsm(f, first, second):
-    from latgames.lattice import iter_chain_masks
-
     for cmask in iter_chain_masks(second.poset, second.poset.full):
         chain_labels = second.labels_of(cmask)
         sub = chain_lattice(len(chain_labels), labels=list(chain_labels)) \
