@@ -75,18 +75,11 @@ class ChainCodomain:
     def ranks(self, values) -> list:
         """Dense ranks 0..k-1 of validated values in chain order: equal values
         share a rank, and a strictly increasing map leaves every rank as it
-        is.  One sort of the distinct values ranks them: rationals whose
-        denominators have a common multiple below 2**64 are sorted as
-        integers over it, any others as fractions; labels by position."""
+        is.  One sort of the distinct values ranks them: rationals as their
+        ``integer_values`` where those exist, any others as fractions;
+        labels by position."""
         if self.kind == RATIONAL:
-            keys = values
-            common = 1
-            for d in {v.denominator for v in values}:
-                common = math.lcm(common, d)
-                if common >> 64:
-                    break
-            else:
-                keys = [v.numerator * (common // v.denominator) for v in values]
+            keys = integer_values(values) or values
         else:
             keys = list(map(self._positions.__getitem__, values))
         rank = {k: r for r, k in enumerate(sorted(set(keys)))}
@@ -104,6 +97,18 @@ class ChainCodomain:
         if self.kind == RATIONAL:
             return "ChainCodomain.rational()"
         return f"ChainCodomain.labeled({list(self.labels)!r})"
+
+
+def integer_values(values) -> list | None:
+    """Nonempty rationals ``values`` as integers over their least common
+    denominator, in order, or None when it is 2**64 or more.  Sums and
+    differences of the integers compare exactly as those of the values do."""
+    common = 1
+    for d in {v.denominator for v in values}:
+        common = math.lcm(common, d)
+        if common >> 64:
+            return None
+    return [v.numerator * (common // v.denominator) for v in values]
 
 
 def image_map(image, t) -> dict:

@@ -19,8 +19,8 @@ from .games import (
     validate_game,
     verify_equilibrium_structure,
 )
-from .lattice import (FiniteLattice, classify_subset, extremes, sublattice_witness,
-                      subset_bound_masks)
+from .lattice import (FiniteLattice, chain_bound_masks, classify_subset, extremes,
+                      pair_bound_masks, subset_bound_masks)
 from .properties import (
     has_increasing_differences,
     is_quasisupermodular,
@@ -77,8 +77,9 @@ def veinott_report(L: FiniteLattice) -> tuple:
     subset is subcomplete iff it is a sublattice, and every subset is
     chain-subcomplete.  A failure names the least failing mask."""
     every, chains = subset_bound_masks(L)
+    pairs = pair_bound_masks(L)
     for mask in range(1 << L.n):
-        if (every[mask] & ~mask == 0) != (sublattice_witness(L, mask) is None):
+        if (every[mask] & ~mask == 0) != (pairs[mask] & ~mask == 0):
             name = "subcomplete-iff-sublattice"
         elif chains[mask] & ~mask:
             name = "chain-subcomplete"
@@ -91,7 +92,7 @@ def veinott_report(L: FiniteLattice) -> tuple:
 def chaincls_report(L: FiniteLattice) -> tuple:
     """Every closed set of the interval topology on ``L`` is
     chain-subcomplete; a failure names the least failing set."""
-    _, chains = subset_bound_masks(L)
+    chains = chain_bound_masks(L)
     for mask in family_for(TopologySpec(INTERVAL), L).sets:
         if chains[mask] & ~mask:
             return ["PROPERTY interval-closed-chain-subcomplete FAIL "

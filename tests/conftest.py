@@ -257,6 +257,17 @@ def oracle_qsm(L, keys):
     return None
 
 
+def oracle_supermodular(f) -> Verdict:
+    """Supermodularity from the definition: the first pair x < y of labels,
+    in canonical order, with f(x) + f(y) > f(x^y) + f(xvy), the bounds read
+    through the labels."""
+    L, value = f.domain, f.table()
+    for x, y in itertools.combinations(L.labels, 2):
+        if value[x] + value[y] > value[L.meet_label(x, y)] + value[L.join_label(x, y)]:
+            return Verdict(False, witness=(("x", x), ("y", y)))
+    return Verdict(True)
+
+
 def coord_leq(factors, a, b) -> bool:
     """Componentwise order of two coordinate tuples over ``factors``."""
     return all(f.poset._leq(x, y) for f, x, y in zip(factors, a, b))

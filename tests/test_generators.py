@@ -1,9 +1,11 @@
 """seeded generators: determinism, family shapes, payoff soundness."""
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from latgames import check_lattice, is_quasisupermodular, is_supermodular, validate_game
+from latgames.cli import main
 from latgames.errors import CapExceeded, RejectionBudgetExhausted
 from latgames.functions import LatticeFunction
 from latgames.generators import (
@@ -118,6 +120,16 @@ class TestDeterminism:
             kind_b, b = generate(spec)
             assert kind_a == kind_b
             assert serialize(a) == serialize(b)
+
+    def test_grid_function_output_is_pinned(self, capsys):
+        # Every draw checks the base table's supermodularity; on a grid that
+        # is decided from the factors, and the bytes must not move with it.
+        code = main(["generate", "--seed", "7", "--family", "grid", "--dims", "32x32",
+                     "--payoff", "supermodular_then_transform"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5be7db2b63048983ae208fe6dc8697db7de588533074a56b4a25807b73125e4a")
 
     def test_seed_changes_instance(self):
         a = generate(GenSpec(seed=1, family="random_meet_join_closure"))[1]

@@ -1,14 +1,18 @@
 """``verify --theorem veinott|chaincls`` read per-subset tables
-(``lattice.subset_bound_masks``); here they are compared, mask by mask and
-line by line, with the exhaustive scans: ``first_unbounded`` over every
-submask and every chain of each subset, ascending."""
+(``lattice.subset_bound_masks``, ``chain_bound_masks`` and
+``pair_bound_masks``); here they are compared, mask by mask and line by
+line, with the exhaustive scans: ``first_unbounded`` over every submask and
+every chain of each subset, ascending, and ``sublattice_witness``."""
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
 from latgames import reports
 from latgames.generators import all_lattices, chain_lattice, grid_lattice, random_lattice
-from latgames.lattice import FiniteLattice, first_unbounded, sublattice_witness, subset_bound_masks
+from latgames.lattice import (FiniteLattice, chain_bound_masks, first_unbounded, iter_bits,
+                              pair_bound_masks, sublattice_witness, subset_bound_masks)
 from latgames.rng import Xoshiro256StarStar
 from latgames.topology import INTERVAL, TopologySpec, family_for
 
@@ -62,11 +66,14 @@ WELL_FORMED = all_lattices(6) + (grid_lattice((3, 3)), grid_lattice((2, 2, 2)))
 @pytest.mark.parametrize("L", WELL_FORMED, ids=repr)
 def test_tables_match_the_scans_on_every_mask(L):
     every, chains = subset_bound_masks(L)
-    assert len(every) == len(chains) == 1 << L.n
+    pairs = pair_bound_masks(L)
+    assert len(every) == len(chains) == len(pairs) == 1 << L.n
+    assert chain_bound_masks(L) == chains
     for mask in range(1 << L.n):
         assert (every[mask] & ~mask == 0) == (first_unbounded(L, mask, iter_submasks(mask)) is None)
         assert (chains[mask] & ~mask == 0) == (
             first_unbounded(L, mask, iter_chain_masks(L.poset, mask)) is None)
+        assert (pairs[mask] & ~mask == 0) == (sublattice_witness(L, mask) is None)
 
 
 @pytest.mark.parametrize("L", WELL_FORMED, ids=repr)
@@ -80,8 +87,9 @@ def test_tables_past_sixteen_elements():
     # chain holding its own sup and inf.
     L = chain_lattice(17)
     every, chains = subset_bound_masks(L)
-    assert every == chains
-    assert all(every[mask] & ~mask == 0 for mask in range(1 << L.n))
+    pairs = pair_bound_masks(L)
+    assert every == chains == chain_bound_masks(L)
+    assert all(every[mask] & ~mask == 0 == pairs[mask] & ~mask for mask in range(1 << L.n))
     assert every[1 << 16 | 1] == 1 << 16 | 1
 
 
@@ -90,9 +98,19 @@ def test_tables_are_the_folds_on_corrupted_lattices():
     # chains holds exactly the folded bounds, wrong entries included.
     for L in corrupted_sample(count=100):
         every, chains = subset_bound_masks(L)
+        pairs = pair_bound_masks(L)
+        assert chain_bound_masks(L) == chains
         for mask in range(1, 1 << L.n):
             assert every[mask] == _bits(L, iter_submasks(mask))
             assert chains[mask] == _bits(L, iter_chain_masks(L.poset, mask))
+            assert pairs[mask] == _pair_bits(L, mask)
+
+
+def _pair_bits(L, mask) -> int:
+    out = 0
+    for a, b in itertools.combinations(iter_bits(mask), 2):
+        out |= 1 << L.meet[a][b] | 1 << L.join[a][b]
+    return out
 
 
 def _bits(L, submasks) -> int:
