@@ -10,47 +10,22 @@ from .verdict import Verdict, format_atom
 
 
 class Correspondence:
-    """A map from a chain or poset index into subsets of a lattice carrier."""
+    """A map from a finite poset index into subsets of a lattice carrier.
 
-    __slots__ = ("carrier", "index_kind", "index_keys", "index_poset", "values", "_masks")
+    ``keys`` are the index elements in canonical order, ``up[k]`` is the
+    mask of the index positions at or above position k, and ``masks[k]`` is
+    the value at ``keys[k]`` as a mask over the carrier.
+    """
 
-    def __init__(self, carrier: FiniteLattice, values, index_keys=None, index_poset=None):
+    __slots__ = ("carrier", "keys", "up", "masks")
+
+    def __init__(self, carrier: FiniteLattice, keys, up, masks):
         self.carrier = carrier
-        if (index_keys is None) == (index_poset is None):
-            raise ValueError("give exactly one of index_keys (chain) or index_poset")
-        if index_poset is not None:
-            self.index_kind = "poset"
-            self.index_poset = index_poset
-            self.index_keys = index_poset.labels
-        else:
-            self.index_kind = "chain"
-            self.index_poset = None
-            self.index_keys = tuple(index_keys)
-        if set(values) != set(self.index_keys):
-            raise ValueError("values must be keyed exactly by the index elements")
-        self.values = {k: tuple(values[k]) for k in self.index_keys}
-        self._masks = {k: carrier.subset_mask(v) for k, v in self.values.items()}
-
-    def mask(self, key) -> int:
-        return self._masks[key]
-
-    def format_key(self, key) -> str:
-        return format_atom(key)
-
-    def index_pairs(self, include_equal: bool):
-        """Comparable index pairs (s, s') with s <= s', in canonical order."""
-        keys = self.index_keys
-        if self.index_kind == "chain":
-            for i, a in enumerate(keys):
-                start = i if include_equal else i + 1
-                for b in keys[start:]:
-                    yield a, b
-        else:
-            P = self.index_poset
-            for i in range(P.n):
-                for j in iter_bits(P.up[i]):
-                    if include_equal or j != i:
-                        yield keys[i], keys[j]
+        self.keys = tuple(keys)
+        self.up = tuple(up)
+        self.masks = tuple(masks)
+        if not len(self.keys) == len(self.up) == len(self.masks):
+            raise ValueError("keys, up-rows and value masks must have one entry per index element")
 
 
 def argmax_set(f: LatticeFunction) -> tuple:
@@ -63,34 +38,37 @@ def level_correspondence(f: LatticeFunction) -> Correspondence:
     """Upper level sets indexed by the function's image chain (ascending);
     the r-th value of the image is the one of rank r."""
     image = f.image()
-    values = {v: tuple(label for label, k in zip(f.domain.labels, f.keys) if k >= cut)
-              for cut, v in enumerate(image)}
-    return Correspondence(f.domain, values, index_keys=image)
+    full = (1 << len(image)) - 1
+    return Correspondence(
+        f.domain, image, [full >> r << r for r in range(len(image))],
+        [sum(1 << x for x, k in enumerate(f.keys) if k >= cut) for cut in range(len(image))])
 
 
 def _require_nonempty(F: Correspondence):
-    for key in F.index_keys:
-        if F.mask(key) == 0:
-            raise EmptyValue(f"value at index {F.format_key(key)} is empty")
+    for key, mask in zip(F.keys, F.masks):
+        if mask == 0:
+            raise EmptyValue(f"value at index {format_atom(key)} is empty")
 
 
 def is_increasing_weak_veinott(F: Correspondence) -> Verdict:
     """Level-set monotonicity: for c < c', x in F(c), x' in F(c') with
     x ^ x' outside F(c), the join x v x' must land in F(c')."""
-    if F.index_kind != "chain":
+    full = (1 << len(F.keys)) - 1
+    if any(row != full >> k << k for k, row in enumerate(F.up)):
         raise ValueError("the weak Veinott check needs a chain index")
     _require_nonempty(F)
     L = F.carrier
-    for c, c2 in F.index_pairs(include_equal=False):
-        lo, hi = F.mask(c), F.mask(c2)
-        for x in iter_bits(lo):
-            for x2 in iter_bits(hi):
-                if lo >> L.meet[x][x2] & 1:
-                    continue
-                if not hi >> L.join[x][x2] & 1:
-                    return Verdict(False, witness=(
-                        ("c", c), ("c2", c2),
-                        ("x", L.labels[x]), ("x2", L.labels[x2])))
+    for k, lo in enumerate(F.masks):
+        for k2 in iter_bits(F.up[k] & ~(1 << k)):
+            hi = F.masks[k2]
+            for x in iter_bits(lo):
+                for x2 in iter_bits(hi):
+                    if lo >> L.meet[x][x2] & 1:
+                        continue
+                    if not hi >> L.join[x][x2] & 1:
+                        return Verdict(False, witness=(
+                            ("c", F.keys[k]), ("c2", F.keys[k2]),
+                            ("x", L.labels[x]), ("x2", L.labels[x2])))
     return Verdict(True)
 
 
@@ -100,20 +78,21 @@ def is_increasing_strong_set_order(G: Correspondence) -> Verdict:
     sublattice."""
     _require_nonempty(G)
     L = G.carrier
-    for s, s2 in G.index_pairs(include_equal=True):
-        lo, hi = G.mask(s), G.mask(s2)
-        for x in iter_bits(lo):
-            for x2 in iter_bits(hi):
-                m = L.meet[x][x2]
-                if not lo >> m & 1:
-                    return Verdict(False, witness=(
-                        ("s", s), ("s2", s2), ("x", L.labels[x]), ("x2", L.labels[x2]),
-                        ("op", "meet"), ("value", L.labels[m])))
-                v = L.join[x][x2]
-                if not hi >> v & 1:
-                    return Verdict(False, witness=(
-                        ("s", s), ("s2", s2), ("x", L.labels[x]), ("x2", L.labels[x2]),
-                        ("op", "join"), ("value", L.labels[v])))
+    for k, lo in enumerate(G.masks):
+        for k2 in iter_bits(G.up[k]):
+            hi = G.masks[k2]
+            for x in iter_bits(lo):
+                for x2 in iter_bits(hi):
+                    m = L.meet[x][x2]
+                    if not lo >> m & 1:
+                        return Verdict(False, witness=(
+                            ("s", G.keys[k]), ("s2", G.keys[k2]), ("x", L.labels[x]),
+                            ("x2", L.labels[x2]), ("op", "meet"), ("value", L.labels[m])))
+                    v = L.join[x][x2]
+                    if not hi >> v & 1:
+                        return Verdict(False, witness=(
+                            ("s", G.keys[k]), ("s2", G.keys[k2]), ("x", L.labels[x]),
+                            ("x2", L.labels[x2]), ("op", "join"), ("value", L.labels[v])))
     return Verdict(True)
 
 
@@ -122,13 +101,12 @@ def max_selection(G: Correspondence) -> dict:
     order verdict holds and the greatest elements exist."""
     L = G.carrier
     out = {}
-    for key in G.index_keys:
-        mask = G.mask(key)
+    for key, mask in zip(G.keys, G.masks):
         if mask == 0:
-            raise EmptyValue(f"value at index {G.format_key(key)} is empty")
+            raise EmptyValue(f"value at index {format_atom(key)} is empty")
         greatest = extremal_in(L.poset, mask)
         if greatest is None:
-            raise NoGreatestElement(G.format_key(key))
+            raise NoGreatestElement(format_atom(key))
         out[key] = L.labels[greatest]
     return out
 

@@ -97,6 +97,16 @@ def _dims(text) -> tuple:
         raise argparse.ArgumentTypeError(f"expected dimensions like 3x4, got {text!r}") from None
 
 
+def _budget(text) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"the budget must be at least 1 draw, got {budget}")
+    return budget
+
+
 def cmd_generate(args) -> int:
     spec = GenSpec(
         seed=args.seed,
@@ -178,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_dims, default=None, help="grid dimensions, e.g. 3x4")
     p.add_argument("--payoff", default=None,
                    choices=["supermodular_then_transform", "rejection"])
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--budget", type=_budget, default=100_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
 

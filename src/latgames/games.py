@@ -31,6 +31,8 @@ from .lattice import (FinitePoset, componentwise_up, extremal_in, extremes, iter
 from .topology import TopologySpec, explicit_closed_family
 from .verdict import Verdict
 
+CORRESPONDENCE_CAP = 4096
+
 
 def radix_strides(factors) -> tuple:
     """Place values of the mixed-radix index of coordinate tuples in nested
@@ -428,19 +430,17 @@ def verify_equilibrium_structure(G: Game, cap: int = 1_000_000) -> NashReport:
                       certifies=certifies, notes=notes)
 
 
-def best_response_correspondence(G: Game, player: str, max_index_size: int = 4096) -> Correspondence:
-    """The player's best responses as a correspondence over the opponents'
-    joint order (materialized, so guarded by a size cap)."""
+def best_response_correspondence(G: Game, player: str) -> Correspondence:
+    """The player's best-response masks over the opponents' joint order
+    (materialized, so guarded by ``CORRESPONDENCE_CAP``)."""
     i = G.player_index(player)
     others = G.factors[:i] + G.factors[i + 1:]
     count = math.prod(f.n for f in others)
-    if count > max_index_size:
+    if count > CORRESPONDENCE_CAP:
         raise StateSpaceTooLarge(
-            f"opponent space of size {count} exceeds the correspondence cap {max_index_size}")
+            f"opponent space of size {count} exceeds the correspondence cap {CORRESPONDENCE_CAP}")
     labels, coords = product_elements(others)
     strides = G.strides[:i] + G.strides[i + 1:]
-    labels_of = G.factors[i].labels_of
-    values = {label: labels_of(G._br(i, sum(c * stride for c, stride in zip(coord, strides))))
-              for label, coord in zip(labels, coords)}
-    return Correspondence(G.strategies[player], values,
-                          index_poset=FinitePoset(labels, componentwise_up(others, coords)))
+    return Correspondence(G.factors[i], labels, componentwise_up(others, coords),
+                          [G._br(i, sum(c * stride for c, stride in zip(coord, strides)))
+                           for coord in coords])

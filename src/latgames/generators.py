@@ -181,14 +181,11 @@ def random_strictly_increasing_map(rng: Xoshiro256StarStar, image) -> dict:
     return out
 
 
-def random_monotone_supermodular(rng: Xoshiro256StarStar, L: FiniteLattice,
-                                 terms: int | None = None) -> dict:
+def random_monotone_supermodular(rng: Xoshiro256StarStar, L: FiniteLattice) -> dict:
     """Nonnegative combination of up-set indicators: monotone and supermodular
     on any finite lattice."""
-    if terms is None:
-        terms = rng.randint(1, max(2, L.n // 2 + 1))
     table = {label: Fraction(0) for label in L.labels}
-    for _ in range(terms):
+    for _ in range(rng.randint(1, max(2, L.n // 2 + 1))):
         p = rng.below(L.n)
         w = Fraction(rng.randint(1, 4), rng.choice((1, 2)))
         for j in iter_bits(L.poset.up[p]):
@@ -319,12 +316,11 @@ def meet_join_closure_lattice(rng: Xoshiro256StarStar) -> FiniteLattice:
     return check_lattice(FinitePoset(labels, up))
 
 
-def random_game(rng: Xoshiro256StarStar, max_players: int = 3, max_size: int = 4,
-                transform_chance: bool = True) -> Game:
+def random_game(rng: Xoshiro256StarStar, max_players: int = 3, max_size: int = 4) -> Game:
     """Random validated game: payoffs are built from supermodular own-strategy
     parts plus monotone complementarity couplings (plus opponent-only noise),
-    then optionally rescaled by a strictly increasing map per player.  The
-    construction guarantees validation, which is re-checked before return.
+    then, on a fair coin per player, rescaled by a strictly increasing map.
+    The construction guarantees validation, which is re-checked before return.
     """
     n_players = rng.randint(2, max_players)
     players = [f"p{i}" for i in range(1, n_players + 1)]
@@ -361,26 +357,24 @@ def random_game(rng: Xoshiro256StarStar, max_players: int = 3, max_size: int = 4
         payoffs[p] = table
     codomains = {p: ChainCodomain.rational() for p in players}
     game = Game(players, strategies, codomains, payoffs)
-    if transform_chance:
-        for p in players:
-            if rng.chance(1, 2):
-                image = sorted(set(game.payoffs[p].values()))
-                game = game.transformed(p, random_strictly_increasing_map(rng, image))
+    for p in players:
+        if rng.chance(1, 2):
+            image = sorted(set(game.payoffs[p].values()))
+            game = game.transformed(p, random_strictly_increasing_map(rng, image))
     if not validate_game(game).holds:
         raise InvariantViolation("generator postcondition failed: game did not validate")
     return game
 
 
-def _random_supermodular_any(rng: Xoshiro256StarStar, L: FiniteLattice,
-                             attempts: int = 400) -> dict:
-    """Random supermodular table on an arbitrary finite lattice: rejection
-    sampling at small sizes with the up-set construction as fallback."""
+def _random_supermodular_any(rng: Xoshiro256StarStar, L: FiniteLattice) -> dict:
+    """Random supermodular table on an arbitrary finite lattice: up to 400
+    rejection draws at small sizes, with the up-set construction as fallback."""
     from .properties import is_supermodular
 
     codomain = ChainCodomain.rational()
     if L.n <= 6:
         pool = [Fraction(v) for v in (-2, -1, 0, 1, 2, 3)]
-        for _ in range(attempts):
+        for _ in range(400):
             table = {label: rng.choice(pool) for label in L.labels}
             if is_supermodular(LatticeFunction(L, codomain, table)).holds:
                 return table

@@ -224,7 +224,7 @@ def has_increasing_differences(f: LatticeFunction, split=0) -> Verdict:
     if not f.codomain.is_rational:
         raise LabeledCodomainUnsupported(
             "increasing differences need the additive structure of rational values")
-    P, Q, ps, qs, columns = _split_columns(f, split, f.values)
+    P, Q, ps, qs, columns = _split_columns(f, split, integer_values(f.values) or f.values)
     hit = single_crossing_witness(P, Q, columns, step=_differences)
     if hit is None:
         return Verdict(True)

@@ -40,9 +40,9 @@ class TopologySpec:
 class ClosedFamily:
     """A finite topology on a fixed carrier, given by its point closures.
 
-    ``point_closures[x]`` is the mask of cl{x}.  The builders below derive
-    it from rays, singletons or a validated closed-set list, so the closures
-    always come from a family closed under union and intersection.
+    ``point_closures[x]`` is the mask of cl{x}.  The builders below take
+    singletons or derive it from a validated closed-set list, so the
+    closures always come from a family closed under union and intersection.
     """
 
     __slots__ = ("labels", "index", "full", "point_closures")
@@ -98,20 +98,10 @@ class ClosedFamily:
 def interval_closed_family(L: FiniteLattice) -> ClosedFamily:
     """The smallest topology whose up-rays and down-rays are closed.
 
-    cl{x} is the intersection of the rays through x.  On a finite lattice
-    that is {x} (the up-ray and down-ray of x meet there), so the topology
-    is discrete; the closures are still computed from the rays.
+    cl{x} is the intersection of the rays through x, which holds ↑x ∩ ↓x =
+    {x}; so on any finite poset the interval topology is discrete.
     """
-    up, down = L.poset.up, L.poset.down
-    closures = []
-    for x in range(L.n):
-        acc = L.poset.full  # the rays through x: up[i] for i <= x, down[i] for i >= x
-        for i in iter_bits(down[x]):
-            acc &= up[i]
-        for i in iter_bits(up[x]):
-            acc &= down[i]
-        closures.append(acc)
-    return ClosedFamily(L.labels, closures)
+    return discrete_closed_family(L.labels)
 
 
 def discrete_closed_family(labels) -> ClosedFamily:

@@ -373,6 +373,36 @@ def brute_nash_set(G):
     return out
 
 
+def oracle_strong_set_order(G, player) -> Verdict:
+    """Whether the player's best responses rise in the strong set order,
+    from labels alone: opponent profiles s <= s' (s = s' included) in
+    canonical label order of their tuple labels, then x in G(s) and x' in
+    G(s') in label order, the meet tested before the join."""
+    i = G.player_index(player)
+    L, others = G.factors[i], G.factors[:i] + G.factors[i + 1:]
+    keys = payoff_keys(G, player)
+
+    def best(opp):
+        row = [keys[opp[:i] + (x,) + opp[i:]] for x in L.labels]
+        return [x for x, k in zip(L.labels, row) if k == max(row)]
+
+    opps = sorted(itertools.product(*(f.labels for f in others)), key=tuple_label)
+    for s in opps:
+        for s2 in opps:
+            if not all(f.leq(a, b) for f, a, b in zip(others, s, s2)):
+                continue
+            lo, hi = best(s), best(s2)
+            for x in lo:
+                for x2 in hi:
+                    for op, value, into in (("meet", L.meet_label(x, x2), lo),
+                                            ("join", L.join_label(x, x2), hi)):
+                        if value not in into:
+                            return Verdict(False, witness=(
+                                ("s", tuple_label(s)), ("s2", tuple_label(s2)), ("x", x),
+                                ("x2", x2), ("op", op), ("value", value)))
+    return Verdict(True)
+
+
 def brute_is_sublattice(L, labels):
     labels = list(labels)
     members = set(labels)

@@ -27,6 +27,13 @@ from latgames.rng import Xoshiro256StarStar
 
 from conftest import RATIONAL
 
+CHAIN2 = (0b11, 0b10)  # up-rows of the two-element chain index 0 < 1
+
+
+def value_masks(L, keys, up, values):
+    """A correspondence whose values are given as label tuples."""
+    return Correspondence(L, keys, up, [L.subset_mask(v) for v in values])
+
 
 class TestArgmaxSet:
     def test_star_function_drops_low_midpoint(self, star_function):
@@ -54,21 +61,22 @@ class TestArgmaxSet:
 class TestLevelCorrespondence:
     def test_star_levels(self, star_function):
         F = level_correspondence(star_function)
-        assert F.index_keys == (Fraction(0), Fraction(1))
-        assert set(F.values[Fraction(0)]) == set(star_function.domain.labels)
-        assert set(F.values[Fraction(1)]) == {"M", "m", "x2", "x3", "x4", "x5"}
+        L = star_function.domain
+        assert F.keys == (Fraction(0), Fraction(1))
+        assert F.up == (0b11, 0b10)
+        assert L.labels_of(F.masks[0]) == L.labels
+        assert L.labels_of(F.masks[1]) == ("M", "m", "x2", "x3", "x4", "x5")
 
     def test_constant_single_level(self, diamond_lattice):
         f = LatticeFunction(diamond_lattice, RATIONAL, dict.fromkeys(diamond_lattice.labels, 2))
         F = level_correspondence(f)
-        assert F.index_keys == (Fraction(2),)
-        assert set(F.values[Fraction(2)]) == set(diamond_lattice.labels)
+        assert (F.keys, F.up, F.masks) == ((Fraction(2),), (1,), (diamond_lattice.poset.full,))
 
     def test_injective_chain_nested_levels(self):
         c = chain_lattice(3)
         f = LatticeFunction(c, RATIONAL, {"c0": 0, "c1": 1, "c2": 2})
         F = level_correspondence(f)
-        masks = [F.mask(k) for k in F.index_keys]
+        masks = F.masks
         assert len(masks) == 3
         for small, large in zip(masks[1:], masks):
             assert small & ~large == 0  # antitone nesting
@@ -79,11 +87,10 @@ class TestLevelCorrespondence:
             L = all_lattices(5)[rng.below(len(all_lattices(5)))]
             f = random_function(rng, L, "rejection", values=(0, 1, 2, 3))
             F = level_correspondence(f)
-            keys = F.index_keys
-            for lo, hi in zip(keys, keys[1:]):
-                assert F.mask(hi) & ~F.mask(lo) == 0
-            for k in keys:
-                flags = classify_subset(L, F.values[k])
+            for lo, hi in zip(F.masks, F.masks[1:]):
+                assert hi & ~lo == 0
+            for mask in F.masks:
+                flags = classify_subset(L, L.labels_of(mask))
                 assert flags.is_chain_subcomplete.holds
 
 
@@ -112,20 +119,36 @@ class TestWeakVeinott:
         assert {w["x"], w["x2"]} == {"a", "b"}
 
     def test_constant_correspondence(self, diamond_lattice):
-        F = Correspondence(diamond_lattice,
-                           {0: diamond_lattice.labels, 1: diamond_lattice.labels},
-                           index_keys=(0, 1))
+        full = diamond_lattice.poset.full
+        F = Correspondence(diamond_lattice, (0, 1), CHAIN2, (full, full))
         assert is_increasing_weak_veinott(F).holds
 
     def test_empty_value_rejected(self, diamond_lattice):
-        F = Correspondence(diamond_lattice, {0: ("a",), 1: ()}, index_keys=(0, 1))
-        with pytest.raises(EmptyValue):
+        F = value_masks(diamond_lattice, (0, 1), CHAIN2, [("a",), ()])
+        with pytest.raises(EmptyValue, match="^value at index 1 is empty$"):
             is_increasing_weak_veinott(F)
+        with pytest.raises(EmptyValue, match="^value at index 1 is empty$"):
+            is_increasing_strong_set_order(F)
+
+    def test_non_chain_index_rejected(self, diamond_lattice):
+        F = value_masks(diamond_lattice, ("a", "b"), (0b01, 0b10), [("0",), ("1",)])
+        with pytest.raises(ValueError, match="^the weak Veinott check needs a chain index$"):
+            is_increasing_weak_veinott(F)
+
+    def test_chain_index_listed_as_poset_rows_is_a_chain(self, diamond_lattice):
+        index = poset_from_covers(["lo", "hi"], [("hi", "lo")])  # "hi" < "lo"
+        F = value_masks(diamond_lattice, index.labels, index.up, [("0",), ("1",)])
+        assert F.up == CHAIN2
+        assert is_increasing_weak_veinott(F).holds
+
+    def test_rows_and_masks_must_match_the_keys(self, diamond_lattice):
+        with pytest.raises(ValueError, match="one entry per index element"):
+            Correspondence(diamond_lattice, (0, 1), CHAIN2, (1,))
 
 
 class TestStrongSetOrder:
     def test_two_point_index_diamond_counterexample(self, diamond_lattice):
-        G = Correspondence(diamond_lattice, {0: ("0",), 1: ("a", "b")}, index_keys=(0, 1))
+        G = value_masks(diamond_lattice, (0, 1), CHAIN2, [("0",), ("a", "b")])
         verdict = is_increasing_strong_set_order(G)
         assert not verdict.holds
         w = verdict.witness_dict()
@@ -134,23 +157,29 @@ class TestStrongSetOrder:
             max_selection(G)
 
     def test_constant_correspondence_monotone(self, diamond_lattice):
-        G = Correspondence(diamond_lattice, {0: ("0", "a"), 1: ("0", "a")}, index_keys=(0, 1))
+        G = value_masks(diamond_lattice, (0, 1), CHAIN2, [("0", "a"), ("0", "a")])
         assert is_increasing_strong_set_order(G).holds
         sel = max_selection(G)
         assert sel == {0: "a", 1: "a"}
 
     def test_max_selection_monotone_when_order_holds(self, diamond_lattice):
-        G = Correspondence(diamond_lattice,
-                           {0: ("0", "a"), 1: ("a",), 2: ("a", "1")},
-                           index_keys=(0, 1, 2))
+        G = value_masks(diamond_lattice, (0, 1, 2), (0b111, 0b110, 0b100),
+                        [("0", "a"), ("a",), ("a", "1")])
         assert is_increasing_strong_set_order(G).holds
         sel = max_selection(G)
         assert diamond_lattice.leq(sel[0], sel[1]) and diamond_lattice.leq(sel[1], sel[2])
 
     def test_poset_index(self, diamond_lattice):
         index = poset_from_covers(["lo", "hi"], [("lo", "hi")])
-        G = Correspondence(diamond_lattice, {"lo": ("0",), "hi": ("1",)}, index_poset=index)
+        G = value_masks(diamond_lattice, index.labels, index.up, [("1",), ("0",)])
         assert is_increasing_strong_set_order(G).holds
+
+    def test_antichain_index_checks_only_reflexive_pairs(self, diamond_lattice):
+        G = value_masks(diamond_lattice, ("s", "t"), (0b01, 0b10), [("1",), ("0",)])
+        assert is_increasing_strong_set_order(G).holds
+        G = value_masks(diamond_lattice, ("s", "t"), (0b01, 0b10), [("1",), ("a", "b")])
+        assert is_increasing_strong_set_order(G).witness == (
+            ("s", "t"), ("s2", "t"), ("x", "a"), ("x2", "b"), ("op", "meet"), ("value", "0"))
 
 
 class TestVerifyKuku:

@@ -385,6 +385,14 @@ class TestGenerate:
         assert "usage:" in proc.stderr and "argument --dims: expected dimensions" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_exits_two_with_usage(self, budget):
+        proc = self._generate_grid("--dims", "2x2", "--payoff", "rejection", "--budget", budget)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "usage:" in proc.stderr
+        assert f"argument --budget: the budget must be at least 1 draw, got {budget}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_out_in_a_missing_directory_exits_two(self, tmp_path):
         out_path = tmp_path / "missing" / "grid.json"
         proc = self._generate_grid("--dims", "2x2", "--out", str(out_path))

@@ -25,6 +25,7 @@ from latgames.errors import (
 )
 from latgames.functions import ChainCodomain, LatticeFunction
 from latgames.generators import chain_lattice, random_game
+from latgames.lattice import iter_bits
 from latgames.rng import Xoshiro256StarStar
 
 from conftest import RATIONAL, brute_nash_set, profile_leq
@@ -226,8 +227,9 @@ class TestStructure:
                 assert is_increasing_strong_set_order(corr).holds
                 sel = max_selection(corr)
                 S = G.strategies[p]
-                for s, s2 in corr.index_pairs(include_equal=False):
-                    assert S.leq(sel[s], sel[s2])
+                for k, s in enumerate(corr.keys):
+                    for k2 in iter_bits(corr.up[k]):
+                        assert S.leq(sel[s], sel[corr.keys[k2]])
 
     def test_best_response_values_are_subcomplete_sublattices(self, step_grid6_game):
         G = step_grid6_game

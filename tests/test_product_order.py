@@ -54,10 +54,11 @@ def test_opponent_index_on_criterion_06_games(criterion_06_games):
             others = G.factors[:i] + G.factors[i + 1:]
             F = best_response_correspondence(G, player)
             want = oracle_product_lattice(others)
-            assert F.index_poset == want.poset
+            assert (F.keys, F.up) == (want.labels, want.poset.up)
             own = G.factors[i].labels
             table = payoff_keys(G, player)
-            for label, coord in zip(want.labels, want.coords):
+            for mask, coord in zip(F.masks, want.coords):
                 opp = tuple(f.labels[c] for f, c in zip(others, coord))
                 keys = [table[opp[:i] + (s,) + opp[i:]] for s in own]
-                assert F.values[label] == tuple(s for s, k in zip(own, keys) if k == max(keys))
+                assert F.carrier.labels_of(mask) == tuple(
+                    s for s, k in zip(own, keys) if k == max(keys))

@@ -12,7 +12,10 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from latgames import ChainCodomain, Game, LatticeFunction, product_lattice
+import pytest
+
+from latgames import ChainCodomain, Game, LatticeFunction, product_lattice, properties
+from latgames.functions import integer_values
 from latgames.games import validate_game
 from latgames.generators import chain_lattice, diamond
 from latgames.lattice import tuple_label
@@ -156,3 +159,25 @@ def test_criterion_06_games_and_their_perturbations(criterion_06_games):
         if not got.holds and got.witness_dict()["check"] == "single-crossing":
             clauses[got.witness_dict()["clause"]] += 1
     assert clauses["weak"] and clauses["strict"], clauses
+
+
+@pytest.mark.parametrize("dens", [(3, 7), (2**61 - 1, 2**31 - 1)], ids=["small", "beyond-2^64"])
+def test_increasing_differences_on_integer_values_match_the_fraction_path(dens, monkeypatch):
+    """Adding g(p)/d1 + h(q)/d2 keeps every difference of differences, so
+    the verdicts are those of the integer tables; with the two large primes
+    the common denominator d1·d2 exceeds 2^64 and no integer form exists."""
+    rng = Xoshiro256StarStar(0x1D_0064)
+    functions = []
+    for f in itertools.islice(small_product_functions(0x1D_0001), 0, None, 5):
+        g = [Fraction(rng.randint(1, 4), dens[0]) for _ in range(f.domain.factors[0].n)]
+        h = [Fraction(rng.randint(1, 4), dens[1]) for _ in range(f.domain.factors[1].n)]
+        functions.append(LatticeFunction(f.domain, RATIONAL, {
+            label: v + g[a] + h[b]
+            for (label, v), (a, b) in zip(f.table().items(), f.domain.coords)}))
+        assert (integer_values(functions[-1].values) is None) == (dens[0] > 2**32)
+    got = [has_increasing_differences(f, split=s) for f in functions for s in (0, 1)]
+    monkeypatch.setattr(properties, "integer_values", lambda values: None)
+    assert got == [has_increasing_differences(f, split=s) for f in functions for s in (0, 1)]
+    assert got == [oracle_increasing_differences(f, (s,), (1 - s,))
+                   for f in functions for s in (0, 1)]
+    assert any(v.holds for v in got) and not all(v.holds for v in got)
