@@ -14,7 +14,7 @@ import sys
 from . import corpus as corpus_mod
 from . import reports
 from .errors import CapExceeded, LatGamesError, NotALattice, ParseError, TheoremFalsified
-from .generators import GenSpec, generate
+from .generators import CHAIN, DIAMOND_MK, GRID, GenSpec, generate
 from .io import load_path, save_path, serialize
 from .topology import DISCRETE, INTERVAL, TopologySpec, family_for
 
@@ -108,6 +108,10 @@ def _budget(text) -> int:
 
 
 def cmd_generate(args) -> int:
+    for flag, reader in (("size", CHAIN), ("k", DIAMOND_MK), ("dims", GRID)):
+        if getattr(args, flag) is not None and args.family != reader:
+            args.usage_error(f"argument --{flag}: the {args.family} family does not read it "
+                             f"(only {reader} does)")
     spec = GenSpec(
         seed=args.seed,
         family=args.family,
@@ -190,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["supermodular_then_transform", "rejection"])
     p.add_argument("--budget", type=_budget, default=100_000)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, usage_error=p.error)
 
     p = sub.add_parser("corpus", help="run the frozen example corpus")
     p.add_argument("action", choices=["run"])

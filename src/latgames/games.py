@@ -44,30 +44,6 @@ def radix_strides(factors) -> tuple:
     return tuple(reversed(strides))
 
 
-def flat_table(factors, pairs):
-    """Values in profile-index order from ``(profile, value)`` pairs, each
-    profile a tuple of labels in player order.  A profile's index is the sum
-    of its coordinates' entries in the per-factor ``{label: label index ·
-    stride}`` slots.  None unless the pairs name every joint profile exactly
-    once, and when iterating them raises ``KeyError`` or ``TypeError``."""
-    slots = tuple({label: k * stride for k, label in enumerate(f.labels)}
-                  for f, stride in zip(factors, radix_strides(factors)))
-    count = math.prod(f.n for f in factors)
-    flat, taken = [None] * count, bytearray(count)
-    try:
-        for profile, value in pairs:
-            if type(profile) is not tuple or len(profile) != len(slots):
-                return None
-            k = sum(map(dict.__getitem__, slots, profile))
-            if taken[k]:
-                return None
-            taken[k] = 1
-            flat[k] = value
-    except (KeyError, TypeError):
-        return None
-    return flat if all(taken) else None
-
-
 class Game:
     """Players, per-player strategy lattices, and payoff tables on profiles.
 
@@ -132,9 +108,11 @@ class Game:
                     f"payoff list for player {player!r} has {len(table)} values "
                     f"for {self.profile_count} joint profiles")
             return table
-        flat = flat_table(self.factors, table.items())
-        if flat is not None:
-            return flat
+        if len(table) == self.profile_count:
+            try:
+                return [table[profile] for profile in self.profiles()]
+            except KeyError:
+                pass
         expected = set(self.profiles())
         got = set(table)
         raise InvariantViolation(

@@ -12,13 +12,15 @@ floats are rejected to keep everything exact.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import re
 from fractions import Fraction
 
 from .errors import LatGamesError, ParseError
 from .functions import ChainCodomain, LatticeFunction
-from .games import Game, flat_table
+from .games import Game, radix_strides
 from .lattice import FiniteLattice, check_lattice, poset_from_covers, product_lattice
 from .topology import EXPLICIT, KINDS, TopologySpec
 
@@ -199,63 +201,56 @@ def topology_obj(spec: TopologySpec) -> dict:
     return {"kind": spec.kind}
 
 
-def _row_pairs(players, rows):
-    """Each payoff row as (profile tuple in player order, raw value); a profile
-    that is not an object with one name per player comes out as None."""
-    for row in rows:
-        profile = row["profile"]
-        if type(profile) is dict and len(profile) == len(players):
-            profile = tuple(map(profile.__getitem__, players))
-        else:
-            profile = None
-        yield profile, row["value"]
-
-
-def _flat_payoffs(players, strategies, codomains, payoffs_obj, cache):
-    """Each player's payoff rows read in one pass into values in profile-index
-    order (``games.flat_table``, which ``Game`` places its tables with too).
-    None when any row is not plainly well formed, so that ``_payoff_tables``
-    reports it.  Labeled values are checked by ``Game``."""
-    factors = [strategies[p] for p in players]
-    payoffs = {}
-    try:
-        for p in players:
-            rows = payoffs_obj[p]
-            flat = flat_table(factors, _row_pairs(players, rows)) if type(rows) is list else None
-            if flat is None:
-                return None
-            if codomains[p].is_rational:
-                flat = [_cached_value(cache, raw) for raw in flat]
-            elif any(type(raw) is not str for raw in flat):
-                return None
-            payoffs[p] = flat
-    except (KeyError, ParseError):
-        return None
-    return payoffs
-
-
-def _payoff_tables(players, codomains, payoffs_obj, where, cache) -> dict:
-    """Each player's payoff rows as a profile-keyed table, with every row
-    checked for its shape in turn and the first fault raised."""
-    payoffs = {}
+def _payoff_tables(players, factors, codomains, payoffs_obj, where) -> dict:
+    """Each player's payoff rows, each read once in document order, checked
+    for profile object, missing coordinate, label strings, unknown players,
+    duplicate, ``value`` field and value, the first fault raised.  A row is
+    placed at its profile index through per-player ``{label: label index ·
+    stride}`` slots.  Rows with an unknown label go into a profile-keyed side
+    table; a table that is not total comes out profile-keyed, so that
+    ``Game`` reports it after every row of every player has been read.
+    Labeled values are checked against their chain by ``Game``."""
+    slots = [{label: k * stride for k, label in enumerate(f.labels)}
+             for f, stride in zip(factors, radix_strides(factors))]
+    count = math.prod(f.n for f in factors)
+    payoffs, cache = {}, {}
     for p in players:
+        at = f"{where}.payoffs[{p}]"
         rows = _expect(payoffs_obj, p, list, f"{where}.payoffs")
-        table = {}
+        codomain = codomains[p]
+        memo = cache if codomain.is_rational else {}  # the cache holds rationals
+        flat, unknown, placed = [None] * count, {}, 0
         for row in rows:
-            profile_map = _expect(row, "profile", dict, f"{where}.payoffs[{p}]")
+            profile_map = row.get("profile") if type(row) is dict else None
+            if type(profile_map) is not dict:
+                profile_map = _expect(row, "profile", dict, at)
             try:
-                coords = [profile_map[q] for q in players]
+                profile = tuple(map(profile_map.__getitem__, players))
             except KeyError as exc:
-                raise ParseError(f"{where}.payoffs[{p}]: profile missing coordinate {exc}") from None
-            profile = tuple(_labels(coords, f"{where}.payoffs[{p}]", "profile coordinates"))
+                raise ParseError(f"{at}: profile missing coordinate {exc}") from None
+            try:
+                k = sum(map(dict.__getitem__, slots, profile))
+            except (KeyError, TypeError):
+                _labels(list(profile), at, "profile coordinates")
+                k = None
             if len(profile_map) != len(players):
-                raise ParseError(f"{where}.payoffs[{p}]: profile names unknown players")
-            if profile in table:
-                raise ParseError(f"{where}.payoffs[{p}]: duplicate profile {profile}")
-            table[profile] = _read_table_value(codomains[p],
-                                               _expect(row, "value", None, f"{where}.payoffs[{p}]"),
-                                               f"{where}.payoffs[{p}]", cache)
-        payoffs[p] = table
+                raise ParseError(f"{at}: profile names unknown players")
+            if (profile in unknown) if k is None else (flat[k] is not None):
+                raise ParseError(f"{at}: duplicate profile {profile}")
+            raw = row["value"] if "value" in row else _expect(row, "value", None, at)
+            value = memo.get(raw) if type(raw) is str else None
+            if value is None:
+                value = _read_table_value(codomain, raw, at, memo)
+            if k is None:
+                unknown[profile] = value
+            else:
+                flat[k] = value
+                placed += 1
+        if placed < count or unknown:
+            profiles = itertools.product(*(f.labels for f in factors))
+            flat = {profile: v for profile, v in zip(profiles, flat) if v is not None}
+            flat.update(unknown)
+        payoffs[p] = flat
     return payoffs
 
 
@@ -270,10 +265,8 @@ def parse_game(obj, where: str = "game") -> Game:
     codomains = {p: parse_codomain(_expect(codomains_obj, p, dict, f"{where}.codomains"),
                                    where=f"{where}.codomains[{p}]")
                  for p in players}
-    cache = {}
-    payoffs = _flat_payoffs(players, strategies, codomains, payoffs_obj, cache)
-    if payoffs is None:
-        payoffs = _payoff_tables(players, codomains, payoffs_obj, where, cache)
+    payoffs = _payoff_tables(players, [strategies[p] for p in players], codomains,
+                             payoffs_obj, where)
     topologies = None
     if "topologies" in obj:
         topologies = {}

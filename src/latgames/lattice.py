@@ -80,10 +80,6 @@ class FinitePoset:
     def leq(self, a: str, b: str) -> bool:
         return self._leq(self._index_of(a), self._index_of(b))
 
-    def comparable(self, a: str, b: str) -> bool:
-        i, j = self._index_of(a), self._index_of(b)
-        return self._leq(i, j) or self._leq(j, i)
-
     def _index_of(self, label: str) -> int:
         try:
             return self.index[label]

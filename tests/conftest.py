@@ -22,6 +22,8 @@ from latgames import (
     poset_from_covers,
     product_lattice,
 )
+from latgames import io
+from latgames.errors import LatGamesError, ParseError
 from latgames.lattice import FiniteLattice, FinitePoset, first_unbounded, iter_bits, tuple_label
 from latgames.generators import (all_lattices, chain_lattice, diamond, diamond_mk,
                                  fraction_chain, random_game)
@@ -401,6 +403,56 @@ def oracle_strong_set_order(G, player) -> Verdict:
                                 ("s", tuple_label(s)), ("s2", tuple_label(s2)), ("x", x),
                                 ("x2", x2), ("op", op), ("value", value)))
     return Verdict(True)
+
+
+def oracle_parse_game(obj, where: str = "game") -> Game:
+    """``io.parse_game`` with the payoff rows read the way the parser read
+    them before rows were placed by index: one profile-keyed dict per
+    player, each row checked in turn (profile object, missing coordinate,
+    label strings, unknown players, duplicate, ``value`` field, value), then
+    ``Game`` on those dicts.  Raises the same ``ParseError`` texts."""
+    players = io._labels(io._expect(obj, "players", None, where), where, "players")
+    strategies_obj = io._expect(obj, "strategies", dict, where)
+    codomains_obj = io._expect(obj, "codomains", dict, where)
+    payoffs_obj = io._expect(obj, "payoffs", dict, where)
+    strategies = {p: io.parse_lattice(io._expect(strategies_obj, p, dict, f"{where}.strategies"),
+                                      where=f"{where}.strategies[{p}]")
+                  for p in players}
+    codomains = {p: io.parse_codomain(io._expect(codomains_obj, p, dict, f"{where}.codomains"),
+                                      where=f"{where}.codomains[{p}]")
+                 for p in players}
+    payoffs = {}
+    for p in players:
+        at = f"{where}.payoffs[{p}]"
+        table = payoffs[p] = {}
+        for row in io._expect(payoffs_obj, p, list, f"{where}.payoffs"):
+            profile_map = io._expect(row, "profile", dict, at)
+            try:
+                coords = [profile_map[q] for q in players]
+            except KeyError as exc:
+                raise ParseError(f"{at}: profile missing coordinate {exc}") from None
+            profile = tuple(io._labels(coords, at, "profile coordinates"))
+            if len(profile_map) != len(players):
+                raise ParseError(f"{at}: profile names unknown players")
+            if profile in table:
+                raise ParseError(f"{at}: duplicate profile {profile}")
+            raw = io._expect(row, "value", None, at)
+            if codomains[p].is_rational:
+                table[profile] = io.parse_value(raw)
+            elif isinstance(raw, str):
+                table[profile] = raw
+            else:
+                raise ParseError(f"{at}: labeled values must be strings")
+    topologies = None
+    if "topologies" in obj:
+        if not isinstance(obj["topologies"], dict):
+            raise ParseError(f"{where}: topologies must map players to topology objects")
+        topologies = {p: io.parse_topology(t, where=f"{where}.topologies[{p}]")
+                      for p, t in obj["topologies"].items()}
+    try:
+        return Game(players, strategies, codomains, payoffs, topologies=topologies)
+    except LatGamesError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def brute_is_sublattice(L, labels):

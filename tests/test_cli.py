@@ -393,6 +393,23 @@ class TestGenerate:
         assert f"argument --budget: the budget must be at least 1 draw, got {budget}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("family", ["chain", "grid", "diamond_Mk", "random_meet_join_closure"])
+    def test_family_reads_only_its_own_flag(self, capsys, family):
+        for flag, value, reader in (("--size", "5", "chain"), ("--k", "4", "diamond_Mk"),
+                                    ("--dims", "2x2", "grid")):
+            argv = ["generate", "--seed", "1", "--family", family, flag, value]
+            if family == reader:
+                assert main(argv) == 0
+                capsys.readouterr()
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == ""
+            assert "usage: latgames generate" in captured.err
+            assert (f"argument {flag}: the {family} family does not read it (only {reader} does)"
+                    in captured.err)
+
     def test_out_in_a_missing_directory_exits_two(self, tmp_path):
         out_path = tmp_path / "missing" / "grid.json"
         proc = self._generate_grid("--dims", "2x2", "--out", str(out_path))

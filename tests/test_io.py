@@ -213,6 +213,18 @@ def _function_doc(edit):
     return doc
 
 
+def _payoffs_doc(edit):
+    doc = copy.deepcopy(GAME_DOC)
+    edit(doc["payoffs"])
+    return doc
+
+
+def _and_rows(doc, edit, player="right"):
+    """``doc`` with ``edit`` applied to another player's rows as well."""
+    edit(doc["payoffs"][player])
+    return doc
+
+
 def _set(k, row):
     return lambda rows: rows.__setitem__(k, row)
 
@@ -222,6 +234,7 @@ def _set_value(k, value):
 
 
 DD = {"left": "d", "right": "d"}
+ZD = {"left": "z", "right": "d"}
 G = "ERROR ParseError: game.payoffs[left]: "
 TOTAL = "ERROR ParseError: game: payoff table for player 'left' must be total over the joint profiles; "
 
@@ -273,6 +286,39 @@ MALFORMED_TABLES = [
      "ERROR ParseError: game: value 'mid' is not on the labeled chain"),
     ("labeled-not-string", "check-game", _game_doc(_set_value(2, 3), labeled=True),
      G + "labeled values must be strings"),
+    # each row is checked in document order, and a table that is not total is
+    # reported only after every row of every player has been read
+    ("unknown-label-duplicate", "check-game",
+     _game_doc(lambda rows: (_set(0, {"profile": ZD, "value": 0})(rows),
+                             _set(1, {"profile": ZD, "value": 1})(rows))),
+     G + "duplicate profile ('z', 'd')"),
+    ("coordinate-not-string-and-extra-player", "check-game",
+     _game_doc(_set(0, {"profile": {"left": 1, "right": "d", "other": "d"}, "value": 0})),
+     G + "profile coordinates must be a list of label strings"),
+    ("not-total-then-missing-coordinate", "check-game",
+     _and_rows(_game_doc(lambda rows: rows.pop(1)), _set(0, {"profile": {"left": "d"}, "value": 0})),
+     "ERROR ParseError: game.payoffs[right]: profile missing coordinate 'right'"),
+    ("labeled-off-chain-then-not-total", "check-game",
+     _and_rows(_game_doc(_set_value(2, "mid"), labeled=True), lambda rows: rows.pop(1)),
+     "ERROR ParseError: game: value 'mid' is not on the labeled chain"),
+    ("not-total-then-labeled-off-chain", "check-game",
+     _and_rows(_game_doc(_set_value(2, "mid"), player="right", labeled=True),
+               lambda rows: rows.pop(1), player="left"),
+     TOTAL + "missing e.g. [('d', 'u')], unknown e.g. []"),
+    ("unknown-label-without-value", "check-game", _game_doc(_set(0, {"profile": ZD})),
+     G + "missing field 'value'"),
+    ("duplicate-with-bad-value", "check-game", _game_doc(_set(1, {"profile": DD, "value": "x"})),
+     G + "duplicate profile ('d', 'd')"),
+    ("duplicate-without-value", "check-game", _game_doc(_set(1, {"profile": DD})),
+     G + "duplicate profile ('d', 'd')"),
+    ("payoffs-missing-player", "check-game", _payoffs_doc(lambda payoffs: payoffs.pop("right")),
+     "ERROR ParseError: game.payoffs: missing field 'right'"),
+    ("rows-not-list", "check-game",
+     _payoffs_doc(lambda payoffs: payoffs.__setitem__("right", {"profile": DD, "value": 0})),
+     "ERROR ParseError: game.payoffs: field 'right' has the wrong type"),
+    ("coordinate-list", "check-game",
+     _game_doc(_set(0, {"profile": {"left": ["d"], "right": "d"}, "value": 0})),
+     G + "profile coordinates must be a list of label strings"),
     ("function-row-not-object", "check-function", _function_doc(_set(0, 7)),
      "ERROR ParseError: function.table: missing field 'element'"),
     ("function-element-not-string", "check-function",
