@@ -62,16 +62,6 @@ def parse_value(raw):
     raise ParseError(f"cannot read {raw!r} as an exact rational")
 
 
-def _cached_value(cache: dict, raw):
-    """``parse_value`` with a per-document memo of the strings already read."""
-    if type(raw) is not str:
-        return parse_value(raw)
-    value = cache.get(raw)
-    if value is None:
-        value = cache[raw] = parse_value(raw)
-    return value
-
-
 def format_value(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
@@ -151,11 +141,18 @@ def codomain_obj(codomain: ChainCodomain) -> dict:
 
 
 def _read_table_value(codomain, raw, where, cache):
-    if codomain.is_rational:
-        return _cached_value(cache, raw)
-    if not isinstance(raw, str):
-        raise ParseError(f"{where}: labeled values must be strings")
-    return raw
+    """One table value of ``codomain``; rational strings go through
+    ``cache``, a per-document memo of the strings already read."""
+    if not codomain.is_rational:
+        if not isinstance(raw, str):
+            raise ParseError(f"{where}: labeled values must be strings")
+        return raw
+    if type(raw) is not str:
+        return parse_value(raw)
+    value = cache.get(raw)
+    if value is None:
+        value = cache[raw] = parse_value(raw)
+    return value
 
 
 def parse_function(obj, where: str = "function") -> LatticeFunction:

@@ -3,18 +3,13 @@
 Elements are kept in lexicographic label order and that order is canonical
 for every subset-valued result in the package.  Subsets are bitmasks over
 the canonical order and the full relation is stored per element.  Every
-predicate is decided in polynomial time; the commands that test the
-equivalences used on every subset read per-subset tables of sups, infs,
-chains and pair bounds (``subset_bound_masks``, ``pair_bound_masks``),
-O(n·2^n).  All types are immutable after construction, so they are safe to
-use concurrently.
+predicate is decided in polynomial time.  All types are immutable after
+construction, so they are safe to use concurrently.
 """
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
-from operator import or_
 
 from .errors import (
     BadLabel,
@@ -354,87 +349,6 @@ def product_lattice(factors) -> FiniteLattice:
         raise EmptyFactorList("a product needs at least one factor")
     labels, coords = product_elements(factors)
     return check_lattice(FinitePoset(labels, componentwise_up(factors, coords)), factors, coords)
-
-
-def subset_bound_masks(L: FiniteLattice) -> tuple:
-    """``(every, chains)``: for each mask, the OR of ``1 << sup T | 1 << inf T``
-    over its nonempty subsets T, and over its chains T.  So a mask is
-    subcomplete iff ``every[mask] & ~mask`` is 0 and chain-subcomplete iff
-    ``chains[mask] & ~mask`` is 0, as ``first_unbounded`` over every submask
-    or chain finds, for all masks in O(n·2^n)."""
-    bounds, chain = _subset_bounds(L)
-    chains = _or_over_submasks(_chains_only(bounds, chain))
-    return _or_over_submasks(bounds), chains
-
-
-def chain_bound_masks(L: FiniteLattice) -> array:
-    """The ``chains`` row of ``subset_bound_masks`` alone."""
-    return _or_over_submasks(_chains_only(*_subset_bounds(L)))
-
-
-def _subset_bounds(L: FiniteLattice) -> tuple:
-    """``(bounds, chain)``: for each mask T, ``1 << sup T | 1 << inf T`` (0 for
-    the empty set) and whether T is a chain.  With hi the highest bit of T,
-    sup T is ``join[sup(T - hi)][hi]``, the ascending fold of ``_sup_mask``
-    even on a malformed table (dually inf T), and T is a chain iff T - hi is
-    one inside hi's comparables."""
-    n = L.n
-    sup, inf, chain = bytearray(1), bytearray(1), bytearray(b"\1")  # [0]: the empty set
-    for hi in range(n):
-        above = sup.translate(bytes(row[hi] for row in L.join).ljust(256, b"\0"))
-        below = inf.translate(bytes(row[hi] for row in L.meet).ljust(256, b"\0"))
-        above[0] = below[0] = hi
-        apart = ~(L.poset.up[hi] | L.poset.down[hi])
-        chain += bytes(c and not rest & apart for rest, c in enumerate(chain))
-        sup += above
-        inf += below
-    bounds = array(_mask_code(n), [1 << s | 1 << i for s, i in zip(sup, inf)])
-    bounds[0] = 0
-    return bounds, chain
-
-
-def _mask_code(n: int) -> str:
-    """The ``array`` type code that holds an n-bit mask."""
-    return "H" if n <= 16 else "Q"
-
-
-def _chains_only(bounds: array, chain: bytearray) -> array:
-    return array(bounds.typecode, [v if c else 0 for v, c in zip(bounds, chain)])
-
-
-def _or_over_submasks(table: array) -> array:
-    """Replace each entry of a table over all masks by the OR of the entries
-    of its submasks, in place.  One pass per bit: each entry without the bit
-    goes into its partner with it, through 2^i strided slices or 2^(n-1-i)
-    contiguous ones, whichever are fewer; n·2^(n-1) ORs."""
-    code = table.typecode
-    for i in range(len(table).bit_length() - 1):
-        bit, step = 1 << i, 2 << i
-        if bit * step <= len(table):
-            for r in range(bit, step):
-                table[r::step] = array(code, map(or_, table[r::step], table[r - bit::step]))
-        else:
-            for t in range(bit, len(table), step):
-                table[t:t + bit] = array(code, map(or_, table[t:t + bit], table[t - bit:t]))
-    return table
-
-
-def pair_bound_masks(L: FiniteLattice) -> array:
-    """For each mask, the OR of ``1 << meet[a][b] | 1 << join[a][b]`` over its
-    pairs a < b, the entries ``sublattice_witness`` reads: a mask is a
-    sublattice iff ``pairs[mask] & ~mask`` is 0.  With hi the highest bit of
-    T, ``pairs[T] = pairs[T - hi] | row[T - hi]``, where ``row[S]`` is the OR
-    over x in S of the bounds of (x, hi); each row doubles once per x < hi,
-    so the table takes O(2^n) ORs."""
-    code = _mask_code(L.n)
-    pairs = array(code, [0])
-    for hi in range(L.n):
-        row = array(code, [0])
-        for x in range(hi):
-            bit = 1 << L.meet[x][hi] | 1 << L.join[x][hi]
-            row += array(code, [r | bit for r in row])
-        pairs += array(code, map(or_, pairs, row))
-    return pairs
 
 
 def first_unbounded(L: FiniteLattice, mask: int, submasks):

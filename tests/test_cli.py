@@ -207,32 +207,30 @@ class TestVerify:
         assert code == 0
         assert "PROPERTY interval-closed-chain-subcomplete PASS" in out
 
-    def test_veinott_cap_exits_two_with_size(self, capsys, tmp_path):
+    @pytest.mark.parametrize("theorem, lines", [
+        ("veinott", "PROPERTY subcomplete-iff-sublattice PASS\nPROPERTY chain-subcomplete PASS\n"),
+        ("chaincls", "PROPERTY interval-closed-chain-subcomplete PASS\n")], ids=["veinott", "chaincls"])
+    def test_subset_theorems_have_no_size_cap(self, capsys, tmp_path, theorem, lines):
+        # A 15-chain, diamond_Mk with k = 20 (22 elements) and a 64-chain:
+        # past 2^14 subsets, one table check.
         labels = [f"c{i:02d}" for i in range(15)]
-        path = tmp_path / "chain15.json"
-        path.write_text(json.dumps({"elements": labels,
-                                    "covers": [list(c) for c in zip(labels, labels[1:])]}))
-        code, out = run(capsys, "verify", path, "--theorem", "veinott")
-        assert code == 2
-        assert out.startswith("ERROR CapExceeded")
-        assert "15-element" in out
-
-    def test_chaincls_cap_exits_two_with_size(self, capsys, tmp_path):
-        labels = [f"c{i:02d}" for i in range(15)]
-        path = tmp_path / "chain15.json"
-        path.write_text(json.dumps({"elements": labels,
-                                    "covers": [list(c) for c in zip(labels, labels[1:])]}))
-        code, out = run(capsys, "verify", path, "--theorem", "chaincls")
-        assert code == 2
-        assert out.startswith("ERROR CapExceeded")
-        assert "15-element" in out
+        chain15 = tmp_path / "chain15.json"
+        chain15.write_text(json.dumps({"elements": labels,
+                                       "covers": [list(c) for c in zip(labels, labels[1:])]}))
+        diamond = tmp_path / "diamond20.json"
+        run(capsys, "generate", "--seed", "0", "--family", "diamond_Mk", "--k", "20",
+            "--out", diamond)
+        chain64 = tmp_path / "chain64.json"
+        run(capsys, "generate", "--seed", "0", "--family", "chain", "--size", "64",
+            "--out", chain64)
+        for path in (chain15, diamond, chain64):
+            assert run(capsys, "verify", path, "--theorem", theorem) == (0, lines)
 
     @pytest.mark.parametrize("theorem, lines", [
         ("veinott", "PROPERTY subcomplete-iff-sublattice PASS\nPROPERTY chain-subcomplete PASS\n"),
         ("chaincls", "PROPERTY interval-closed-chain-subcomplete PASS\n")], ids=["veinott", "chaincls"])
     def test_subset_scans_at_the_cap(self, capsys, tmp_path, theorem, lines):
-        # 14 elements, 2^14 subsets: a 14-chain (every subset is a chain)
-        # and the 2x7 grid.
+        # 14 elements: a 14-chain (every subset is a chain) and the 2x7 grid.
         labels = [f"c{i:02d}" for i in range(14)]
         chain = tmp_path / "chain14.json"
         chain.write_text(json.dumps({"elements": labels,
@@ -241,28 +239,6 @@ class TestVerify:
         run(capsys, "generate", "--seed", "0", "--family", "grid", "--dims", "2x7", "--out", grid)
         for path in (chain, grid):
             assert run(capsys, "verify", path, "--theorem", theorem) == (0, lines)
-
-    def test_subset_scans_fail_on_corrupted_join_tables(self, capsys, monkeypatch,
-                                                        diamond_lattice):
-        # Files cannot carry such tables, so the loaded instance is replaced.
-        from latgames import check_lattice, cli, poset_from_covers
-
-        m3 = check_lattice(poset_from_covers("abcde", [("a", "b"), ("a", "c"), ("a", "d"),
-                                                       ("b", "e"), ("c", "e"), ("d", "e")]))
-        # The fold of the sublattice {a, c, d, e} reads join(e, e) = b after
-        # c ∨ d = e, and no pair scan reads a diagonal entry.
-        top_is_b = with_join_entry(m3, "e", "e", "b")
-        # join(0, 1) = a puts the sup of the chain {0, 1} outside it.
-        chain_sup_is_a = with_join_entry(diamond_lattice, "0", "1", "a")
-        for L, theorem, want in (
-                (top_is_b, "veinott", (1, "PROPERTY subcomplete-iff-sublattice FAIL "
-                                          "subset=a,c,d,e\n")),
-                (top_is_b, "chaincls", (0, "PROPERTY interval-closed-chain-subcomplete PASS\n")),
-                (chain_sup_is_a, "veinott", (1, "PROPERTY chain-subcomplete FAIL subset=0,1\n")),
-                (chain_sup_is_a, "chaincls",
-                 (1, "PROPERTY interval-closed-chain-subcomplete FAIL set=0,1\n"))):
-            monkeypatch.setattr(cli, "load_path", lambda path, L=L: ("lattice", L))
-            assert run(capsys, "verify", "L.json", "--theorem", theorem) == want
 
     def test_transfer_and_topo_usc_on_a_12x12_grid_function(self, capsys, tmp_path):
         # 144 points: the interval topology has 2^144 closed sets, and its
@@ -292,7 +268,7 @@ class TestVerify:
     def test_corrupted_join_table_exits_two(self, capsys, monkeypatch, diamond_lattice):
         # Files cannot carry such a table (io builds lattices through
         # check_lattice), so the loaded instance is replaced.
-        from latgames import cli
+        from latgames import check_lattice, cli, poset_from_covers
 
         bad = with_join_entry(diamond_lattice, "a", "b", "a")
         f = LatticeFunction(bad, RATIONAL, dict.fromkeys(bad.labels, 0))
@@ -302,6 +278,18 @@ class TestVerify:
             code, out = run(capsys, *argv)
             assert code == 2
             assert out.startswith("ERROR InvariantViolation: join table entry (a, b) is a")
+        m3 = check_lattice(poset_from_covers("abcde", [("a", "b"), ("a", "c"), ("a", "d"),
+                                                       ("b", "e"), ("c", "e"), ("d", "e")]))
+        # join(e, e) = b, a diagonal entry, and join(0, 1) = a, the sup of
+        # the chain {0, 1} put outside it.
+        top_is_b = with_join_entry(m3, "e", "e", "b")
+        chain_sup_is_a = with_join_entry(diamond_lattice, "0", "1", "a")
+        for L, entry in ((top_is_b, "(e, e) is b, "), (chain_sup_is_a, "(0, 1) is a, ")):
+            monkeypatch.setattr(cli, "load_path", lambda path, L=L: ("lattice", L))
+            for theorem in ("veinott", "chaincls"):
+                code, out = run(capsys, "verify", "L.json", "--theorem", theorem)
+                assert code == 2
+                assert out.startswith(f"ERROR InvariantViolation: join table entry {entry}")
 
     def test_zhou(self, capsys):
         code, out = run(capsys, "verify", STEP_GAME, "--theorem", "zhou")

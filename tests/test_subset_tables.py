@@ -1,18 +1,17 @@
-"""``verify --theorem veinott|chaincls`` read per-subset tables
-(``lattice.subset_bound_masks``, ``chain_bound_masks`` and
-``pair_bound_masks``); here they are compared, mask by mask and line by
+"""``verify --theorem veinott|chaincls`` are decided by
+``FiniteLattice.check_tables``; here their reports are compared, line by
 line, with the exhaustive scans: ``first_unbounded`` over every submask and
-every chain of each subset, ascending, and ``sublattice_witness``."""
+every chain of each subset, ascending, and ``sublattice_witness``.  On a
+lattice with one wrong join or meet entry both reports raise the
+``InvariantViolation`` that ``check_tables`` raises."""
 from __future__ import annotations
-
-import itertools
 
 import pytest
 
 from latgames import reports
-from latgames.generators import all_lattices, chain_lattice, grid_lattice, random_lattice
-from latgames.lattice import (FiniteLattice, chain_bound_masks, first_unbounded, iter_bits,
-                              pair_bound_masks, sublattice_witness, subset_bound_masks)
+from latgames.errors import InvariantViolation
+from latgames.generators import all_lattices, grid_lattice, random_lattice
+from latgames.lattice import FiniteLattice, first_unbounded, sublattice_witness
 from latgames.rng import Xoshiro256StarStar
 from latgames.topology import INTERVAL, TopologySpec, family_for
 
@@ -64,71 +63,19 @@ WELL_FORMED = all_lattices(6) + (grid_lattice((3, 3)), grid_lattice((2, 2, 2)))
 
 
 @pytest.mark.parametrize("L", WELL_FORMED, ids=repr)
-def test_tables_match_the_scans_on_every_mask(L):
-    every, chains = subset_bound_masks(L)
-    pairs = pair_bound_masks(L)
-    assert len(every) == len(chains) == len(pairs) == 1 << L.n
-    assert chain_bound_masks(L) == chains
-    for mask in range(1 << L.n):
-        assert (every[mask] & ~mask == 0) == (first_unbounded(L, mask, iter_submasks(mask)) is None)
-        assert (chains[mask] & ~mask == 0) == (
-            first_unbounded(L, mask, iter_chain_masks(L.poset, mask)) is None)
-        assert (pairs[mask] & ~mask == 0) == (sublattice_witness(L, mask) is None)
-
-
-@pytest.mark.parametrize("L", WELL_FORMED, ids=repr)
 def test_reports_match_the_scans_on_well_formed_lattices(L):
     assert reports.veinott_report(L) == scan_veinott(L)
     assert reports.chaincls_report(L) == scan_chaincls(L)
 
 
-def test_tables_past_sixteen_elements():
-    # Masks of 17 bits need wider entries.  Every subset of a chain is a
-    # chain holding its own sup and inf.
-    L = chain_lattice(17)
-    every, chains = subset_bound_masks(L)
-    pairs = pair_bound_masks(L)
-    assert every == chains == chain_bound_masks(L)
-    assert all(every[mask] & ~mask == 0 == pairs[mask] & ~mask for mask in range(1 << L.n))
-    assert every[1 << 16 | 1] == 1 << 16 | 1
-
-
-def test_tables_are_the_folds_on_corrupted_lattices():
-    # Mask by mask on the first 100 of the sample: the OR over submasks and
-    # chains holds exactly the folded bounds, wrong entries included.
-    for L in corrupted_sample(count=100):
-        every, chains = subset_bound_masks(L)
-        pairs = pair_bound_masks(L)
-        assert chain_bound_masks(L) == chains
-        for mask in range(1, 1 << L.n):
-            assert every[mask] == _bits(L, iter_submasks(mask))
-            assert chains[mask] == _bits(L, iter_chain_masks(L.poset, mask))
-            assert pairs[mask] == _pair_bits(L, mask)
-
-
-def _pair_bits(L, mask) -> int:
-    out = 0
-    for a, b in itertools.combinations(iter_bits(mask), 2):
-        out |= 1 << L.meet[a][b] | 1 << L.join[a][b]
-    return out
-
-
-def _bits(L, submasks) -> int:
-    out = 0
-    for sub in submasks:
-        out |= 1 << L._sup_mask(sub) | 1 << L._inf_mask(sub)
-    return out
-
-
-def test_reports_match_the_scans_on_corrupted_lattices():
-    fails = set()
+def test_reports_reject_corrupted_lattices():
+    # The exhaustive scans pass many of these (a wrong entry off every fold
+    # they read); the table check rejects each one, naming its first wrong
+    # entry.
     for L in corrupted_sample():
-        for report, scan in ((reports.veinott_report, scan_veinott),
-                             (reports.chaincls_report, scan_chaincls)):
-            lines, ok = report(L)
-            assert (lines, ok) == scan(L)
-            if not ok:
-                fails.add(lines[0].split()[1])
-    # Every FAIL branch is reached, each with the least failing mask.
-    assert fails == {"subcomplete-iff-sublattice", "chain-subcomplete",
-                     "interval-closed-chain-subcomplete"}
+        with pytest.raises(InvariantViolation) as want:
+            L.check_tables()
+        for report in (reports.veinott_report, reports.chaincls_report):
+            with pytest.raises(InvariantViolation) as got:
+                report(L)
+            assert str(got.value) == str(want.value)
