@@ -207,24 +207,25 @@ class TestVerify:
         assert code == 0
         assert "PROPERTY interval-closed-chain-subcomplete PASS" in out
 
+    @pytest.mark.parametrize("instance", ["chain15", "diamond20", "chain64"])
     @pytest.mark.parametrize("theorem, lines", [
         ("veinott", "PROPERTY subcomplete-iff-sublattice PASS\nPROPERTY chain-subcomplete PASS\n"),
         ("chaincls", "PROPERTY interval-closed-chain-subcomplete PASS\n")], ids=["veinott", "chaincls"])
-    def test_subset_theorems_have_no_size_cap(self, capsys, tmp_path, theorem, lines):
+    def test_subset_theorems_have_no_size_cap(self, capsys, tmp_path, theorem, lines, instance):
         # A 15-chain, diamond_Mk with k = 20 (22 elements) and a 64-chain:
         # past 2^14 subsets, one table check.
-        labels = [f"c{i:02d}" for i in range(15)]
-        chain15 = tmp_path / "chain15.json"
-        chain15.write_text(json.dumps({"elements": labels,
-                                       "covers": [list(c) for c in zip(labels, labels[1:])]}))
-        diamond = tmp_path / "diamond20.json"
-        run(capsys, "generate", "--seed", "0", "--family", "diamond_Mk", "--k", "20",
-            "--out", diamond)
-        chain64 = tmp_path / "chain64.json"
-        run(capsys, "generate", "--seed", "0", "--family", "chain", "--size", "64",
-            "--out", chain64)
-        for path in (chain15, diamond, chain64):
-            assert run(capsys, "verify", path, "--theorem", theorem) == (0, lines)
+        path = tmp_path / f"{instance}.json"
+        if instance == "chain15":
+            labels = [f"c{i:02d}" for i in range(15)]
+            path.write_text(json.dumps({"elements": labels,
+                                        "covers": [list(c) for c in zip(labels, labels[1:])]}))
+        elif instance == "diamond20":
+            run(capsys, "generate", "--seed", "0", "--family", "diamond_Mk", "--k", "20",
+                "--out", path)
+        else:
+            run(capsys, "generate", "--seed", "0", "--family", "chain", "--size", "64",
+                "--out", path)
+        assert run(capsys, "verify", path, "--theorem", theorem) == (0, lines)
 
     @pytest.mark.parametrize("theorem, lines", [
         ("veinott", "PROPERTY subcomplete-iff-sublattice PASS\nPROPERTY chain-subcomplete PASS\n"),
@@ -268,7 +269,7 @@ class TestVerify:
     def test_corrupted_join_table_exits_two(self, capsys, monkeypatch, diamond_lattice):
         # Files cannot carry such a table (io builds lattices through
         # check_lattice), so the loaded instance is replaced.
-        from latgames import check_lattice, cli, poset_from_covers
+        from latgames import cli
 
         bad = with_join_entry(diamond_lattice, "a", "b", "a")
         f = LatticeFunction(bad, RATIONAL, dict.fromkeys(bad.labels, 0))
@@ -278,6 +279,13 @@ class TestVerify:
             code, out = run(capsys, *argv)
             assert code == 2
             assert out.startswith("ERROR InvariantViolation: join table entry (a, b) is a")
+
+    def test_subset_scans_fail_on_corrupted_join_tables(self, capsys, monkeypatch,
+                                                        diamond_lattice):
+        # Files cannot carry such tables, so the loaded instance is replaced.
+        # Both theorems check the tables first and exit 2 at the wrong entry.
+        from latgames import check_lattice, cli, poset_from_covers
+
         m3 = check_lattice(poset_from_covers("abcde", [("a", "b"), ("a", "c"), ("a", "d"),
                                                        ("b", "e"), ("c", "e"), ("d", "e")]))
         # join(e, e) = b, a diagonal entry, and join(0, 1) = a, the sup of

@@ -1,17 +1,22 @@
 """``verify --theorem veinott|chaincls`` are decided by
 ``FiniteLattice.check_tables``; here their reports are compared, line by
 line, with the exhaustive scans: ``first_unbounded`` over every submask and
-every chain of each subset, ascending, and ``sublattice_witness``.  On a
-lattice with one wrong join or meet entry both reports raise the
-``InvariantViolation`` that ``check_tables`` raises."""
+every chain of each subset, ascending, and ``sublattice_witness``.  Mask by
+mask, the verdicts that the checked tables give (``classify_subset``) are
+the scans' verdicts.  On a lattice with one wrong join or meet entry both
+reports raise the ``InvariantViolation`` that ``check_tables`` raises, and
+the folds that the scans read are the folds of the wrong tables."""
 from __future__ import annotations
+
+import functools
 
 import pytest
 
 from latgames import reports
 from latgames.errors import InvariantViolation
-from latgames.generators import all_lattices, grid_lattice, random_lattice
-from latgames.lattice import FiniteLattice, first_unbounded, sublattice_witness
+from latgames.generators import all_lattices, chain_lattice, diamond_mk, grid_lattice, random_lattice
+from latgames.lattice import (FiniteLattice, classify_subset, first_unbounded, iter_bits,
+                              sublattice_witness)
 from latgames.rng import Xoshiro256StarStar
 from latgames.topology import INTERVAL, TopologySpec, family_for
 
@@ -60,6 +65,58 @@ def corrupted_sample(count=600, seed=0x5B5E7):
 
 
 WELL_FORMED = all_lattices(6) + (grid_lattice((3, 3)), grid_lattice((2, 2, 2)))
+
+
+@pytest.mark.parametrize("L", WELL_FORMED, ids=repr)
+def test_tables_match_the_scans_on_every_mask(L):
+    # Veinott's equivalences subset by subset, once the tables are checked:
+    # subcomplete iff sublattice, with the scan's least failing submask as
+    # the witness, and every subset chain-subcomplete.
+    L.check_tables()
+    for mask in range(1, 1 << L.n):
+        flags = classify_subset(L, L.labels_of(mask))
+        gap = sublattice_witness(L, mask)
+        unbounded = first_unbounded(L, mask, iter_submasks(mask))
+        assert flags.is_sublattice.holds == (gap is None) == (unbounded is None)
+        assert flags.is_subcomplete.holds == (unbounded is None)
+        if unbounded is not None:
+            assert flags.is_subcomplete.witness == unbounded
+        assert first_unbounded(L, mask, iter_chain_masks(L.poset, mask)) is None
+        assert flags.is_chain_subcomplete.holds
+
+
+def test_tables_past_sixteen_elements():
+    # Masks of 17 and more bits: every subset of a chain is a chain holding
+    # its own sup and inf, and two midpoints of diamond_Mk with k = 16 (18
+    # elements) have their join and meet outside the pair.
+    L = chain_lattice(17)
+    assert reports.veinott_report(L) == (
+        ["PROPERTY subcomplete-iff-sublattice PASS", "PROPERTY chain-subcomplete PASS"], True)
+    assert reports.chaincls_report(L) == (["PROPERTY interval-closed-chain-subcomplete PASS"], True)
+    mask = 1 << 16 | 1
+    assert classify_subset(L, L.labels_of(mask)).is_subcomplete.holds
+    assert first_unbounded(L, mask, iter_submasks(mask)) is None
+    M = diamond_mk(16)
+    assert M.n == 18
+    mask = 1 << 17 | 1 << 16
+    flags = classify_subset(M, M.labels_of(mask))
+    assert not flags.is_sublattice.holds
+    assert flags.is_subcomplete.witness == first_unbounded(M, mask, iter_submasks(mask))
+    assert flags.is_subcomplete.witness == (("subset", M.labels_of(mask)), ("bound", "sup"),
+                                            ("value", "M"))
+
+
+def test_tables_are_the_folds_on_corrupted_lattices():
+    # Mask by mask on the first 100 of the sample: the sups and infs that
+    # the scans read are left folds of the stored tables, wrong entries
+    # included, and the table check rejects every one of these lattices.
+    for L in corrupted_sample(count=100):
+        for mask in range(1, 1 << L.n):
+            bits = list(iter_bits(mask))
+            assert L._sup_mask(mask) == functools.reduce(lambda a, b: L.join[a][b], bits)
+            assert L._inf_mask(mask) == functools.reduce(lambda a, b: L.meet[a][b], bits)
+        with pytest.raises(InvariantViolation):
+            L.check_tables()
 
 
 @pytest.mark.parametrize("L", WELL_FORMED, ids=repr)
