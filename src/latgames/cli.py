@@ -92,14 +92,14 @@ def _dims(text) -> tuple:
         raise argparse.ArgumentTypeError(f"expected dimensions like 3x4, got {text!r}") from None
 
 
-def _budget(text) -> int:
+def _positive_int(text) -> int:
     try:
-        budget = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if budget < 1:
-        raise argparse.ArgumentTypeError(f"the budget must be at least 1 draw, got {budget}")
-    return budget
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def cmd_generate(args) -> int:
@@ -169,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute the equilibrium set of a game file")
     p.add_argument("file")
     p.add_argument("--method", choices=["enumerate", "tarski", "both"], default="both")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=_positive_int, default=1_000_000)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="verify a structure theorem on an instance")
     p.add_argument("file")
     p.add_argument("--theorem", required=True, choices=["kuku", "zhou", "veinott", "chaincls"])
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=_positive_int, default=1_000_000)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("generate", help="deterministically generate an instance")
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_dims, default=None, help="grid dimensions, e.g. 3x4")
     p.add_argument("--payoff", default=None,
                    choices=["supermodular_then_transform", "rejection"])
-    p.add_argument("--budget", type=_budget, default=100_000)
+    p.add_argument("--budget", type=_positive_int, default=100_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate, usage_error=p.error)
 

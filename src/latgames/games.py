@@ -27,21 +27,12 @@ from .errors import (
 )
 from .functions import LatticeFunction, image_map, ranked_image
 from .lattice import (FinitePoset, componentwise_up, extremal_in, extremes, iter_bits,
-                      pairwise_bounds, product_elements, tuple_label, validate_label)
-from .topology import TopologySpec, explicit_closed_family
+                      pairwise_bounds, product_elements, radix_strides, split_columns,
+                      tuple_label, validate_label)
+from .topology import explicit_closed_family
 from .verdict import Verdict
 
 CORRESPONDENCE_CAP = 4096
-
-
-def radix_strides(factors) -> tuple:
-    """Place values of the mixed-radix index of coordinate tuples in nested
-    (``itertools.product``) order: factor 0 is the most significant."""
-    strides, stride = [], 1
-    for f in reversed(factors):
-        strides.append(stride)
-        stride *= f.n
-    return tuple(reversed(strides))
 
 
 class Game:
@@ -165,13 +156,6 @@ class Game:
         others = [f.labels for j, f in enumerate(self.factors) if j != i]
         return itertools.product(*others)
 
-    def opp_bases(self, i: int) -> list:
-        """The opponent profiles of player i in canonical order, each as its
-        base: the index of the profile where player i plays label index 0."""
-        stride, block = self.strides[i], self.strides[i] * self.factors[i].n
-        return [high + low for high in range(0, self.profile_count, block)
-                for low in range(stride)]
-
     def _opp_labels(self, i: int, base: int) -> tuple:
         profile = self.labels_at(self.coords(base))
         return profile[:i] + profile[i + 1:]
@@ -228,31 +212,26 @@ def validate_game(G: Game) -> Verdict:
     if G._validation is not None:
         return G._validation
     verdict = Verdict(True)
-    count = G.profile_count
     for i, player in enumerate(G.players):
-        factor, stride = G.factors[i], G.strides[i]
-        block = stride * factor.n
-        ranks = G.ranks[player]
+        factor = G.factors[i]
         # columns[s][c]: the rank at own label index s against the c-th opponent profile
-        columns = [[r for high in range(s * stride, count, block)
-                    for r in ranks[high:high + stride]] for s in range(factor.n)]
+        columns = split_columns(G.factors, G.ranks[player], (i,))
         hit = qsm_witness(factor, list(zip(*columns)))
         if hit is not None:
             c, x, y, clause = hit
             verdict = Verdict(False, witness=(
                 ("player", player), ("check", "section-quasisupermodular"),
-                ("opponents", G._opp_labels(i, G.opp_bases(i)[c])),
+                ("opponents", list(G.opp_profiles(i))[c]),
                 ("x", factor.labels[x]), ("y", factor.labels[y]), ("clause", clause)))
             break
         hit = single_crossing_witness([factor], G.factors[:i] + G.factors[i + 1:], columns)
         if hit is not None:
             p, p2, q, q2, clause = hit
-            bases = G.opp_bases(i)
+            opponents = list(G.opp_profiles(i))
             verdict = Verdict(False, witness=(
                 ("player", player), ("check", "single-crossing"),
                 ("p", factor.labels[p]), ("p2", factor.labels[p2]),
-                ("q", G._opp_labels(i, bases[q])), ("q2", G._opp_labels(i, bases[q2])),
-                ("clause", clause)))
+                ("q", opponents[q]), ("q2", opponents[q2]), ("clause", clause)))
             break
     G._validation = verdict
     return verdict

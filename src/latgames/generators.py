@@ -12,7 +12,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, InvariantViolation, RejectionBudgetExhausted
+from .errors import CapExceeded, InvariantViolation, NotALattice, RejectionBudgetExhausted
 from .functions import ChainCodomain, LatticeFunction
 from .games import Game, validate_game
 from .lattice import (
@@ -69,9 +69,7 @@ def fraction_chain(values) -> FiniteLattice:
     fracs = sorted(Fraction(v) for v in values)
     if len(set(fracs)) != len(fracs):
         raise InvariantViolation("chain values must be distinct")
-    labels = [str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-              for f in fracs]
-    return chain_lattice(len(labels), labels=labels)
+    return chain_lattice(len(fracs), labels=list(map(str, fracs)))
 
 
 def grid_lattice(dims) -> FiniteLattice:
@@ -127,26 +125,12 @@ def lattices_of_size(n: int) -> tuple:
     labels = list(string.ascii_lowercase[:n])
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     found = []
-    from .errors import NotALattice
-
     for mask in range(1 << len(pairs)):
         strict = [0] * n
         for bit, (i, j) in enumerate(pairs):
             if mask >> bit & 1:
                 strict[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            rest = strict[i]
-            while rest:
-                low = rest & -rest
-                j = low.bit_length() - 1
-                rest ^= low
-                if strict[j] & ~strict[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if any(strict[j] & ~strict[i] for i in range(n) for j in iter_bits(strict[i])):
             continue
         up = [strict[i] | (1 << i) for i in range(n)]
         poset = FinitePoset(labels, up)
@@ -223,15 +207,12 @@ def _grid_supermodular(rng: Xoshiro256StarStar, L: FiniteLattice) -> dict:
     return table
 
 
-def _is_chain_product(L: FiniteLattice) -> bool:
-    if L.factors is None:
-        return False
-    return all(_is_total(f) for f in L.factors)
-
-
-def _is_total(f: FiniteLattice) -> bool:
-    return all(f.poset._leq(i, j) or f.poset._leq(j, i)
-               for i in range(f.n) for j in range(i + 1, f.n))
+def _shifted_upsets(rng: Xoshiro256StarStar, L: FiniteLattice) -> dict:
+    """The up-set construction plus a random constant shift: supermodular on
+    any finite lattice."""
+    table = random_monotone_supermodular(rng, L)
+    shift = _random_fraction(rng)
+    return {k: v + shift for k, v in table.items()}
 
 
 def random_function(rng: Xoshiro256StarStar, L: FiniteLattice, strategy: str,
@@ -241,14 +222,12 @@ def random_function(rng: Xoshiro256StarStar, L: FiniteLattice, strategy: str,
 
     codomain = ChainCodomain.rational()
     if strategy == SUPERMODULAR_THEN_TRANSFORM:
-        if L.factors is not None and _is_chain_product(L):
+        # a product of chains: every element of each factor is comparable to all
+        if L.factors is not None and all(f.poset.up[x] | f.poset.down[x] == f.poset.full
+                                         for f in L.factors for x in range(f.n)):
             table = _grid_supermodular(rng, L)
         else:
-            # On non-grid lattices, fall back to the up-set construction plus
-            # a random constant shift; still supermodular everywhere.
-            table = random_monotone_supermodular(rng, L)
-            shift = _random_fraction(rng)
-            table = {k: v + shift for k, v in table.items()}
+            table = _shifted_upsets(rng, L)
         base = LatticeFunction(L, codomain, table)
         if not is_supermodular(base).holds:
             raise InvariantViolation("generator produced a non-supermodular base table")
@@ -345,7 +324,7 @@ def random_game(rng: Xoshiro256StarStar, max_players: int = 3, max_size: int = 4
         # Opponent-only noise shifts each section by a constant, so it changes
         # neither the best responses nor any validation verdict.
         noise = {}
-        table = {}
+        table = []
         for profile in itertools.product(*(f.labels for f in factors)):
             own = profile[i]
             opp = profile[:i] + profile[i + 1:]
@@ -353,13 +332,13 @@ def random_game(rng: Xoshiro256StarStar, max_players: int = 3, max_size: int = 4
                 noise[opp] = _random_fraction(rng, -4, 4)
             pull = sum((coupling_other[q][profile[j]]
                         for j, q in enumerate(players) if j != i), Fraction(0))
-            table[profile] = own_part[p][own] + coupling_own[p][own] * pull + noise[opp]
+            table.append(own_part[p][own] + coupling_own[p][own] * pull + noise[opp])
         payoffs[p] = table
     codomains = {p: ChainCodomain.rational() for p in players}
     game = Game(players, strategies, codomains, payoffs)
     for p in players:
         if rng.chance(1, 2):
-            image = sorted(set(game.payoffs[p].values()))
+            image = sorted(set(game.values[p]))
             game = game.transformed(p, random_strictly_increasing_map(rng, image))
     if not validate_game(game).holds:
         raise InvariantViolation("generator postcondition failed: game did not validate")
@@ -378,9 +357,7 @@ def _random_supermodular_any(rng: Xoshiro256StarStar, L: FiniteLattice) -> dict:
             table = {label: rng.choice(pool) for label in L.labels}
             if is_supermodular(LatticeFunction(L, codomain, table)).holds:
                 return table
-    table = random_monotone_supermodular(rng, L)
-    shift = _random_fraction(rng)
-    return {k: v + shift for k, v in table.items()}
+    return _shifted_upsets(rng, L)
 
 
 def generate(spec: GenSpec):

@@ -7,8 +7,8 @@ whose order carries meaning (``players``, labeled-chain ``labels``) keep
 their declared order.  ``parse(serialize(x))`` returns an equal instance and
 serialization of a canonical document is byte-identical to it.
 
-Rational values are serialized as ``"p/q"`` (or a bare integer string);
-floats are rejected to keep everything exact.
+Rational values are serialized as ``str`` of their ``Fraction``, ``"p/q"``
+or a bare integer string; floats are rejected to keep everything exact.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .errors import LatGamesError, ParseError
 from .functions import ChainCodomain, LatticeFunction
-from .games import Game, radix_strides
-from .lattice import FiniteLattice, check_lattice, poset_from_covers, product_lattice
+from .games import Game
+from .lattice import FiniteLattice, check_lattice, poset_from_covers, product_lattice, radix_strides
 from .topology import EXPLICIT, KINDS, TopologySpec
 
 
@@ -60,12 +60,6 @@ def parse_value(raw):
     if isinstance(raw, float):
         raise ParseError("floating-point values are rejected; use exact \"p/q\" strings")
     raise ParseError(f"cannot read {raw!r} as an exact rational")
-
-
-def format_value(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _expect(obj, field, kind, where):
@@ -174,10 +168,8 @@ def parse_function(obj, where: str = "function") -> LatticeFunction:
 
 
 def function_obj(f: LatticeFunction) -> dict:
-    rows = []
-    for label, value in zip(f.domain.labels, f.values):
-        rows.append({"element": label,
-                     "value": format_value(value) if f.codomain.is_rational else value})
+    rows = [{"element": label, "value": str(value)}
+            for label, value in zip(f.domain.labels, f.values)]
     return {"domain": lattice_obj(f.domain), "codomain": codomain_obj(f.codomain), "table": rows}
 
 
@@ -280,11 +272,8 @@ def parse_game(obj, where: str = "game") -> Game:
 
 def game_obj(G: Game) -> dict:
     profiles = [dict(zip(G.players, profile)) for profile in G.profiles()]
-    payoffs = {}
-    for p in G.players:
-        fmt = format_value if G.codomains[p].is_rational else str
-        payoffs[p] = [{"profile": profile, "value": fmt(value)}
-                      for profile, value in zip(profiles, G.values[p])]
+    payoffs = {p: [{"profile": profile, "value": str(value)}
+                   for profile, value in zip(profiles, G.values[p])] for p in G.players}
     obj = {
         "players": list(G.players),
         "strategies": {p: lattice_obj(G.strategies[p]) for p in G.players},

@@ -157,8 +157,7 @@ class FiniteLattice:
     and give each element its per-factor coordinates.
     """
 
-    __slots__ = ("poset", "meet", "join", "factors", "coords", "coord_index", "bottom", "top",
-                 "_tables_checked")
+    __slots__ = ("poset", "meet", "join", "factors", "coords", "bottom", "top", "_tables_checked")
 
     def __init__(self, poset, meet, join, factors=None, coords=None):
         self.poset = poset
@@ -166,7 +165,6 @@ class FiniteLattice:
         self.join = join
         self.factors = factors
         self.coords = coords
-        self.coord_index = None if coords is None else {c: i for i, c in enumerate(coords)}
         bottom, top = extremal_in(poset, poset.full, False), extremal_in(poset, poset.full)
         if bottom is None or top is None:
             raise NotALattice((), "glb" if bottom is None else "lub")
@@ -328,6 +326,43 @@ def componentwise_up(factors, coords) -> list:
         for bit, c in enumerate(coords):
             up[bit] &= above[c[k]]
     return up
+
+
+def radix_strides(factors) -> tuple:
+    """Place values of the mixed-radix index of coordinate tuples in nested
+    (``itertools.product``) order, factor 0 the most significant.  This is
+    the one layout of flat tables over a product: a game's payoffs, and a
+    function's table once ``properties`` reorders it."""
+    strides, stride = [], 1
+    for f in reversed(factors):
+        strides.append(stride)
+        stride *= f.n
+    return tuple(reversed(strides))
+
+
+def split_columns(factors, table, part) -> list:
+    """``columns[p][q]``, the entry of ``table``, flat in ``radix_strides``
+    order over ``factors``, at the P-block tuple p and the Q-block tuple q.
+    P is the factors of ``part`` in that order, Q the others in factor
+    order, and both blocks are flat-indexed in nested order.  The factors
+    after the last one of ``part`` form a contiguous run of the layout, so
+    each column is read as slices of that run, one per ``heads`` entry (the
+    Q factors before it): a single slice, or single entries when the run
+    is one long."""
+    strides = radix_strides(factors)
+    last = max(part)
+    run = strides[last]
+    heads, offsets = [0], [0]
+    for k in range(last):
+        if k not in part:
+            heads = [h + x for h in heads for x in range(0, strides[k] * factors[k].n, strides[k])]
+    for k in part:
+        offsets = [o + x for o in offsets for x in range(0, strides[k] * factors[k].n, strides[k])]
+    if len(heads) == 1:
+        return [table[o:o + run] for o in offsets]
+    if run == 1:
+        return [[table[o + h] for h in heads] for o in offsets]
+    return [[v for h in heads for v in table[o + h:o + h + run]] for o in offsets]
 
 
 def product_elements(factors):

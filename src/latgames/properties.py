@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 from .errors import (CarrierMismatch, LabeledCodomainUnsupported, NotAProductDomain,
                      TheoremFalsified)
 from .functions import LatticeFunction, integer_values
-from .lattice import FiniteLattice, componentwise_up, iter_bits, tuple_label
+from .lattice import (FiniteLattice, componentwise_up, iter_bits, radix_strides, split_columns,
+                      tuple_label)
 from .topology import ClosedFamily
 from .verdict import Verdict
 
@@ -135,15 +136,16 @@ def _block_elements(block):
 def _split_columns(f: LatticeFunction, split, table):
     """The factor blocks (P, Q) of the split, their coordinate tuples, and
     ``columns[p][q]``, the entry of ``table`` (per element of f's domain) at
-    (p, q), with both blocks flat-indexed in canonical nested order."""
+    (p, q), with both blocks flat-indexed in canonical nested order.  The
+    table is put in layout order once and read by ``lattice.split_columns``."""
     p_part, q_part = _split_parts(f, split)
     factors = f.domain.factors
+    strides = radix_strides(factors)
+    flat = [None] * len(table)
+    for coord, v in zip(f.domain.coords, table):
+        flat[sum(map(operator.mul, coord, strides))] = v
     P, Q = [factors[i] for i in p_part], [factors[i] for i in q_part]
-    ps, qs = _block_elements(P), _block_elements(Q)
-    where = [(p_part + q_part).index(i) for i in range(len(factors))]
-    index = f.domain.coord_index
-    columns = [[table[index[tuple((p + q)[k] for k in where)]] for q in qs] for p in ps]
-    return P, Q, ps, qs, columns
+    return P, Q, _block_elements(P), _block_elements(Q), split_columns(factors, flat, p_part)
 
 
 def _block_label(block, coord) -> str:
@@ -182,9 +184,8 @@ def single_crossing_witness(p_factors, q_factors, columns, step=_signs):
     """
     count = len(columns[0])
     lows, highs = [], []
-    stride = count
-    for f in q_factors:
-        block, stride = stride, stride // f.n
+    for f, stride in zip(q_factors, radix_strides(q_factors)):
+        block = stride * f.n
         for lo, hi in f.poset.covers:
             lo, hi = f.index[lo] * stride, f.index[hi] * stride
             for top in range(0, count, block):

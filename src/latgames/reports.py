@@ -19,7 +19,7 @@ from .games import (
     validate_game,
     verify_equilibrium_structure,
 )
-from .lattice import FiniteLattice, classify_subset, extremes
+from .lattice import FiniteLattice, classify_subset
 from .properties import (
     has_increasing_differences,
     is_quasisupermodular,
@@ -46,9 +46,8 @@ def profile_text(profile) -> str:
 
 
 def lattice_report(L: FiniteLattice) -> tuple:
-    ex = extremes(L.poset)
-    lines = ["PROPERTY lattice PASS", f"LEAST {ex.least}", f"GREATEST {ex.greatest}"]
-    return lines, True
+    return ["PROPERTY lattice PASS", f"LEAST {L.labels[L.bottom]}",
+            f"GREATEST {L.labels[L.top]}"], True
 
 
 def classify_report(L: FiniteLattice, subset) -> tuple:

@@ -2,13 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def format_atom(value) -> str:
-    """Render a witness value (label, exact rational, or tuple of labels)."""
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    """Render a witness value (label, exact rational, or tuple of labels);
+    a rational renders as ``str`` of its ``Fraction``, "p" or "p/q"."""
     if isinstance(value, tuple):
         return "(" + ",".join(format_atom(v) for v in value) + ")"
     return str(value)

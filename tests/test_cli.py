@@ -182,6 +182,17 @@ class TestCheckGameAndSolve:
         assert code == 2
         assert "StateSpaceTooLarge" in out
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("command", [("solve",), ("verify", "--theorem", "zhou")],
+                             ids=["solve", "verify-zhou"])
+    def test_cap_below_one_exits_two_with_usage(self, capsys, command, cap):
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], str(STAR_GAME), *command[1:], "--cap", cap])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" in captured.err
+        assert f"argument --cap: must be at least 1, got {cap}" in captured.err
+
 
 class TestVerify:
     def test_kuku(self, capsys):
@@ -386,7 +397,7 @@ class TestGenerate:
         proc = self._generate_grid("--dims", "2x2", "--payoff", "rejection", "--budget", budget)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "usage:" in proc.stderr
-        assert f"argument --budget: the budget must be at least 1 draw, got {budget}" in proc.stderr
+        assert f"argument --budget: must be at least 1, got {budget}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("family", ["chain", "grid", "diamond_Mk", "random_meet_join_closure"])

@@ -9,7 +9,6 @@ from latgames.cli import main
 from latgames.errors import InvariantViolation, NotALattice, ParseError
 from latgames.io import (
     canonical_dumps,
-    format_value,
     lattice_obj,
     parse,
     parse_value,
@@ -81,8 +80,17 @@ class TestValues:
             rational.validate(True)
 
     def test_format(self):
-        assert format_value(Fraction(4, 2)) == "2"
-        assert format_value(Fraction(-1, 3)) == "-1/3"
+        doc = copy.deepcopy(FUNCTION_DOC)
+        doc["table"][1]["value"] = "4/2"
+        doc["table"][3]["value"] = "-2/6"
+        rows = json.loads(serialize(parse(json.dumps(doc))[1]))["table"]
+        assert [r["value"] for r in rows] == ["1/2", "2", "3", "-1/3"]
+        doc = copy.deepcopy(GAME_DOC)
+        doc["payoffs"]["left"][3]["value"] = "4/2"
+        doc["payoffs"]["right"][3]["value"] = "-2/6"
+        payoffs = json.loads(serialize(parse(json.dumps(doc))[1]))["payoffs"]
+        assert [r["value"] for r in payoffs["left"]] == ["0", "0", "1", "2"]
+        assert [r["value"] for r in payoffs["right"]] == ["0", "1", "0", "-1/3"]
 
 
 class TestLatticeDocs:

@@ -41,7 +41,7 @@ def oracle_sections(f: LatticeFunction, split: int) -> Verdict:
     S = D.factors[split]
     Q = D.factors[:split] + D.factors[split + 1:]
     for q in itertools.product(*(range(x.n) for x in Q)):
-        keys = [f.keys[D.coord_index[q[:split] + (s,) + q[split:]]] for s in range(S.n)]
+        keys = [f.keys[D.coords.index(q[:split] + (s,) + q[split:])] for s in range(S.n)]
         hit = oracle_qsm(S, keys)
         if hit is not None:
             labels = tuple(x.labels[c] for x, c in zip(Q, q))

@@ -46,7 +46,7 @@ def _quartic_scan(f: LatticeFunction, p_part, q_part, table, fails) -> Verdict:
         coord = [0] * len(factors)
         for k, c in zip(p_part + q_part, p + q):
             coord[k] = c
-        return table[f.domain.coord_index[tuple(coord)]]
+        return table[f.domain.coords.index(tuple(coord))]
 
     def label(block, coord):
         labels = tuple(x.labels[c] for x, c in zip(block, coord))
@@ -132,14 +132,15 @@ def test_functions_on_all_small_lattices_times_a_chain():
 
 
 def test_multi_factor_blocks():
-    """Splits naming two factors on one side, over a three-factor product."""
+    """Splits naming two factors on one side, over a three-factor product,
+    with the P block in factor order and out of it."""
     rng = Xoshiro256StarStar(0x5C_0002)
     factors = [chain_lattice(2), diamond(), chain_lattice(3)]
     D = product_lattice(factors)
     outcomes = Counter()
     for table in itertools.islice(_three_factor_tables(rng, D), 80):
         f = LatticeFunction(D, RATIONAL, table)
-        for split in (0, 1, 2, (0, 2), (1, 2)):
+        for split in (0, 1, 2, (0, 2), (1, 2), (2, 0), (2, 1), (1, 0)):
             p_part = (split,) if isinstance(split, int) else split
             q_part = tuple(k for k in range(3) if k not in p_part)
             assert is_single_crossing(f, split=split) == oracle_single_crossing(f, p_part, q_part)

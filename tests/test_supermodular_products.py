@@ -123,7 +123,7 @@ def test_a_table_that_contradicts_the_factors_is_loud():
     # factors say f breaks increasing differences, while the pairwise scan
     # over the wrong tables finds no violation.
     D = product_lattice([chain_lattice(2), chain_lattice(2)])
-    x, y = D.coord_index[0, 1], D.coord_index[1, 0]
+    x, y = D.coords.index((0, 1)), D.coords.index((1, 0))
     meet, join = [list(row) for row in D.meet], [list(row) for row in D.join]
     meet[x][y], join[x][y] = y, x
     bad = FiniteLattice(D.poset, tuple(map(tuple, meet)), tuple(map(tuple, join)),
