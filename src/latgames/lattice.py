@@ -9,6 +9,7 @@ construction, so they are safe to use concurrently.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -47,22 +48,25 @@ class FinitePoset:
     """A finite partially ordered set over string labels.
 
     ``up[i]`` is the bitmask of elements above or equal to element ``i`` in
-    canonical (lexicographic label) order; ``down[i]`` is the dual.
+    canonical (lexicographic label) order; ``down[i]`` is the dual, the
+    transpose of ``up``.  ``_down`` is internal: a builder that already
+    holds the down-rows (``product_lattice``) passes them instead.
     """
 
     __slots__ = ("labels", "index", "up", "down", "full", "_covers")
 
-    def __init__(self, labels, up):
+    def __init__(self, labels, up, *, _down=None):
         self.labels = tuple(labels)
         self.index = {label: i for i, label in enumerate(self.labels)}
         self.up = tuple(up)
         n = len(self.labels)
         self.full = (1 << n) - 1
-        down = [0] * n
-        for i in range(n):
-            for j in iter_bits(self.up[i]):
-                down[j] |= 1 << i
-        self.down = tuple(down)
+        if _down is None:
+            _down = [0] * n
+            for i in range(n):
+                for j in iter_bits(self.up[i]):
+                    _down[j] |= 1 << i
+        self.down = tuple(_down)
         self._covers = None
 
     @property
@@ -271,7 +275,7 @@ def pairwise_bounds(poset: FinitePoset):
                    order[s] if lb and lb & down_at[s] == lb else None)
 
 
-def check_lattice(poset: FinitePoset, factors=None, coords=None) -> FiniteLattice:
+def check_lattice(poset: FinitePoset) -> FiniteLattice:
     """Fill meet/join tables from ``pairwise_bounds``; the lattice starts out
     with ``check_tables`` done, since its tables are that search's bounds.
 
@@ -288,7 +292,7 @@ def check_lattice(poset: FinitePoset, factors=None, coords=None) -> FiniteLattic
             raise NotALattice((poset.labels[i], poset.labels[j]), "lub" if lub is None else "glb")
         join[i][j] = join[j][i] = lub
         meet[i][j] = meet[j][i] = glb
-    L = FiniteLattice(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)), factors, coords)
+    L = FiniteLattice(poset, tuple(map(tuple, meet)), tuple(map(tuple, join)))
     L._tables_checked = True
     return L
 
@@ -308,9 +312,10 @@ def inf_subset(L: FiniteLattice, labels) -> str:
     return L.labels[L._inf_mask(mask)]
 
 
-def componentwise_up(factors, coords) -> list:
+def componentwise_up(factors, coords, dual=False) -> list:
     """``up[i]``, the bitmask of the tuples in ``coords`` at or above
-    ``coords[i]`` in the componentwise order of ``factors``.
+    ``coords[i]`` in the componentwise order of ``factors``; with ``dual``,
+    at or below (the down-rows).
 
     Per factor, one mask holds the tuples whose coordinate there is at or
     above a given element, and ``up[i]`` is the AND of those masks over
@@ -322,7 +327,8 @@ def componentwise_up(factors, coords) -> list:
         at = [0] * f.n
         for bit, c in enumerate(coords):
             at[c[k]] |= 1 << bit
-        above = [sum(at[x] for x in iter_bits(f.poset.up[c])) for c in range(f.n)]
+        rows = f.poset.down if dual else f.poset.up
+        above = [sum(at[x] for x in iter_bits(rows[c])) for c in range(f.n)]
         for bit, c in enumerate(coords):
             up[bit] &= above[c[k]]
     return up
@@ -369,21 +375,52 @@ def product_elements(factors):
     """Labels and coordinate tuples of the product of ``factors``, both in
     canonical label order.  Raises ``DuplicateLabel`` when two tuples encode
     to the same label (factor labels holding ``,`` or parentheses)."""
-    raw = sorted((tuple_label(tuple(f.labels[c] for f, c in zip(factors, coord))), coord)
-                 for coord in itertools.product(*(range(f.n) for f in factors)))
-    for (a, _), (b, _) in zip(raw, raw[1:]):
+    pairs = zip(map(tuple_label, itertools.product(*(f.labels for f in factors))),
+                itertools.product(*(range(f.n) for f in factors)))
+    labels, coords = zip(*sorted(pairs))
+    for a, b in zip(labels, labels[1:]):
         if a == b:
             raise DuplicateLabel(f"product label {a!r} names two elements")
-    return tuple(label for label, _ in raw), tuple(coord for _, coord in raw)
+    return labels, coords
 
 
 def product_lattice(factors) -> FiniteLattice:
-    """Componentwise product; element labels are tuple encodings in factor order."""
+    """Componentwise product; element labels are tuple encodings in factor order.
+
+    A product's bounds are its factors' bounds coordinatewise (Topkis 1998,
+    §2.2), so once the factors pass ``check_tables`` the product's tables
+    are read off theirs and it starts out checked.  Entry (x, y) is the
+    ``radix_strides`` index of the tuple of factor entries, mapped to its
+    canonical position: O(N²) list operations for N elements."""
     factors = tuple(factors)
     if not factors:
         raise EmptyFactorList("a product needs at least one factor")
+    for f in factors:
+        f.check_tables()
     labels, coords = product_elements(factors)
-    return check_lattice(FinitePoset(labels, componentwise_up(factors, coords)), factors, coords)
+    strides = radix_strides(factors)
+    pos = [0] * len(coords)  # radix index -> canonical position
+    for i, c in enumerate(coords):
+        pos[sum(map(operator.mul, strides, c))] = i
+    cols = list(zip(*coords))
+
+    def table(op):
+        # rows[k][a][y]: stride_k · f_k.op[a][y_k], over y in canonical order
+        rows = [[list(map([stride * v for v in t].__getitem__, col)) for t in getattr(f, op)]
+                for f, stride, col in zip(factors, strides, cols)]
+        out = []
+        for c in coords:
+            acc = rows[0][c[0]]
+            for k in range(1, len(c)):
+                acc = map(operator.add, acc, rows[k][c[k]])
+            out.append(tuple(map(pos.__getitem__, acc)))
+        return tuple(out)
+
+    poset = FinitePoset(labels, componentwise_up(factors, coords),
+                        _down=componentwise_up(factors, coords, dual=True))
+    L = FiniteLattice(poset, table("meet"), table("join"), factors, coords)
+    L._tables_checked = True
+    return L
 
 
 def first_unbounded(L: FiniteLattice, mask: int, submasks):

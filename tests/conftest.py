@@ -277,8 +277,9 @@ def coord_leq(factors, a, b) -> bool:
 
 def oracle_product_lattice(factors):
     """The product built pair by pair: every coordinate tuple tested against
-    every other one factor by factor, and meet and join taken coordinatewise
-    from the factor tables.  No shared mask builder and no ``check_lattice``."""
+    every other one factor by factor, both ways for the up- and down-rows,
+    and meet and join taken coordinatewise from the factor tables.  No
+    shared mask builder, no ``check_lattice`` and no transposition."""
     factors = tuple(factors)
     raw = sorted((tuple_label(tuple(f.labels[c] for f, c in zip(factors, coord))), coord)
                  for coord in itertools.product(*(range(f.n) for f in factors)))
@@ -286,13 +287,15 @@ def oracle_product_lattice(factors):
     coords = tuple(coord for _, coord in raw)
     up = [sum(1 << j for j, cj in enumerate(coords) if coord_leq(factors, ci, cj))
           for ci in coords]
+    down = [sum(1 << j for j, cj in enumerate(coords) if coord_leq(factors, cj, ci))
+            for ci in coords]
     index = {c: i for i, c in enumerate(coords)}
 
     def table(op):
         return tuple(tuple(index[tuple(getattr(f, op)[a][b] for f, a, b in zip(factors, ci, cj))]
                            for cj in coords) for ci in coords)
 
-    return FiniteLattice(FinitePoset(labels, up), table("meet"), table("join"),
+    return FiniteLattice(FinitePoset(labels, up, _down=down), table("meet"), table("join"),
                          factors=factors, coords=coords)
 
 

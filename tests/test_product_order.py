@@ -1,16 +1,19 @@
-"""The componentwise product order against the pairwise construction it
-replaced (``conftest.oracle_product_lattice``): labels, coordinates, order
-rows and meet/join tables of ``product_lattice``, and the opponent index of
+"""The componentwise product order against the pairwise construction
+(``conftest.oracle_product_lattice``): labels, coordinates, up- and
+down-rows and meet/join tables of ``product_lattice``, which reads its
+tables off the factors' and never searches the product, checked against
+``check_lattice`` too; and the opponent index of
 ``best_response_correspondence``."""
 import itertools
 
 import pytest
 
 from latgames import best_response_correspondence, check_lattice, poset_from_covers, product_lattice
-from latgames.errors import DuplicateLabel
-from latgames.generators import all_lattices, chain_lattice, diamond
+from latgames.errors import DuplicateLabel, InvariantViolation
+from latgames.generators import all_lattices, chain_lattice, diamond, grid_lattice
+from latgames.lattice import FinitePoset
 
-from conftest import oracle_product_lattice, payoff_keys
+from conftest import oracle_product_lattice, payoff_keys, with_join_entry
 
 
 def _assert_same_product(factors):
@@ -18,8 +21,14 @@ def _assert_same_product(factors):
     assert got.labels == want.labels
     assert got.coords == want.coords
     assert got.poset.up == want.poset.up
+    assert got.poset.down == want.poset.down
     assert got.meet == want.meet
     assert got.join == want.join
+
+
+def _unpadded_chain(n):
+    # "10" sorts before "2": string order is not the chain's order.
+    return chain_lattice(n, labels=[str(i) for i in range(n)])
 
 
 def test_every_pair_of_lattices_up_to_size_five():
@@ -29,7 +38,7 @@ def test_every_pair_of_lattices_up_to_size_five():
 
 def test_three_factor_products_up_to_size_three():
     for factors in itertools.product(all_lattices(3), repeat=3):
-        _assert_same_product(factors)
+        _assert_same_product(factors)  # the up-rows against the pairwise oracle
 
 
 def test_labels_that_sort_differently_as_strings_and_as_tuples():
@@ -37,7 +46,7 @@ def test_labels_that_sort_differently_as_strings_and_as_tuples():
     # because "+" sorts before ",".
     A = chain_lattice(2, labels=["a", "a+"])
     for factors in ([A, A], [A, diamond()], [diamond(), A], [A, diamond(), A]):
-        _assert_same_product(factors)
+        _assert_same_product(factors)  # the up-rows against the pairwise oracle
     assert product_lattice([A, A]).labels == ("(a+,a)", "(a+,a+)", "(a,a)", "(a,a+)")
 
 
@@ -46,6 +55,56 @@ def test_labels_that_encode_alike_raise():
     B = check_lattice(poset_from_covers(["b,c", "c"], [("c", "b,c")]))
     with pytest.raises(DuplicateLabel, match=r"'\(a,b,c\)'"):
         product_lattice([A, B])
+
+
+def test_products_never_search_the_product(monkeypatch):
+    from latgames import lattice
+
+    products = [[A, B] for A, B in itertools.product(all_lattices(4), repeat=2)]
+    products += [grid_lattice(dims).factors for dims in ((16, 16), (4, 4, 4))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("product_lattice searched the product pair by pair")
+
+    monkeypatch.setattr(lattice, "pairwise_bounds", refuse)
+    monkeypatch.setattr(lattice, "check_lattice", refuse)
+    built = [product_lattice(factors) for factors in products]
+    for L in built:
+        L.check_tables()  # the product starts out checked
+    monkeypatch.undo()
+    for factors, L in zip(products, built):
+        want = oracle_product_lattice(factors)
+        assert (L.poset.up, L.poset.down, L.meet, L.join) == (
+            want.poset.up, want.poset.down, want.meet, want.join)
+
+
+@pytest.mark.parametrize("factors", [
+    [_unpadded_chain(8), _unpadded_chain(8)],
+    [_unpadded_chain(12), _unpadded_chain(12)],
+    [_unpadded_chain(16), _unpadded_chain(16)],
+    [chain_lattice(3), diamond(), _unpadded_chain(11)],
+    [diamond(), _unpadded_chain(12), diamond()],
+    # "(a+,…)" sorts before "(a,…)": canonical order is not tuple order.
+    [chain_lattice(3, labels=["a", "a+", "a++"]), _unpadded_chain(12)],
+], ids=["8x8", "12x12", "16x16", "3x4x11-diamond", "diamond-12-diamond", "plus-labels-12"])
+def test_tables_equal_the_pairwise_search(factors):
+    L = product_lattice(factors)
+    # The order rebuilt from the up-rows alone: its down-rows by
+    # transposition, its tables by check_lattice's search.
+    want = check_lattice(FinitePoset(L.labels, L.poset.up))
+    assert L.poset.down == want.poset.down
+    assert L.meet == want.meet
+    assert L.join == want.join
+    assert (L.bottom, L.top) == (want.bottom, want.top)
+    _assert_same_product(factors)  # the up-rows against the pairwise oracle
+
+
+def test_a_malformed_factor_is_an_invariant_violation(diamond_lattice):
+    bad = with_join_entry(diamond_lattice, "b", "a", "a")
+    for factors in ([bad], [chain_lattice(2), bad], [bad, diamond_lattice, chain_lattice(3)]):
+        with pytest.raises(InvariantViolation,
+                           match=r"join table entry \(b, a\) is a, but the order's join is 1"):
+            product_lattice(factors)
 
 
 def test_opponent_index_on_criterion_06_games(criterion_06_games):

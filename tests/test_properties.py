@@ -242,8 +242,9 @@ class TestUpperChainSubcomplete:
             is_order_upper_semicontinuous(f)
 
     def test_lattices_from_check_lattice_start_checked(self, monkeypatch):
-        # check_lattice filled the tables from pairwise_bounds, so the table
-        # check does not run that search again.
+        # check_lattice filled the tables from pairwise_bounds, and
+        # product_lattice read them off checked factors, so the table check
+        # does not run that search again.
         from latgames import lattice
 
         built = [diamond(), product_lattice([diamond(), chain_lattice(3)])]
