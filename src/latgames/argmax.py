@@ -104,7 +104,7 @@ def max_selection(G: Correspondence) -> dict:
     for key, mask in zip(G.keys, G.masks):
         if mask == 0:
             raise EmptyValue(f"value at index {format_atom(key)} is empty")
-        greatest = extremal_in(L.poset, mask)
+        greatest = extremal_in(L, mask)
         if greatest is None:
             raise NoGreatestElement(format_atom(key))
         out[key] = L.labels[greatest]

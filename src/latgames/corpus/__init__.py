@@ -162,6 +162,15 @@ ENTRIES = (
         checks=(("qsm",),),
         note="gains on a labeled chain: positions, not arithmetic, decide every comparison",
     ),
+    CorpusEntry(
+        name="game_even_weight_cube",
+        kind="game",
+        checks=(("solve-both",),),
+        note="unvalidated game (single crossing fails), so no theorem covers it: the "
+             "equilibria 000, 011, 101, 110, 111 form a complete lattice in the induced "
+             "order but not a sublattice of the cube, although every two-player "
+             "projection is the full square",
+    ),
 )
 
 _BY_NAME = {entry.name: entry for entry in ENTRIES}

@@ -162,7 +162,7 @@ class LatticeFunction:
         self.keys = tuple(codomain.ranks(self.values))
 
     def value(self, label: str):
-        return self.values[self.domain.poset._index_of(label)]
+        return self.values[self.domain._index_of(label)]
 
     def table(self) -> dict:
         return dict(zip(self.domain.labels, self.values))

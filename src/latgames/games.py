@@ -275,14 +275,15 @@ class NashReport:
 
 def _equilibrium_order(G: Game, cap: int) -> tuple:
     """The equilibria in canonical profile order, as a poset under the order the
-    joint space induces (``lattice.componentwise_up``), with their coordinate
-    tuples; cached on the game."""
+    joint space induces, with their coordinate tuples; cached on the game.
+    Both row sets come from ``lattice.componentwise_up``."""
     if G.profile_count > cap:
         raise StateSpaceTooLarge(
             f"{G.profile_count} joint strategies exceed the enumeration cap {cap}")
     if G._equilibria is None:
         coords = [G.coords(x) for x in range(G.profile_count) if _is_equilibrium(G, x)]
-        G._equilibria = (FinitePoset(map(G.labels_at, coords), componentwise_up(G.factors, coords)),
+        G._equilibria = (FinitePoset(map(G.labels_at, coords), componentwise_up(G.factors, coords),
+                                     _down=componentwise_up(G.factors, coords, dual=True)),
                          coords)
     return G._equilibria
 
@@ -305,7 +306,7 @@ class TarskiReport:
 def _extremal_br(G: Game, i: int, base: int, want_greatest: bool) -> int:
     """Label index of the greatest (or least) best response of player i to
     the opponents at ``base``."""
-    idx = extremal_in(G.factors[i].poset, G._br(i, base), want_greatest)
+    idx = extremal_in(G.factors[i], G._br(i, base), want_greatest)
     if idx is None:
         raise NoGreatestElement(f"best response of player {G.players[i]} against "
                                 f"{tuple_label(G._opp_labels(i, base))}"

@@ -172,7 +172,7 @@ def random_monotone_supermodular(rng: Xoshiro256StarStar, L: FiniteLattice) -> d
     for _ in range(rng.randint(1, max(2, L.n // 2 + 1))):
         p = rng.below(L.n)
         w = Fraction(rng.randint(1, 4), rng.choice((1, 2)))
-        for j in iter_bits(L.poset.up[p]):
+        for j in iter_bits(L.up[p]):
             table[L.labels[j]] += w
     return table
 
@@ -223,7 +223,7 @@ def random_function(rng: Xoshiro256StarStar, L: FiniteLattice, strategy: str,
     codomain = ChainCodomain.rational()
     if strategy == SUPERMODULAR_THEN_TRANSFORM:
         # a product of chains: every element of each factor is comparable to all
-        if L.factors is not None and all(f.poset.up[x] | f.poset.down[x] == f.poset.full
+        if L.factors is not None and all(f.up[x] | f.down[x] == f.full
                                          for f in L.factors for x in range(f.n)):
             table = _grid_supermodular(rng, L)
         else:
@@ -289,7 +289,7 @@ def meet_join_closure_lattice(rng: Xoshiro256StarStar) -> FiniteLattice:
     pos = {i: k for k, i in enumerate(members)}
     up = [0] * len(members)
     for i in members:
-        for j in iter_bits(grid.poset.up[i]):
+        for j in iter_bits(grid.up[i]):
             if j in pos:
                 up[pos[i]] |= 1 << pos[j]
     return check_lattice(FinitePoset(labels, up))

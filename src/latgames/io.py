@@ -111,7 +111,7 @@ def lattice_obj(L: FiniteLattice) -> dict:
         return {"product": [lattice_obj(f) for f in L.factors]}
     return {
         "elements": list(L.labels),
-        "covers": [list(c) for c in L.poset.covers],
+        "covers": [list(c) for c in L.covers],
     }
 
 

@@ -154,22 +154,26 @@ def poset_from_covers(elements, covers) -> FinitePoset:
     return FinitePoset(labels, up)
 
 
-class FiniteLattice:
-    """A finite lattice: a poset plus total meet and join tables.
+class FiniteLattice(FinitePoset):
+    """A finite lattice: a poset with total meet and join tables.
 
+    The lattice is its own order: it takes the poset's rows by reference,
+    and equality and hashing are the poset's (labels and up-rows), so a
+    lattice equals a ``FinitePoset`` with the same order.
     ``factors``/``coords`` are set on lattices built by ``product_lattice``
     and give each element its per-factor coordinates.
     """
 
-    __slots__ = ("poset", "meet", "join", "factors", "coords", "bottom", "top", "_tables_checked")
+    __slots__ = ("meet", "join", "factors", "coords", "bottom", "top", "_tables_checked")
 
     def __init__(self, poset, meet, join, factors=None, coords=None):
-        self.poset = poset
+        self.labels, self.index, self.up = poset.labels, poset.index, poset.up
+        self.down, self.full, self._covers = poset.down, poset.full, poset._covers
         self.meet = meet
         self.join = join
         self.factors = factors
         self.coords = coords
-        bottom, top = extremal_in(poset, poset.full, False), extremal_in(poset, poset.full)
+        bottom, top = extremal_in(self, self.full, False), extremal_in(self, self.full)
         if bottom is None or top is None:
             raise NotALattice((), "glb" if bottom is None else "lub")
         self.bottom = bottom
@@ -177,31 +181,15 @@ class FiniteLattice:
         self._tables_checked = False
 
     @property
-    def labels(self):
-        return self.poset.labels
-
-    @property
-    def index(self):
-        return self.poset.index
-
-    @property
-    def n(self) -> int:
-        return self.poset.n
-
-    def leq(self, a: str, b: str) -> bool:
-        return self.poset.leq(a, b)
-
-    def subset_mask(self, labels) -> int:
-        return self.poset.subset_mask(labels)
-
-    def labels_of(self, mask: int) -> tuple:
-        return self.poset.labels_of(mask)
+    def poset(self):
+        """The lattice itself, which is its own order."""
+        return self
 
     def meet_label(self, a: str, b: str) -> str:
-        return self.labels[self.meet[self.poset._index_of(a)][self.poset._index_of(b)]]
+        return self.labels[self.meet[self._index_of(a)][self._index_of(b)]]
 
     def join_label(self, a: str, b: str) -> str:
-        return self.labels[self.join[self.poset._index_of(a)][self.poset._index_of(b)]]
+        return self.labels[self.join[self._index_of(a)][self._index_of(b)]]
 
     def check_tables(self) -> None:
         """Raise ``InvariantViolation`` at the first entry, in ``pairwise_bounds``
@@ -210,7 +198,7 @@ class FiniteLattice:
         if self._tables_checked:
             return
         labels, join, meet = self.labels, self.join, self.meet
-        for i, j, lub, glb in pairwise_bounds(self.poset):
+        for i, j, lub, glb in pairwise_bounds(self):
             if join[i][j] == join[j][i] == lub and meet[i][j] == meet[j][i] == glb:
                 continue
             for op, table, bound in (("join", join, lub), ("meet", meet, glb)):
@@ -236,14 +224,6 @@ class FiniteLattice:
         for i in bits:
             acc = self.meet[acc][i]
         return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteLattice):
-            return NotImplemented
-        return self.poset == other.poset
-
-    def __hash__(self):
-        return hash(self.poset)
 
     def __repr__(self):
         return f"FiniteLattice({self.n} elements)"
@@ -327,7 +307,7 @@ def componentwise_up(factors, coords, dual=False) -> list:
         at = [0] * f.n
         for bit, c in enumerate(coords):
             at[c[k]] |= 1 << bit
-        rows = f.poset.down if dual else f.poset.up
+        rows = f.down if dual else f.up
         above = [sum(at[x] for x in iter_bits(rows[c])) for c in range(f.n)]
         for bit, c in enumerate(coords):
             up[bit] &= above[c[k]]
@@ -518,12 +498,11 @@ def classify_subset(L: FiniteLattice, subset) -> SubsetFlags:
     L.check_tables()
     bits = list(iter_bits(mask))
     labels = L.labels
-    poset = L.poset
 
     chain = Verdict(True)
     antichain = Verdict(True)
     for a, b in itertools.combinations(bits, 2):
-        cmp = poset._leq(a, b) or poset._leq(b, a)
+        cmp = L._leq(a, b) or L._leq(b, a)
         if cmp and antichain.holds:
             antichain = Verdict(False, witness=(("x", labels[a]), ("y", labels[b])))
         if not cmp and chain.holds:

@@ -31,8 +31,7 @@ def qsm_witness(L: FiniteLattice, columns):
     canonical order.  A comparable pair has {x^y, xvy} = {x, y} and cannot
     fail either clause, so only incomparable pairs are tested.
     """
-    P = L.poset
-    rows = [(x, L.meet[x], L.join[x], P.full & ~(P.up[x] | P.down[x])) for x in range(L.n)]
+    rows = [(x, L.meet[x], L.join[x], L.full & ~(L.up[x] | L.down[x])) for x in range(L.n)]
     rows = [row for row in rows if row[3]]
     for c, keys in enumerate(columns):
         for x, meet, join, others in rows:
@@ -95,9 +94,8 @@ def _topkis_supermodular(f: LatticeFunction, vals) -> bool:
     factors = f.domain.factors
     last = len(factors) - 1
     for i, factor in enumerate(factors):
-        order = factor.poset
         pairs = [(x, y, factor.meet[x][y], factor.join[x][y]) for x in range(factor.n)
-                 for y in iter_bits(order.full & ~(order.up[x] | order.down[x])) if y > x]
+                 for y in iter_bits(factor.full & ~(factor.up[x] | factor.down[x])) if y > x]
         if i == last and not pairs:
             break
         block, rest, _, _, columns = _split_columns(f, i, vals)
@@ -186,7 +184,7 @@ def single_crossing_witness(p_factors, q_factors, columns, step=_signs):
     lows, highs = [], []
     for f, stride in zip(q_factors, radix_strides(q_factors)):
         block = stride * f.n
-        for lo, hi in f.poset.covers:
+        for lo, hi in f.covers:
             lo, hi = f.index[lo] * stride, f.index[hi] * stride
             for top in range(0, count, block):
                 lows.extend(range(top + lo, top + lo + stride))

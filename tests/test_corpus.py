@@ -82,6 +82,11 @@ class TestFrozenFacts:
         assert "PROPERTY transfer-upper PASS" in tu
         assert "PROPERTY topological-usc FAIL" in tu
 
+    def test_even_weight_cube_is_complete_with_a_sublattice_gap(self):
+        text = (DATA / "game_even_weight_cube.expected.txt").read_text()
+        assert "PROPERTY complete-lattice PASS" in text
+        assert "SUBLATTICE-GAP x=(0,1,1) y=(1,0,1) op=meet value=(0,0,1)" in text
+
 
 class TestCanonicalInstanceFiles:
     def test_every_instance_file_is_byte_canonical(self):

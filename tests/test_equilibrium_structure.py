@@ -13,8 +13,10 @@ import itertools
 from collections import Counter
 
 from latgames import ChainCodomain, Game, enumerate_nash, verify_equilibrium_structure
+from latgames.corpus import get_entry
 from latgames.games import NashReport
 from latgames.generators import chain_lattice, diamond, random_lattice
+from latgames.io import load_path
 from latgames.rng import Xoshiro256StarStar
 
 from conftest import RATIONAL, brute_nash_set, profile_leq
@@ -140,3 +142,14 @@ def test_label_order_that_is_not_a_linear_extension():
     assert report.count == 144 and report.is_complete_lattice
     assert report.largest == ("c11", "c11") and report.least == ("c0", "c0")
 
+
+def test_even_weight_cube_is_complete_but_not_a_sublattice():
+    # The corpus game game_even_weight_cube: E = {000, 011, 101, 110, 111}
+    # has every two-player projection equal to the full square, yet
+    # 011 ∧ 101 = 001 is missing.
+    _, G = load_path(get_entry("game_even_weight_cube").instance_path)
+    report = assert_matches_oracle(G)
+    assert report.equilibria == (("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1"),
+                                 ("1", "1", "0"), ("1", "1", "1"))
+    assert report.is_complete_lattice
+    assert report.sublattice_gap == (("0", "1", "1"), ("1", "0", "1"), "meet", ("0", "0", "1"))

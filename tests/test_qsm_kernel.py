@@ -14,7 +14,7 @@ from latgames import ChainCodomain, Game, LatticeFunction, product_lattice
 from latgames.games import validate_game
 from latgames.generators import chain_lattice, diamond
 from latgames.lattice import tuple_label
-from latgames.properties import is_quasisupermodular, sections_quasisupermodular
+from latgames.properties import is_quasisupermodular, is_single_crossing, sections_quasisupermodular
 from latgames.rng import Xoshiro256StarStar
 from latgames.verdict import Verdict
 
@@ -113,3 +113,20 @@ def test_games_with_a_broken_section(criterion_06_games):
         if not got.holds and got.witness_dict()["check"] == "section-quasisupermodular":
             clauses[got.witness_dict()["clause"]] += 1
     assert clauses["weak"] and clauses["strict"], clauses
+
+
+def test_three_chain_table_whose_splits_all_pass_but_is_not_qsm():
+    # On 2×2×2 every one-factor section is QSM and every factor-versus-rest
+    # split is single crossing, yet the table is not QSM: the two-chain
+    # shortcut (QSM iff single crossing both ways) does not extend to three
+    # factors.
+    bit = chain_lattice(2, labels=["0", "1"])
+    D = product_lattice([bit, bit, bit])
+    values = {(0, 0, 0): 6, (0, 0, 1): 12, (0, 1, 0): 4, (0, 1, 1): 7,
+              (1, 0, 0): 3, (1, 0, 1): 7, (1, 1, 0): 1, (1, 1, 1): 4}
+    f = LatticeFunction(D, RATIONAL, {tuple_label(map(str, c)): v for c, v in values.items()})
+    for split in (0, 1, 2):
+        assert sections_quasisupermodular(f, split) == Verdict(True)
+        assert is_single_crossing(f, split) == Verdict(True)
+    want = Verdict(False, witness=(("x", "(1,0,1)"), ("y", "(0,1,0)"), ("clause", "strict")))
+    assert is_quasisupermodular(f) == want == oracle_function_qsm(f)
