@@ -62,10 +62,11 @@ def is_increasing_weak_veinott(F: Correspondence) -> Verdict:
         for k2 in iter_bits(F.up[k] & ~(1 << k)):
             hi = F.masks[k2]
             for x in iter_bits(lo):
+                meet, join = L.meet[x], L.join[x]
                 for x2 in iter_bits(hi):
-                    if lo >> L.meet[x][x2] & 1:
+                    if lo >> meet[x2] & 1:
                         continue
-                    if not hi >> L.join[x][x2] & 1:
+                    if not hi >> join[x2] & 1:
                         return Verdict(False, witness=(
                             ("c", F.keys[k]), ("c2", F.keys[k2]),
                             ("x", L.labels[x]), ("x2", L.labels[x2])))
@@ -82,13 +83,14 @@ def is_increasing_strong_set_order(G: Correspondence) -> Verdict:
         for k2 in iter_bits(G.up[k]):
             hi = G.masks[k2]
             for x in iter_bits(lo):
+                meet, join = L.meet[x], L.join[x]
                 for x2 in iter_bits(hi):
-                    m = L.meet[x][x2]
+                    m = meet[x2]
                     if not lo >> m & 1:
                         return Verdict(False, witness=(
                             ("s", G.keys[k]), ("s2", G.keys[k2]), ("x", L.labels[x]),
                             ("x2", L.labels[x2]), ("op", "meet"), ("value", L.labels[m])))
-                    v = L.join[x][x2]
+                    v = join[x2]
                     if not hi >> v & 1:
                         return Verdict(False, witness=(
                             ("s", G.keys[k]), ("s2", G.keys[k2]), ("x", L.labels[x]),

@@ -4,7 +4,8 @@ Elements are kept in lexicographic label order and that order is canonical
 for every subset-valued result in the package.  Subsets are bitmasks over
 the canonical order and the full relation is stored per element.  Every
 predicate is decided in polynomial time.  All types are immutable after
-construction, so they are safe to use concurrently.
+construction, so they are safe to use concurrently: a product's table rows
+are cached on first read, and a row built twice is the same row.
 """
 from __future__ import annotations
 
@@ -364,6 +365,51 @@ def product_elements(factors):
     return labels, coords
 
 
+class _LazyRows:
+    """A product's meet or join table, as a sequence whose row x is built on
+    first read.  Per factor k and element a, a part holds stride_k ·
+    tables[k][a][y_k] over the canonical y; row x is the sum of the parts
+    at x's coordinates, mapped through ``pos`` (radix index -> canonical
+    position).  The parts are built on the first row read.  Rows are
+    tuples, and the table supports ``len``, iteration and ``==`` against a
+    sequence of rows."""
+
+    __slots__ = ("_tables", "_strides", "_coords", "_pos", "_parts", "_rows")
+
+    def __init__(self, tables, strides, coords, pos):
+        self._tables, self._strides, self._coords, self._pos = tables, strides, coords, pos
+        self._parts = None
+        self._rows = [None] * len(coords)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, x):
+        row = self._rows[x]
+        if row is None:
+            row = self._rows[x] = self._build_row(x)
+        return row
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._rows)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, list, _LazyRows)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def _build_row(self, x):
+        if self._parts is None:
+            self._parts = [[list(map([stride * v for v in t].__getitem__, col)) for t in table]
+                           for table, stride, col in zip(self._tables, self._strides,
+                                                         zip(*self._coords))]
+        c = self._coords[x]
+        acc = self._parts[0][c[0]]
+        for k in range(1, len(c)):
+            acc = map(operator.add, acc, self._parts[k][c[k]])
+        return tuple(map(self._pos.__getitem__, acc))
+
+
 def product_lattice(factors) -> FiniteLattice:
     """Componentwise product; element labels are tuple encodings in factor order.
 
@@ -371,7 +417,8 @@ def product_lattice(factors) -> FiniteLattice:
     §2.2), so once the factors pass ``check_tables`` the product's tables
     are read off theirs and it starts out checked.  Entry (x, y) is the
     ``radix_strides`` index of the tuple of factor entries, mapped to its
-    canonical position: O(N²) list operations for N elements."""
+    canonical position.  The tables are ``_LazyRows``: a row costs O(N·k)
+    list operations for N elements and k factors, paid on its first read."""
     factors = tuple(factors)
     if not factors:
         raise EmptyFactorList("a product needs at least one factor")
@@ -382,23 +429,10 @@ def product_lattice(factors) -> FiniteLattice:
     pos = [0] * len(coords)  # radix index -> canonical position
     for i, c in enumerate(coords):
         pos[sum(map(operator.mul, strides, c))] = i
-    cols = list(zip(*coords))
-
-    def table(op):
-        # rows[k][a][y]: stride_k · f_k.op[a][y_k], over y in canonical order
-        rows = [[list(map([stride * v for v in t].__getitem__, col)) for t in getattr(f, op)]
-                for f, stride, col in zip(factors, strides, cols)]
-        out = []
-        for c in coords:
-            acc = rows[0][c[0]]
-            for k in range(1, len(c)):
-                acc = map(operator.add, acc, rows[k][c[k]])
-            out.append(tuple(map(pos.__getitem__, acc)))
-        return tuple(out)
-
     poset = FinitePoset(labels, componentwise_up(factors, coords),
                         _down=componentwise_up(factors, coords, dual=True))
-    L = FiniteLattice(poset, table("meet"), table("join"), factors, coords)
+    L = FiniteLattice(poset, _LazyRows([f.meet for f in factors], strides, coords, pos),
+                      _LazyRows([f.join for f in factors], strides, coords, pos), factors, coords)
     L._tables_checked = True
     return L
 
@@ -470,13 +504,16 @@ def sublattice_witness(L: FiniteLattice, mask: int):
     ``combinations`` order, whose meet (tested first) or join lies outside
     ``mask``, or None when ``mask`` is a sublattice."""
     labels = L.labels
-    for a, b in itertools.combinations(iter_bits(mask), 2):
-        m = L.meet[a][b]
-        if not mask >> m & 1:
-            return ("x", labels[a]), ("y", labels[b]), ("op", "meet"), ("value", labels[m])
-        v = L.join[a][b]
-        if not mask >> v & 1:
-            return ("x", labels[a]), ("y", labels[b]), ("op", "join"), ("value", labels[v])
+    bits = list(iter_bits(mask))
+    for k, a in enumerate(bits):
+        meet, join = L.meet[a], L.join[a]
+        for b in bits[k + 1:]:
+            m = meet[b]
+            if not mask >> m & 1:
+                return ("x", labels[a]), ("y", labels[b]), ("op", "meet"), ("value", labels[m])
+            v = join[b]
+            if not mask >> v & 1:
+                return ("x", labels[a]), ("y", labels[b]), ("op", "join"), ("value", labels[v])
     return None
 
 

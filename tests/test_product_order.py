@@ -2,16 +2,22 @@
 (``conftest.oracle_product_lattice``): labels, coordinates, up- and
 down-rows and meet/join tables of ``product_lattice``, which reads its
 tables off the factors' and never searches the product, checked against
-``check_lattice`` too; and the opponent index of
+``check_lattice`` too; the rows of those tables, built on first read, and
+which commands read them; and the opponent index of
 ``best_response_correspondence``."""
 import itertools
 
 import pytest
 
-from latgames import best_response_correspondence, check_lattice, poset_from_covers, product_lattice
+from latgames import (LatticeFunction, best_response_correspondence, check_lattice, lattice,
+                      poset_from_covers, product_lattice)
+from latgames.cli import main
 from latgames.errors import DuplicateLabel, InvariantViolation
-from latgames.generators import all_lattices, chain_lattice, diamond, grid_lattice
+from latgames.generators import (SUPERMODULAR_THEN_TRANSFORM, all_lattices, chain_lattice, diamond,
+                                 grid_lattice, random_function)
+from latgames.io import save_path
 from latgames.lattice import FinitePoset
+from latgames.rng import Xoshiro256StarStar
 
 from conftest import oracle_product_lattice, payoff_keys, with_join_entry
 
@@ -93,8 +99,17 @@ def test_tables_equal_the_pairwise_search(factors):
     # transposition, its tables by check_lattice's search.
     want = check_lattice(FinitePoset(L.labels, L.poset.up))
     assert L.poset.down == want.poset.down
-    assert L.meet == want.meet
-    assert L.join == want.join
+    # Rows are built on first read, in any order: the join's last row
+    # first, the meet's from the middle outwards.
+    assert len(L.meet) == len(L.join) == L.n
+    for x in reversed(range(L.n)):
+        assert L.join[x] == want.join[x]
+    for x in sorted(range(L.n), key=lambda x: abs(2 * x - L.n)):
+        assert L.meet[x] == want.meet[x]
+    assert L.meet[-1] == want.meet[-1] and L.meet[0] is L.meet[0]
+    assert L.meet == want.meet and want.meet == L.meet
+    assert L.join == want.join and want.join == L.join
+    assert tuple(L.meet) == want.meet and L.join != want.meet
     assert (L.bottom, L.top) == (want.bottom, want.top)
     _assert_same_product(factors)  # the up-rows against the pairwise oracle
 
@@ -121,3 +136,33 @@ def test_opponent_index_on_criterion_06_games(criterion_06_games):
                 keys = [table[opp[:i] + (s,) + opp[i:]] for s in own]
                 assert F.carrier.labels_of(mask) == tuple(
                     s for s, k in zip(own, keys) if k == max(keys))
+
+
+def test_grid_commands_build_only_the_rows_they_read(monkeypatch, tmp_path, capsys):
+    rng = Xoshiro256StarStar(0x5C_0017)
+    D = grid_lattice((16, 16))
+    base = random_function(rng, D, SUPERMODULAR_THEN_TRANSFORM)
+    # a + b + ab is supermodular; the jump of 16 above f(0,0) breaks it at
+    # x = (00,01), y = (01,00), in row 1 of the pairwise rescan.
+    f = LatticeFunction(D, base.codomain, {label: a + b + a * b + (16 if a or b else 0)
+                                           for label, (a, b) in zip(D.labels, D.coords)})
+    save_path(tmp_path / "base.json", base)
+    save_path(tmp_path / "jump.json", f)
+    built = []
+    build_row = lattice._LazyRows._build_row
+
+    def counting(self, x):
+        built.append(x)
+        return build_row(self, x)
+
+    monkeypatch.setattr(lattice._LazyRows, "_build_row", counting)
+    checks = [a for p in ("ucs", "single-crossing", "incr-diff", "sections-qsm", "qsm")
+              for a in ("--property", p)]
+    main(["check-function", str(tmp_path / "base.json")] + checks)
+    lines = capsys.readouterr().out.splitlines()
+    assert (len(lines), lines[-1]) == (5, "PROPERTY quasisupermodular PASS")
+    assert built == []
+    assert main(["check-function", str(tmp_path / "jump.json"), "--property", "supermodular"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "PROPERTY supermodular FAIL x=(00,01) y=(01,00)")
+    assert sorted(built) == [0, 0, 1, 1]  # rows 0 and 1 of the meet and the join

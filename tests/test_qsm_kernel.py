@@ -3,18 +3,26 @@
 ``properties.qsm_witness`` decides QSM for a function, for every section of a
 function and for every section of a game.  Here each of those must return
 the same ``Verdict`` as ``conftest.oracle_qsm``, which takes meets and joins
-from the raw order relation and visits every ordered pair.
+from the raw order relation and visits every ordered pair.  On a product of
+two chains ``is_quasisupermodular`` first runs single crossing on both
+splits; its verdicts and witnesses must be ``qsm_witness``'s.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 
+import pytest
+
 from latgames import ChainCodomain, Game, LatticeFunction, product_lattice
+from latgames import properties
+from latgames.errors import TheoremFalsified
 from latgames.games import validate_game
-from latgames.generators import chain_lattice, diamond
+from latgames.generators import (SUPERMODULAR_THEN_TRANSFORM, chain_lattice, diamond, diamond_mk,
+                                 grid_lattice, random_function)
 from latgames.lattice import tuple_label
-from latgames.properties import is_quasisupermodular, is_single_crossing, sections_quasisupermodular
+from latgames.properties import (is_quasisupermodular, is_single_crossing, qsm_witness,
+                                 sections_quasisupermodular)
 from latgames.rng import Xoshiro256StarStar
 from latgames.verdict import Verdict
 
@@ -130,3 +138,105 @@ def test_three_chain_table_whose_splits_all_pass_but_is_not_qsm():
         assert is_single_crossing(f, split) == Verdict(True)
     want = Verdict(False, witness=(("x", "(1,0,1)"), ("y", "(0,1,0)"), ("clause", "strict")))
     assert is_quasisupermodular(f) == want == oracle_function_qsm(f)
+
+
+def scan_verdict(f: LatticeFunction) -> Verdict:
+    """The verdict of the pairwise scan ``qsm_witness`` alone."""
+    hit = qsm_witness(f.domain, [f.keys])
+    if hit is None:
+        return Verdict(True)
+    _, x, y, clause = hit
+    return Verdict(False, witness=(("x", f.domain.labels[x]), ("y", f.domain.labels[y]),
+                                   ("clause", clause)))
+
+
+def planted(f: LatticeFunction, start: int, steep: int, shallow: int) -> LatticeFunction:
+    """f with its last two rows lifted above every other value: row n-2
+    rises by ``steep`` per column and row n-1 by ``shallow`` < ``steep``, so
+    the first QSM violation, x = (n-1, 0), y = (n-2, 1), is in the last row
+    of the scan."""
+    n = f.domain.factors[0].n
+    table = f.table()
+    for label, (a, b) in zip(f.domain.labels, f.domain.coords):
+        if a >= n - 2:
+            table[label] = max(f.values) + start + (steep if a == n - 2 else shallow) * b
+    return LatticeFunction(f.domain, RATIONAL, table)
+
+
+@pytest.mark.parametrize("dims, values", [
+    ((2, 2), 3), ((2, 3), 3), ((3, 2), 3), ((3, 3), 3), ((2, 4), 3), ((4, 2), 2), ((4, 3), 2),
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"{v}values")
+def test_two_chains_on_every_small_table(dims, values):
+    D = grid_lattice(dims)
+    outcomes = Counter()
+    for combo in itertools.product(range(values), repeat=D.n):
+        f = LatticeFunction(D, RATIONAL, dict(zip(D.labels, combo)))
+        got = is_quasisupermodular(f)
+        assert got == scan_verdict(f), combo
+        outcomes[got.holds or got.witness_dict()["clause"]] += 1
+    assert outcomes[True] and outcomes["weak"] and outcomes["strict"], outcomes
+
+
+def test_two_chains_on_seeded_grids_and_planted_late_failures():
+    rng = Xoshiro256StarStar(0x5C_0017)
+    outcomes = Counter()
+    for dims in ((2, 7), (7, 2), (3, 5), (5, 4), (6, 6), (9, 9)):
+        D = grid_lattice(dims)
+        base = random_function(rng, D, SUPERMODULAR_THEN_TRANSFORM)
+        fs = [base, LatticeFunction(D, RATIONAL, {x: rng.below(4) for x in D.labels})]
+        if dims[0] > 2:
+            fs.append(planted(base, 1 + rng.below(4), 5, 1 + rng.below(4)))
+        for f in fs:
+            got = is_quasisupermodular(f)
+            assert got == scan_verdict(f) == oracle_function_qsm(f), (dims, f.table())
+            outcomes[got.holds] += 1
+        if dims[0] > 2:
+            n = dims[0]
+            labels = [tuple_label(c.labels[i] for c, i in zip(D.factors, coord))
+                      for coord in ((n - 1, 0), (n - 2, 1))]
+            assert got.witness == (("x", labels[0]), ("y", labels[1]), ("clause", "weak"))
+    assert outcomes[True] and outcomes[False], outcomes
+
+
+def test_a_passing_two_chain_grid_never_scans_pairs(monkeypatch):
+    rng = Xoshiro256StarStar(0x5C_0018)
+    fs = [random_function(rng, grid_lattice(dims), SUPERMODULAR_THEN_TRANSFORM)
+          for dims in ((1, 4), (2, 2), (3, 5), (16, 16))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pairwise scan ran on a passing product of two chains")
+
+    monkeypatch.setattr(properties, "qsm_witness", refuse)
+    for f in fs:
+        assert is_quasisupermodular(f) == Verdict(True)
+
+
+def test_other_products_never_take_the_two_chain_route(monkeypatch):
+    # M3 x C2 and diamond x C3 have a factor that is not a chain; 2x2x2 has
+    # three factors.
+    rng = Xoshiro256StarStar(0x5C_0019)
+    bit = chain_lattice(2)
+    domains = [product_lattice([diamond_mk(3), bit]), product_lattice([diamond(), chain_lattice(3)]),
+               product_lattice([bit, bit, bit])]
+    fs = [LatticeFunction(D, RATIONAL, {x: rng.below(3) for x in D.labels})
+          for D in domains for _ in range(30)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("single crossing ran in place of the QSM scan")
+
+    monkeypatch.setattr(properties, "single_crossing_witness", refuse)
+    outcomes = Counter()
+    for f in fs:
+        got = is_quasisupermodular(f)
+        assert got == oracle_function_qsm(f), f.table()
+        outcomes[got.holds] += 1
+    assert outcomes[True] and outcomes[False], outcomes
+
+
+def test_a_failing_split_that_the_scan_cannot_find_is_loud(monkeypatch):
+    D = grid_lattice((2, 2))
+    f = LatticeFunction(D, RATIONAL, dict(zip(D.labels, (0, 1, 1, 0))))
+    assert not is_single_crossing(f, 0).holds
+    monkeypatch.setattr(properties, "qsm_witness", lambda L, columns: None)
+    with pytest.raises(TheoremFalsified):
+        is_quasisupermodular(f)
