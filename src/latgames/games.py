@@ -276,12 +276,15 @@ class NashReport:
 def _equilibrium_order(G: Game, cap: int) -> tuple:
     """The equilibria in canonical profile order, as a poset under the order the
     joint space induces, with their coordinate tuples; cached on the game.
-    Both row sets come from ``lattice.componentwise_up``."""
+    Only the last player's best responses at each base are candidates.  Both
+    row sets come from ``lattice.componentwise_up``."""
     if G.profile_count > cap:
         raise StateSpaceTooLarge(
             f"{G.profile_count} joint strategies exceed the enumeration cap {cap}")
     if G._equilibria is None:
-        coords = [G.coords(x) for x in range(G.profile_count) if _is_equilibrium(G, x)]
+        n, last = G.factors[-1].n, len(G.factors) - 1
+        coords = [G.coords(b + s) for b in range(0, G.profile_count, n)
+                  for s in iter_bits(G._br(last, b)) if _is_equilibrium(G, b + s)]
         G._equilibria = (FinitePoset(map(G.labels_at, coords), componentwise_up(G.factors, coords),
                                      _down=componentwise_up(G.factors, coords, dual=True)),
                          coords)
@@ -363,29 +366,101 @@ def _sublattice_gap(G: Game, order: FinitePoset, coords):
     return None
 
 
+def _pair_closed(rows) -> bool:
+    """Whether the pairs {(a, b) : bit b of rows[a]} of a product of two chains,
+    in rank coordinates, are closed under join and meet.  Rows a < r with a
+    member b above some c in row r join it to (r, b), so, sweeping up, the
+    rows below r cut to the columns above row r's least member must lie in
+    row r; meets are the dual sweep down.  O(len(rows)) big-int operations."""
+    below = above = 0
+    for row in rows:
+        lo = (row & -row).bit_length()  # one past the least member
+        if row and below >> lo << lo & ~row:
+            return False
+        below |= row
+    for row in reversed(rows):
+        if row and above & (1 << row.bit_length() - 1) - 1 & ~row:
+            return False
+        above |= row
+    return True
+
+
+def _chain_sublattice(factors, coords) -> bool | None:
+    """Whether the tuples ``coords`` (label indexes) form a sublattice of the
+    product of ``factors``; None when some factor is not a chain.
+
+    On a product of chains a set is a sublattice iff (a) its projection on
+    each pair of factors i < j is one, and (b) it holds every tuple whose
+    pairwise projections all lie in its own (Topkis 1998, §2.2).  A chain's
+    elements are ranked by the size of their up-sets, since label order
+    need not be chain order.  (b) counts, factor by factor, the tuples that
+    pass the projections so far; the set satisfies it iff the count is its
+    size.
+    """
+    ranks = [[f.n - row.bit_count() for row in f.up] for f in factors]
+    if any(len(set(r)) < len(r) for r in ranks):
+        return None
+    points = [tuple(r[c] for r, c in zip(ranks, e)) for e in coords]
+    proj = {}
+    for i, j in itertools.combinations(range(len(factors)), 2):
+        rows = proj[i, j] = [0] * factors[i].n
+        for p in points:
+            rows[p[i]] |= 1 << p[j]
+        if not _pair_closed(rows):
+            return False
+    first = sum(1 << r for r in {p[0] for p in points})
+
+    def count(prefix) -> int:
+        d = len(prefix)
+        mask = factors[d].full if d else first
+        for i, t in enumerate(prefix):
+            mask &= proj[i, d][t]
+        if d == len(factors) - 1:
+            return mask.bit_count()
+        return sum(count(prefix + (t,)) for t in iter_bits(mask))
+
+    return count(()) == len(points)
+
+
 def verify_equilibrium_structure(G: Game, cap: int = 1_000_000) -> NashReport:
     """Equilibrium set structure: completeness in the induced order, extremal
     points, and whether the set is also a sublattice of the joint space.
 
-    On a finite nonempty set, pairwise least upper and greatest lower bounds
-    within the set characterize being a complete lattice in the induced order.
-    ``sublattice_gap`` reports a pair whose meet or join computed in the joint
-    space escapes the set, distinguishing the two readings.
+    ``sublattice_gap`` is the first pair, in ``combinations`` order, whose
+    meet (tested first) or join in the joint space escapes the set, or None.
+    Two theorems spare the O(|E|²) pair scans:
+
+    1. A nonempty sublattice is closed under the joint space's meet and
+       join, which are then its bounds in the induced order, and a finite
+       lattice is complete; so with no gap ``complete`` holds outright.
+       With a gap it is decided by ``pairwise_bounds``.
+    2. When every strategy set is a chain, E is a sublattice iff (a) its
+       projection on each pair of players is one and (b) it holds every
+       profile whose pairwise projections lie in E's (``_chain_sublattice``,
+       on chain ranks, with big-int row masks and no pair scan).  It runs
+       only when |E|² exceeds k²·Σ|S_i| for k players, so ladder games,
+       with one equilibrium, keep the scan.  When it finds E is not a
+       sublattice, ``_sublattice_gap`` scans for the witness; a scan that
+       finds none raises ``TheoremFalsified``.
     """
     base = enumerate_nash(G, cap=cap)
-    E = base.equilibria
     order, coords = _equilibrium_order(G, cap)
-    complete = bool(E) and all(lub is not None and glb is not None
-                               for _, _, lub, glb in pairwise_bounds(order))
-    gap = _sublattice_gap(G, order, coords)
-    certifies = ("order", "topological") if all(
-        G.codomains[p].is_rational for p in G.players) else ("order",)
-    notes = ()
-    if certifies == ("order",):
-        notes = ("labeled gains: only the order-theoretic route applies",)
-    return NashReport(equilibria=E, largest=base.largest, least=base.least,
+    k = len(G.factors)
+    sublattice = None
+    if len(coords) ** 2 > k * k * sum(f.n for f in G.factors):
+        sublattice = _chain_sublattice(G.factors, coords)
+    gap = None if sublattice else _sublattice_gap(G, order, coords)
+    if sublattice is False and gap is None:
+        raise TheoremFalsified("a projection test found the equilibrium set is not a "
+                               "sublattice of a product of chains but the pair scan found no gap")
+    complete = bool(coords) and (gap is None or all(lub is not None and glb is not None
+                                                    for _, _, lub, glb in pairwise_bounds(order)))
+    rational = all(G.codomains[p].is_rational for p in G.players)
+    return NashReport(equilibria=base.equilibria, largest=base.largest, least=base.least,
                       is_complete_lattice=complete, sublattice_gap=gap,
-                      certifies=certifies, notes=notes)
+                      certifies=("order", "topological") if rational else ("order",),
+                      notes=() if rational else ("labeled gains: only the order-theoretic "
+                                                 "route applies",))
 
 
 def best_response_correspondence(G: Game, player: str) -> Correspondence:

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 
-from latgames import ChainCodomain, Game, enumerate_nash, verify_equilibrium_structure
+import pytest
+
+from latgames import ChainCodomain, Game, enumerate_nash, reports, verify_equilibrium_structure
+from latgames import games
 from latgames.corpus import get_entry
-from latgames.games import NashReport
+from latgames.errors import TheoremFalsified
+from latgames.games import NashReport, _chain_sublattice, _pair_closed
 from latgames.generators import chain_lattice, diamond, random_lattice
 from latgames.io import load_path
 from latgames.rng import Xoshiro256StarStar
@@ -92,6 +97,54 @@ def _constant_chain_game(size: int) -> Game:
                 {"1": table, "2": table})
 
 
+def _plateau(factors) -> Game:
+    """Constant payoffs, so every profile is an equilibrium."""
+    players = [f"p{k}" for k in range(1, len(factors) + 1)]
+    count = math.prod(f.n for f in factors)
+    return Game(players, dict(zip(players, factors)), dict.fromkeys(players, RATIONAL),
+                {p: [0] * count for p in players})
+
+
+def _chain(size: int):
+    """A chain whose labels c0 < c1 < ... sort out of chain order from size 11 on."""
+    return chain_lattice(size, labels=[f"c{k}" for k in range(size)])
+
+
+def _game_with_equilibria(chains, target) -> Game:
+    """Identical payoffs minus the L1 distance, in chain positions, to
+    ``target``, a set of position tuples over ``_chain`` factors: off the
+    target some player can move one coordinate closer, so the equilibrium
+    set is exactly the target."""
+    players = [f"p{k}" for k in range(1, len(chains) + 1)]
+    table = [-min(sum(abs(int(label[1:]) - t) for label, t in zip(profile, point))
+                  for point in target)
+             for profile in itertools.product(*(c.labels for c in chains))]
+    return Game(players, dict(zip(players, chains)), dict.fromkeys(players, RATIONAL),
+                dict.fromkeys(players, table))
+
+
+def _random_sublattice(rng, sizes) -> set:
+    """A sublattice of the product of chains of ``sizes`` cut out by a few
+    random constraints x_i <= x_j + c and x_i >= c (each keeps meets and
+    joins; one that would leave nothing is dropped)."""
+    points = set(itertools.product(*map(range, sizes)))
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.below(len(sizes)), rng.below(len(sizes))
+        c = rng.randint(-1, 1)
+        if i == j:
+            kept = {x for x in points if x[i] >= c + 1}
+        else:
+            kept = {x for x in points if x[i] <= x[j] + c}
+        points = kept or points
+    return points
+
+
+def _brute_is_sublattice(factors, coords) -> bool:
+    members = set(coords)
+    return all(tuple(getattr(f, op)[x][y] for f, x, y in zip(factors, a, b)) in members
+               for a, b in itertools.combinations(coords, 2) for op in ("meet", "join"))
+
+
 # ------------------------------------------------------------------ tests
 
 def test_criterion_06_games(criterion_06_games):
@@ -153,3 +206,102 @@ def test_even_weight_cube_is_complete_but_not_a_sublattice():
                                  ("1", "1", "0"), ("1", "1", "1"))
     assert report.is_complete_lattice
     assert report.sublattice_gap == (("0", "1", "1"), ("1", "0", "1"), "meet", ("0", "0", "1"))
+
+
+# ------------------------------------------- the projection test (Theorem 2)
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (2, 2, 3), (3, 3)])
+def test_projection_test_on_every_subset_of_a_small_product(sizes):
+    # 255, 4095 and 511 nonempty subsets; the 3x3 chains run c2 < c9 < c10,
+    # so their labels sort out of chain order
+    factors = [chain_lattice(n, labels=["c2", "c9", "c10"] if len(sizes) == 2 else None)
+               for n in sizes]
+    if len(sizes) == 2:
+        assert factors[0].labels == ("c10", "c2", "c9")
+    product = list(itertools.product(*(range(f.n) for f in factors)))
+    seen = Counter()
+    for mask in range(1, 1 << len(product)):
+        coords = [c for k, c in enumerate(product) if mask >> k & 1]
+        want = _brute_is_sublattice(factors, coords)
+        assert _chain_sublattice(factors, coords) is want, coords
+        seen[want] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_even_weight_cube_fails_only_the_cylinder_count():
+    _, G = load_path(get_entry("game_even_weight_cube").instance_path)
+    coords = [G.coords(G.profile_index(e)) for e in enumerate_nash(G).equilibria]
+    for i, j in itertools.combinations(range(3), 2):
+        rows = [0, 0]
+        for c in coords:
+            rows[c[i]] |= 1 << c[j]
+        assert rows == [0b11, 0b11] and _pair_closed(rows)
+    assert _chain_sublattice(G.factors, coords) is False
+
+
+# ------------------------------------------------------ route and oracle
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the structure check fell back to a pair scan")
+
+
+@pytest.mark.parametrize("sizes", [(8, 8), (4, 4, 4), (32, 32)])
+def test_plateaus_take_the_projection_test(monkeypatch, sizes):
+    G = _plateau([_chain(n) for n in sizes])
+    if sizes == (32, 32):
+        # The O(|E|^3) oracle is too slow at |E| = 1024; E is the whole
+        # product, a sublattice with the top and bottom profiles.
+        top = tuple(f"c{n - 1}" for n in sizes)
+        want = NashReport(tuple(brute_nash_set(G)), top, ("c0", "c0"), True, None,
+                          ("order", "topological"))
+    else:
+        want = oracle_structure(G)
+    monkeypatch.setattr(games, "pairwise_bounds", _refuse)
+    monkeypatch.setattr(games, "_sublattice_gap", _refuse)
+    got = []
+
+    def spy(*args, **kwargs):
+        got.append(verify_equilibrium_structure(*args, **kwargs))
+        return got[-1]
+
+    monkeypatch.setattr(reports, "verify_equilibrium_structure", spy)
+    solve_lines, solve_ok = reports.solve_report(G)
+    zhou_lines, zhou_ok = reports.zhou_report(G)
+    assert got == [want, want] and solve_ok and zhou_ok
+    assert "SUBLATTICE-GAP none" in solve_lines
+    assert "PROPERTY complete-lattice PASS" in solve_lines
+    assert "PROPERTY complete-lattice PASS" in zhou_lines
+
+
+def test_chain_sublattices_and_the_same_less_one_profile(monkeypatch):
+    rng = Xoshiro256StarStar(0x5EED_E018)
+    routed = Counter()
+
+    def spy(factors, coords):
+        result = _chain_sublattice(factors, coords)
+        routed[result] += 1
+        return result
+
+    monkeypatch.setattr(games, "_chain_sublattice", spy)
+    for k, (low, high) in ((3, (2, 4)), (4, (2, 3))) * 20:
+        sizes = [rng.randint(low, high) for _ in range(k)]
+        chains = [_chain(n) for n in sizes]
+        whole = _random_sublattice(rng, sizes)
+        less_one = whole - {rng.choice(sorted(whole))}
+        for target in (whole, less_one) if less_one else (whole,):
+            report = assert_matches_oracle(_game_with_equilibria(chains, target))
+            assert report.count == len(target)
+    assert routed[False] >= 10 and routed[True] >= 10, routed
+
+
+def test_diamond_games_never_take_the_projection_test(monkeypatch, star_diamond_game):
+    monkeypatch.setattr(games, "_pair_closed", _refuse)
+    for G in (_plateau([diamond(), diamond()]), _plateau([diamond(), _chain(3)]),
+              star_diamond_game):
+        assert_matches_oracle(G)
+
+
+def test_a_projection_failure_the_scan_cannot_confirm_is_loud(monkeypatch):
+    monkeypatch.setattr(games, "_pair_closed", lambda rows: False)
+    with pytest.raises(TheoremFalsified):
+        verify_equilibrium_structure(_plateau([_chain(8), _chain(8)]))
