@@ -276,15 +276,12 @@ class NashReport:
 def _equilibrium_order(G: Game, cap: int) -> tuple:
     """The equilibria in canonical profile order, as a poset under the order the
     joint space induces, with their coordinate tuples; cached on the game.
-    Only the last player's best responses at each base are candidates.  Both
-    row sets come from ``lattice.componentwise_up``."""
+    Both row sets come from ``lattice.componentwise_up``."""
     if G.profile_count > cap:
         raise StateSpaceTooLarge(
             f"{G.profile_count} joint strategies exceed the enumeration cap {cap}")
     if G._equilibria is None:
-        n, last = G.factors[-1].n, len(G.factors) - 1
-        coords = [G.coords(b + s) for b in range(0, G.profile_count, n)
-                  for s in iter_bits(G._br(last, b)) if _is_equilibrium(G, b + s)]
+        coords = [G.coords(x) for x in range(G.profile_count) if _is_equilibrium(G, x)]
         G._equilibria = (FinitePoset(map(G.labels_at, coords), componentwise_up(G.factors, coords),
                                      _down=componentwise_up(G.factors, coords, dual=True)),
                          coords)
@@ -437,30 +434,29 @@ def verify_equilibrium_structure(G: Game, cap: int = 1_000_000) -> NashReport:
     2. When every strategy set is a chain, E is a sublattice iff (a) its
        projection on each pair of players is one and (b) it holds every
        profile whose pairwise projections lie in E's (``_chain_sublattice``,
-       on chain ranks, with big-int row masks and no pair scan).  It runs
-       only when |E|² exceeds k²·Σ|S_i| for k players, so ladder games,
-       with one equilibrium, keep the scan.  When it finds E is not a
-       sublattice, ``_sublattice_gap`` scans for the witness; a scan that
-       finds none raises ``TheoremFalsified``.
+       on chain ranks, with big-int row masks and no pair scan).  When it
+       finds E is not a sublattice, ``_sublattice_gap`` scans for the
+       witness; a scan that finds none raises ``TheoremFalsified``.  Other
+       games keep the scan.
     """
     base = enumerate_nash(G, cap=cap)
+    E = base.equilibria
     order, coords = _equilibrium_order(G, cap)
-    k = len(G.factors)
-    sublattice = None
-    if len(coords) ** 2 > k * k * sum(f.n for f in G.factors):
-        sublattice = _chain_sublattice(G.factors, coords)
+    sublattice = _chain_sublattice(G.factors, coords)
     gap = None if sublattice else _sublattice_gap(G, order, coords)
     if sublattice is False and gap is None:
         raise TheoremFalsified("a projection test found the equilibrium set is not a "
                                "sublattice of a product of chains but the pair scan found no gap")
-    complete = bool(coords) and (gap is None or all(lub is not None and glb is not None
-                                                    for _, _, lub, glb in pairwise_bounds(order)))
-    rational = all(G.codomains[p].is_rational for p in G.players)
-    return NashReport(equilibria=base.equilibria, largest=base.largest, least=base.least,
+    complete = bool(E) and (gap is None or all(lub is not None and glb is not None
+                                               for _, _, lub, glb in pairwise_bounds(order)))
+    certifies = ("order", "topological") if all(
+        G.codomains[p].is_rational for p in G.players) else ("order",)
+    notes = ()
+    if certifies == ("order",):
+        notes = ("labeled gains: only the order-theoretic route applies",)
+    return NashReport(equilibria=E, largest=base.largest, least=base.least,
                       is_complete_lattice=complete, sublattice_gap=gap,
-                      certifies=("order", "topological") if rational else ("order",),
-                      notes=() if rational else ("labeled gains: only the order-theoretic "
-                                                 "route applies",))
+                      certifies=certifies, notes=notes)
 
 
 def best_response_correspondence(G: Game, player: str) -> Correspondence:
