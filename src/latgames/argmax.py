@@ -73,28 +73,41 @@ def is_increasing_weak_veinott(F: Correspondence) -> Verdict:
     return Verdict(True)
 
 
+def strong_set_witness(L: FiniteLattice, lo: int, hi: int):
+    """Least violation ``(x, x2, op, value)`` of ``lo`` below ``hi`` in the
+    strong set order, or None: x in lo, x2 in hi, both ascending, with the
+    meet x ^ x2 outside lo (tested first) or the join x v x2 outside hi."""
+    for x in iter_bits(lo):
+        meet, join = L.meet[x], L.join[x]
+        for x2 in iter_bits(hi):
+            m = meet[x2]
+            if not lo >> m & 1:
+                return x, x2, "meet", m
+            v = join[x2]
+            if not hi >> v & 1:
+                return x, x2, "join", v
+    return None
+
+
 def is_increasing_strong_set_order(G: Correspondence) -> Verdict:
     """Topkis-style monotonicity: for s <= s' (including s = s'), meets fall
     into G(s) and joins into G(s'); the reflexive pairs make every value a
-    sublattice."""
+    sublattice.  A pair of values already found clean is not tested again."""
     _require_nonempty(G)
     L = G.carrier
+    clean = set()
     for k, lo in enumerate(G.masks):
         for k2 in iter_bits(G.up[k]):
             hi = G.masks[k2]
-            for x in iter_bits(lo):
-                meet, join = L.meet[x], L.join[x]
-                for x2 in iter_bits(hi):
-                    m = meet[x2]
-                    if not lo >> m & 1:
-                        return Verdict(False, witness=(
-                            ("s", G.keys[k]), ("s2", G.keys[k2]), ("x", L.labels[x]),
-                            ("x2", L.labels[x2]), ("op", "meet"), ("value", L.labels[m])))
-                    v = join[x2]
-                    if not hi >> v & 1:
-                        return Verdict(False, witness=(
-                            ("s", G.keys[k]), ("s2", G.keys[k2]), ("x", L.labels[x]),
-                            ("x2", L.labels[x2]), ("op", "join"), ("value", L.labels[v])))
+            if (lo, hi) in clean:
+                continue
+            hit = strong_set_witness(L, lo, hi)
+            if hit is not None:
+                x, x2, op, value = hit
+                return Verdict(False, witness=(
+                    ("s", G.keys[k]), ("s2", G.keys[k2]), ("x", L.labels[x]),
+                    ("x2", L.labels[x2]), ("op", op), ("value", L.labels[value])))
+            clean.add((lo, hi))
     return Verdict(True)
 
 

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .argmax import Correspondence
+from .argmax import Correspondence, is_increasing_strong_set_order, strong_set_witness
 from .errors import (
     InvariantViolation,
     LabeledCodomainUnsupported,
@@ -26,9 +26,9 @@ from .errors import (
     TheoremFalsified,
 )
 from .functions import LatticeFunction, image_map, ranked_image
-from .lattice import (FinitePoset, componentwise_up, extremal_in, extremes, iter_bits,
-                      pairwise_bounds, product_elements, radix_strides, split_columns,
-                      tuple_label, validate_label)
+from .lattice import (FinitePoset, componentwise_up, cover_pairs, extremal_in, extremes,
+                      iter_bits, pairwise_bounds, product_elements, radix_strides,
+                      split_columns, tuple_label, validate_label)
 from .topology import explicit_closed_family
 from .verdict import Verdict
 
@@ -473,3 +473,39 @@ def best_response_correspondence(G: Game, player: str) -> Correspondence:
     return Correspondence(G.factors[i], labels, componentwise_up(others, coords),
                           [G._br(i, sum(c * stride for c, stride in zip(coord, strides)))
                            for coord in coords])
+
+
+def best_response_strong_set_order(G: Game, player: str) -> Verdict:
+    """Whether the player's best responses rise in the strong set order over
+    the opponents' joint order, with the verdict and witness of
+    ``is_increasing_strong_set_order`` on ``best_response_correspondence``.
+
+    The strong set order is transitive on nonempty sets (Topkis 1998, §2.4)
+    and any s <= s' of the opponents' product is joined by a chain of
+    ``lattice.cover_pairs``, so only each distinct best-response mask
+    against itself (a sublattice) and each distinct pair of masks on a
+    cover pair are tested, with no labels and no cap.  A failing check runs
+    the correspondence scan, under ``CORRESPONDENCE_CAP``, for the least
+    witness; a scan that finds none raises ``TheoremFalsified``.  Two
+    opponent profiles can share a label only if an opponent label holds
+    ``,``; when two do, the scan runs at once and raises ``DuplicateLabel``.
+    """
+    i = G.player_index(player)
+    own, stride = G.factors[i], G.strides[i]
+    others = G.factors[:i] + G.factors[i + 1:]
+    masks = [G._br(i, top + r) for top in range(0, G.profile_count, stride * own.n)
+             for r in range(stride)]
+    if any("," in label for f in others for label in f.labels):
+        labels = set(map(tuple_label, itertools.product(*(f.labels for f in others))))
+        if len(labels) < len(masks):
+            return is_increasing_strong_set_order(best_response_correspondence(G, player))
+    lows, highs = cover_pairs(others)
+    pairs = {(m, m) for m in masks}
+    pairs.update(zip(map(masks.__getitem__, lows), map(masks.__getitem__, highs)))
+    if not any(strong_set_witness(own, lo, hi) for lo, hi in pairs):
+        return Verdict(True)
+    verdict = is_increasing_strong_set_order(best_response_correspondence(G, player))
+    if verdict.holds:
+        raise TheoremFalsified("best responses failed the strong set order on a cover pair "
+                               "but the correspondence scan found no witness")
+    return verdict

@@ -10,6 +10,7 @@ are cached on first read, and a row built twice is the same row.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -325,6 +326,23 @@ def radix_strides(factors) -> tuple:
         strides.append(stride)
         stride *= f.n
     return tuple(reversed(strides))
+
+
+def cover_pairs(factors) -> tuple:
+    """The cover pairs of the product of ``factors`` as two parallel lists
+    of flat indexes in ``radix_strides`` order: ``lows[k]`` is covered by
+    ``highs[k]``.  Each pair moves one factor up one cover and fixes the
+    others; every pair s <= s' of the product is joined by a chain of them."""
+    count = math.prod(f.n for f in factors)
+    lows, highs = [], []
+    for f, stride in zip(factors, radix_strides(factors)):
+        block = stride * f.n
+        for lo, hi in f.covers:
+            lo, hi = f.index[lo] * stride, f.index[hi] * stride
+            for top in range(0, count, block):
+                lows.extend(range(top + lo, top + lo + stride))
+                highs.extend(range(top + hi, top + hi + stride))
+    return lows, highs
 
 
 def split_columns(factors, table, part) -> list:

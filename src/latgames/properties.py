@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 from .errors import (CarrierMismatch, LabeledCodomainUnsupported, NotAProductDomain,
                      TheoremFalsified)
 from .functions import LatticeFunction, integer_values
-from .lattice import (FiniteLattice, componentwise_up, iter_bits, radix_strides, split_columns,
-                      tuple_label)
+from .lattice import (FiniteLattice, componentwise_up, cover_pairs, iter_bits, radix_strides,
+                      split_columns, tuple_label)
 from .topology import ClosedFamily
 from .verdict import Verdict
 
@@ -203,15 +203,7 @@ def single_crossing_witness(p_factors, q_factors, columns, step=_signs):
     single-crossing clause that fails.  Both walks read the strict up-sets
     of ``componentwise_up``, a ascending and then b ascending.
     """
-    count = len(columns[0])
-    lows, highs = [], []
-    for f, stride in zip(q_factors, radix_strides(q_factors)):
-        block = stride * f.n
-        for lo, hi in f.covers:
-            lo, hi = f.index[lo] * stride, f.index[hi] * stride
-            for top in range(0, count, block):
-                lows.extend(range(top + lo, top + lo + stride))
-                highs.extend(range(top + hi, top + hi + stride))
+    lows, highs = cover_pairs(q_factors)
     ps = _block_elements(p_factors)
     for a, row in enumerate(componentwise_up(p_factors, ps)):
         for b in iter_bits(row & ~(1 << a)):

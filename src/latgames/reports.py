@@ -5,16 +5,11 @@ canonical so reports are stable enough for golden-file comparison.
 """
 from __future__ import annotations
 
-from .argmax import (
-    is_increasing_strong_set_order,
-    is_increasing_weak_veinott,
-    level_correspondence,
-    verify_kuku,
-)
+from .argmax import is_increasing_weak_veinott, level_correspondence, verify_kuku
 from .functions import LatticeFunction
 from .games import (
     Game,
-    best_response_correspondence,
+    best_response_strong_set_order,
     tarski_extremes,
     validate_game,
     verify_equilibrium_structure,
@@ -173,8 +168,7 @@ def zhou_report(G: Game, cap: int = 1_000_000) -> tuple:
     lines.append(_flag_line("complete-lattice", bool(report.is_complete_lattice)))
     ok = ok and report.count > 0 and bool(report.is_complete_lattice)
     for p in G.players:
-        corr = best_response_correspondence(G, p)
-        v = is_increasing_strong_set_order(corr)
+        v = best_response_strong_set_order(G, p)
         lines.append(property_line(f"best-response-strong-set-order:{p}", v))
         ok = ok and v.holds
     if validated.holds:

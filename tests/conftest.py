@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -351,6 +352,15 @@ def oracle_validate_game(G) -> Verdict:
                         ("player", player), ("check", "single-crossing"), ("p", p),
                         ("p2", p2), ("q", opps[c]), ("q2", opps[d]), ("clause", clause)))
     return Verdict(True)
+
+
+def plateau_game(factors) -> Game:
+    """Constant payoffs, so every profile is an equilibrium and every best
+    response is the whole strategy set."""
+    players = [f"p{k}" for k in range(1, len(factors) + 1)]
+    count = math.prod(f.n for f in factors)
+    return Game(players, dict(zip(players, factors)), dict.fromkeys(players, RATIONAL),
+                {p: [0] * count for p in players})
 
 
 def profile_leq(G, a, b) -> bool:

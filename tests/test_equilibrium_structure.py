@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import Counter
 
 import pytest
@@ -24,7 +23,7 @@ from latgames.generators import chain_lattice, diamond, random_lattice
 from latgames.io import load_path
 from latgames.rng import Xoshiro256StarStar
 
-from conftest import RATIONAL, brute_nash_set, profile_leq
+from conftest import RATIONAL, brute_nash_set, plateau_game, profile_leq
 
 
 # ------------------------------------------------------------------ oracle
@@ -95,14 +94,6 @@ def _constant_chain_game(size: int) -> Game:
     table = dict.fromkeys(profiles, 0)
     return Game(["1", "2"], {"1": chain, "2": chain}, {"1": RATIONAL, "2": RATIONAL},
                 {"1": table, "2": table})
-
-
-def _plateau(factors) -> Game:
-    """Constant payoffs, so every profile is an equilibrium."""
-    players = [f"p{k}" for k in range(1, len(factors) + 1)]
-    count = math.prod(f.n for f in factors)
-    return Game(players, dict(zip(players, factors)), dict.fromkeys(players, RATIONAL),
-                {p: [0] * count for p in players})
 
 
 def _chain(size: int):
@@ -247,7 +238,7 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("sizes", [(8, 8), (4, 4, 4), (32, 32)])
 def test_plateaus_take_the_projection_test(monkeypatch, sizes):
-    G = _plateau([_chain(n) for n in sizes])
+    G = plateau_game([_chain(n) for n in sizes])
     if sizes == (32, 32):
         # The O(|E|^3) oracle is too slow at |E| = 1024; E is the whole
         # product, a sublattice with the top and bottom profiles.
@@ -296,7 +287,7 @@ def test_chain_sublattices_and_the_same_less_one_profile(monkeypatch):
 
 def test_diamond_games_never_take_the_projection_test(monkeypatch, star_diamond_game):
     monkeypatch.setattr(games, "_pair_closed", _refuse)
-    for G in (_plateau([diamond(), diamond()]), _plateau([diamond(), _chain(3)]),
+    for G in (plateau_game([diamond(), diamond()]), plateau_game([diamond(), _chain(3)]),
               star_diamond_game):
         assert_matches_oracle(G)
 
@@ -304,4 +295,4 @@ def test_diamond_games_never_take_the_projection_test(monkeypatch, star_diamond_
 def test_a_projection_failure_the_scan_cannot_confirm_is_loud(monkeypatch):
     monkeypatch.setattr(games, "_pair_closed", lambda rows: False)
     with pytest.raises(TheoremFalsified):
-        verify_equilibrium_structure(_plateau([_chain(8), _chain(8)]))
+        verify_equilibrium_structure(plateau_game([_chain(8), _chain(8)]))
