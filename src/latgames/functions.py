@@ -75,15 +75,10 @@ class ChainCodomain:
     def ranks(self, values) -> list:
         """Dense ranks 0..k-1 of validated values in chain order: equal values
         share a rank, and a strictly increasing map leaves every rank as it
-        is.  One sort of the distinct values ranks them: rationals as their
-        ``integer_values`` where those exist, any others as fractions;
-        labels by position."""
+        is.  Rationals are ranked by ``rational_ranks``, labels by position."""
         if self.kind == RATIONAL:
-            keys = integer_values(values) or values
-        else:
-            keys = list(map(self._positions.__getitem__, values))
-        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
-        return list(map(rank.__getitem__, keys))
+            return rational_ranks(list(map(Fraction.as_integer_ratio, values)))
+        return _dense_ranks(list(map(self._positions.__getitem__, values)))
 
     def __eq__(self, other):
         if not isinstance(other, ChainCodomain):
@@ -99,16 +94,38 @@ class ChainCodomain:
         return f"ChainCodomain.labeled({list(self.labels)!r})"
 
 
-def integer_values(values) -> list | None:
-    """Nonempty rationals ``values`` as integers over their least common
-    denominator, in order, or None when it is 2**64 or more.  Sums and
-    differences of the integers compare exactly as those of the values do."""
+def _dense_ranks(keys) -> list:
+    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return list(map(rank.__getitem__, keys))
+
+
+def _over_common_denominator(pairs) -> list | None:
+    """The rationals n/d of the integer pairs (n, d), d > 0, as integers over
+    their least common denominator, in order, or None when it is 2**64 or
+    more.  Sums and differences of the integers compare exactly as those of
+    the rationals do."""
     common = 1
-    for d in {v.denominator for v in values}:
+    for d in {d for _, d in pairs}:
         common = math.lcm(common, d)
         if common >> 64:
             return None
-    return [v.numerator * (common // v.denominator) for v in values]
+    return [n * (common // d) for n, d in pairs]
+
+
+def rational_ranks(pairs) -> list:
+    """Dense ranks of the rationals n/d of the integer pairs (n, d), d > 0 and
+    not necessarily in lowest terms: one sort of their integers over the
+    least common denominator when it is below 2**64 (so keys stay
+    machine-word sized), else of their ``Fraction``s.  This is the one
+    ranking of rationals, for parsed payoffs and for ``ChainCodomain``."""
+    keys = _over_common_denominator(pairs)
+    return _dense_ranks(keys if keys is not None else [Fraction(n, d) for n, d in pairs])
+
+
+def integer_values(values) -> list | None:
+    """Nonempty rationals ``values`` as integers over their least common
+    denominator (``_over_common_denominator``), or None."""
+    return _over_common_denominator(list(map(Fraction.as_integer_ratio, values)))
 
 
 def image_map(image, t) -> dict:

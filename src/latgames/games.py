@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .argmax import Correspondence, is_increasing_strong_set_order, strong_set_witness
 from .errors import (
@@ -41,17 +42,21 @@ class Game:
     ``values[p]`` holds player ``p``'s exact payoffs and ``ranks[p]`` their
     dense ranks (``ChainCodomain.ranks``), both flat lists indexed by the
     profile index, which enumerates profiles in ``profiles()`` order; every
-    check compares ranks.  ``payoffs[p]``, the same table keyed by profile
-    tuples, is built on first use.  Instances are immutable after
+    check compares ranks.  The values of a player ranked by the parser are
+    built on first read of ``values``.  ``payoffs[p]``, the same table keyed
+    by profile tuples, is built on first use.  Instances are immutable after
     construction (the lists are never written to); caches are fill-once.
     The flat tables are lists rather than tuples because CPython keeps up
     to 2000 freed tuples of each length below 20 for reuse, so tables of
     short games of many sizes would stay resident after their games die.
     """
 
-    def __init__(self, players, strategies, codomains, payoffs, topologies=None):
+    def __init__(self, players, strategies, codomains, payoffs, topologies=None, _images=None):
         """``payoffs[p]`` maps each joint profile to a value in player ``p``'s
-        codomain, or lists the values in ``profiles()`` order."""
+        codomain, or lists the values in ``profiles()`` order.  For a player
+        of ``_images`` (``io``'s payoff reader) it lists the dense ranks in
+        that order instead, and ``_images[p]`` the rational of each rank as
+        an integer pair (numerator, denominator)."""
         self.players = tuple(players)
         if not self.players:
             raise StructuralError("a game needs at least one player")
@@ -80,14 +85,18 @@ class Game:
         self.topologies = dict(topologies) if topologies else {}
         self.factors = tuple(self.strategies[p] for p in self.players)
         self.strides = radix_strides(self.factors)
-        self.values = {}
-        self.ranks = {}
+        self._images = _images or None
+        self._values, self.ranks = {}, {}
         for p in self.players:
+            if self._images and p in self._images:
+                self._values[p], self.ranks[p] = None, payoffs[p]
+                continue
             codomain = self.codomains[p]
-            self.values[p] = list(map(codomain.validate, self._flat(p, payoffs[p])))
-            self.ranks[p] = codomain.ranks(self.values[p])
+            values = self._values[p] = list(map(codomain.validate, self._flat(p, payoffs[p])))
+            self.ranks[p] = codomain.ranks(values)
         self._payoffs = None
         self._br_cache = [{} for _ in self.players]
+        self._covers = [None] * len(self.players)
         self._validation = None
         self._equilibria = None
 
@@ -109,6 +118,20 @@ class Game:
         raise InvariantViolation(
             f"payoff table for player {player!r} must be total over the joint profiles; "
             f"missing e.g. {sorted(expected - got)[:3]}, unknown e.g. {sorted(got - expected)[:3]}")
+
+    @property
+    def values(self) -> dict:
+        if self._images is not None:
+            self._build_values()
+            self._images = None
+        return self._values
+
+    def _build_values(self):
+        """Fill in the values of the ``_images`` players, read off their
+        images by rank."""
+        for p, pairs in self._images.items():
+            image = [Fraction(n, d) for n, d in pairs]
+            self._values[p] = list(map(image.__getitem__, self.ranks[p]))
 
     @property
     def payoffs(self) -> dict:
@@ -159,6 +182,12 @@ class Game:
     def _opp_labels(self, i: int, base: int) -> tuple:
         profile = self.labels_at(self.coords(base))
         return profile[:i] + profile[i + 1:]
+
+    def _opponent_covers(self, i: int) -> tuple:
+        """``lattice.cover_pairs`` of player i's opponents; cached."""
+        if self._covers[i] is None:
+            self._covers[i] = cover_pairs(self.factors[:i] + self.factors[i + 1:])
+        return self._covers[i]
 
     def _br(self, i: int, base: int) -> int:
         """Bitmask over S_i of player i's best responses to the opponents at
@@ -215,7 +244,7 @@ def validate_game(G: Game) -> Verdict:
     for i, player in enumerate(G.players):
         factor = G.factors[i]
         # columns[s][c]: the rank at own label index s against the c-th opponent profile
-        columns = split_columns(G.factors, G.ranks[player], (i,))
+        columns = split_columns(G.factors, G.ranks[player], (i,), G.strides)
         hit = qsm_witness(factor, list(zip(*columns)))
         if hit is not None:
             c, x, y, clause = hit
@@ -224,7 +253,8 @@ def validate_game(G: Game) -> Verdict:
                 ("opponents", list(G.opp_profiles(i))[c]),
                 ("x", factor.labels[x]), ("y", factor.labels[y]), ("clause", clause)))
             break
-        hit = single_crossing_witness([factor], G.factors[:i] + G.factors[i + 1:], columns)
+        hit = single_crossing_witness([factor], G.factors[:i] + G.factors[i + 1:], columns,
+                                      covers=G._opponent_covers(i))
         if hit is not None:
             p, p2, q, q2, clause = hit
             opponents = list(G.opp_profiles(i))
@@ -499,7 +529,7 @@ def best_response_strong_set_order(G: Game, player: str) -> Verdict:
         labels = set(map(tuple_label, itertools.product(*(f.labels for f in others))))
         if len(labels) < len(masks):
             return is_increasing_strong_set_order(best_response_correspondence(G, player))
-    lows, highs = cover_pairs(others)
+    lows, highs = G._opponent_covers(i)
     pairs = {(m, m) for m in masks}
     pairs.update(zip(map(masks.__getitem__, lows), map(masks.__getitem__, highs)))
     if not any(strong_set_witness(own, lo, hi) for lo, hi in pairs):

@@ -12,14 +12,14 @@ or a bare integer string; floats are rejected to keep everything exact.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import LatGamesError, ParseError
-from .functions import ChainCodomain, LatticeFunction
+from .functions import ChainCodomain, LatticeFunction, ranked_image, rational_ranks
 from .games import Game
 from .lattice import FiniteLattice, check_lattice, poset_from_covers, product_lattice, radix_strides
 from .topology import EXPLICIT, KINDS, TopologySpec
@@ -30,8 +30,9 @@ _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 MAX_EXPONENT = 4300  # Python's default digit limit for reading an int
 
 
-def parse_value(raw):
-    """Exact rational from an int or a "p" / "p/q" string.
+def read_pair(raw) -> tuple:
+    """Exact rational from an int or a "p" / "p/q" string, as an integer pair
+    (numerator, denominator > 0), not necessarily in lowest terms.
 
     A plain ASCII ``-?digits[/digits]`` string is split and read by ``int``;
     anything else (signs, spaces, decimals, exponents, other digits) goes
@@ -43,23 +44,29 @@ def parse_value(raw):
         try:
             if _PLAIN_RATIONAL.fullmatch(raw):
                 numerator, _, denominator = raw.partition("/")
-                if denominator:
-                    return Fraction(int(numerator), int(denominator))
-                return Fraction(int(numerator))
+                pair = int(numerator), int(denominator or 1)
+                if pair[1]:
+                    return pair
+                raise ZeroDivisionError
             exponent = _EXPONENT.search(raw)
             if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent[1]} of {raw!r} exceeds the cap of "
                                  f"±{MAX_EXPONENT}")
-            return Fraction(raw)
+            return Fraction(raw).as_integer_ratio()
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"cannot read {raw!r} as an exact rational") from exc
     if isinstance(raw, bool):
         raise ParseError(f"boolean {raw!r} is not a rational value")
     if isinstance(raw, int):
-        return Fraction(raw)
+        return raw, 1
     if isinstance(raw, float):
         raise ParseError("floating-point values are rejected; use exact \"p/q\" strings")
     raise ParseError(f"cannot read {raw!r} as an exact rational")
+
+
+def parse_value(raw) -> Fraction:
+    """``read_pair`` as a ``Fraction``."""
+    return Fraction(*read_pair(raw))
 
 
 def _expect(obj, field, kind, where):
@@ -190,57 +197,85 @@ def topology_obj(spec: TopologySpec) -> dict:
     return {"kind": spec.kind}
 
 
-def _payoff_tables(players, factors, codomains, payoffs_obj, where) -> dict:
-    """Each player's payoff rows, each read once in document order, checked
-    for profile object, missing coordinate, label strings, unknown players,
-    duplicate, ``value`` field and value, the first fault raised.  A row is
-    placed at its profile index through per-player ``{label: label index ·
-    stride}`` slots.  Rows with an unknown label go into a profile-keyed side
-    table; a table that is not total comes out profile-keyed, so that
-    ``Game`` reports it after every row of every player has been read.
-    Labeled values are checked against their chain by ``Game``."""
+def _payoff_columns(rows, players, slots, count, codomain):
+    """A player's payoff rows read column by column with C-level ``map``:
+    the profile dicts, each player's ``{label: label index · stride}`` slot
+    of them, summed into profile indexes, and the ``value`` fields.  Each
+    distinct rational value is read once by ``read_pair`` and ranked by
+    ``rational_ranks``; the result is the ranks in profile-index order and
+    the integer pair of each rank.  Labeled values come back as they are.
+    None on any anomaly: a row or profile that is not an object, a profile
+    that does not name exactly the players, an unknown label, a duplicate,
+    a missing or unreadable value, or a table that is not total."""
+    try:
+        profiles = list(map(itemgetter("profile"), rows))
+        index = list(map(sum, zip(*[map(slot.__getitem__, map(itemgetter(p), profiles))
+                                    for p, slot in zip(players, slots)])))
+        placed = dict(zip(index, map(itemgetter("value"), rows)))
+    except (KeyError, TypeError):
+        return None
+    if len(rows) != count or len(placed) != count or set(map(len, profiles)) != {len(players)}:
+        return None
+    raws = list(map(placed.__getitem__, range(count)))
+    types = set(map(type, raws))
+    if not codomain.is_rational:
+        return raws if types == {str} else None
+    if not types <= {str, int}:  # bool, float, null, list and object values are faults
+        return None
+    distinct = list(dict.fromkeys(raws))
+    try:
+        pairs = list(map(read_pair, distinct))
+    except ParseError:
+        return None
+    ranks = rational_ranks(pairs)
+    rank_of = dict(zip(distinct, ranks))
+    return list(map(rank_of.__getitem__, raws)), ranked_image(pairs, ranks)
+
+
+def _payoff_rows(rows, players, codomain, at) -> dict:
+    """A player's payoff rows read one at a time, in document order, into a
+    profile-keyed table, each checked for profile object, missing
+    coordinate, label strings, unknown players, duplicate, ``value`` field
+    and value, the first fault raised.  ``_payoff_tables`` runs it only on
+    rows that its column pass finds anomalous, to name the fault."""
+    table, memo = {}, {}
+    for row in rows:
+        profile_map = _expect(row, "profile", dict, at)
+        try:
+            profile = tuple(map(profile_map.__getitem__, players))
+        except KeyError as exc:
+            raise ParseError(f"{at}: profile missing coordinate {exc}") from None
+        _labels(list(profile), at, "profile coordinates")
+        if len(profile_map) != len(players):
+            raise ParseError(f"{at}: profile names unknown players")
+        if profile in table:
+            raise ParseError(f"{at}: duplicate profile {profile}")
+        table[profile] = _read_table_value(codomain, _expect(row, "value", None, at), at, memo)
+    return table
+
+
+def _payoff_tables(players, factors, codomains, payoffs_obj, where) -> tuple:
+    """``Game``'s ``payoffs`` and ``_images`` from the players' payoff rows,
+    read player by player by ``_payoff_columns``.  A player whose rows it
+    finds anomalous is read again by ``_payoff_rows``, which raises the
+    first fault in document order or, for a table with an unknown label or
+    one that is not total, returns it profile-keyed, so that ``Game``
+    reports it after every row of every player has been read.  Labeled
+    values are checked against their chain by ``Game``."""
     slots = [{label: k * stride for k, label in enumerate(f.labels)}
              for f, stride in zip(factors, radix_strides(factors))]
     count = math.prod(f.n for f in factors)
-    payoffs, cache = {}, {}
+    payoffs, images = {}, {}
     for p in players:
-        at = f"{where}.payoffs[{p}]"
         rows = _expect(payoffs_obj, p, list, f"{where}.payoffs")
-        codomain = codomains[p]
-        memo = cache if codomain.is_rational else {}  # the cache holds rationals
-        flat, unknown, placed = [None] * count, {}, 0
-        for row in rows:
-            profile_map = row.get("profile") if type(row) is dict else None
-            if type(profile_map) is not dict:
-                profile_map = _expect(row, "profile", dict, at)
-            try:
-                profile = tuple(map(profile_map.__getitem__, players))
-            except KeyError as exc:
-                raise ParseError(f"{at}: profile missing coordinate {exc}") from None
-            try:
-                k = sum(map(dict.__getitem__, slots, profile))
-            except (KeyError, TypeError):
-                _labels(list(profile), at, "profile coordinates")
-                k = None
-            if len(profile_map) != len(players):
-                raise ParseError(f"{at}: profile names unknown players")
-            if (profile in unknown) if k is None else (flat[k] is not None):
-                raise ParseError(f"{at}: duplicate profile {profile}")
-            raw = row["value"] if "value" in row else _expect(row, "value", None, at)
-            value = memo.get(raw) if type(raw) is str else None
-            if value is None:
-                value = _read_table_value(codomain, raw, at, memo)
-            if k is None:
-                unknown[profile] = value
-            else:
-                flat[k] = value
-                placed += 1
-        if placed < count or unknown:
-            profiles = itertools.product(*(f.labels for f in factors))
-            flat = {profile: v for profile, v in zip(profiles, flat) if v is not None}
-            flat.update(unknown)
-        payoffs[p] = flat
-    return payoffs
+        read = _payoff_columns(rows, players, slots, count, codomains[p])
+        if read is None:
+            payoffs[p] = _payoff_rows(rows, players, codomains[p], f"{where}.payoffs[{p}]")
+        elif codomains[p].is_rational:
+            payoffs[p], images[p] = read
+        else:
+            payoffs[p] = read
+    return payoffs, images
 
 
 def parse_game(obj, where: str = "game") -> Game:
@@ -254,8 +289,8 @@ def parse_game(obj, where: str = "game") -> Game:
     codomains = {p: parse_codomain(_expect(codomains_obj, p, dict, f"{where}.codomains"),
                                    where=f"{where}.codomains[{p}]")
                  for p in players}
-    payoffs = _payoff_tables(players, [strategies[p] for p in players], codomains,
-                             payoffs_obj, where)
+    payoffs, images = _payoff_tables(players, [strategies[p] for p in players], codomains,
+                                     payoffs_obj, where)
     topologies = None
     if "topologies" in obj:
         topologies = {}
@@ -265,7 +300,8 @@ def parse_game(obj, where: str = "game") -> Game:
         for p, t in topo_obj.items():
             topologies[p] = parse_topology(t, where=f"{where}.topologies[{p}]")
     try:
-        return Game(players, strategies, codomains, payoffs, topologies=topologies)
+        return Game(players, strategies, codomains, payoffs, topologies=topologies,
+                    _images=images)
     except LatGamesError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 

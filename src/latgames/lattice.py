@@ -345,7 +345,7 @@ def cover_pairs(factors) -> tuple:
     return lows, highs
 
 
-def split_columns(factors, table, part) -> list:
+def split_columns(factors, table, part, strides=None) -> list:
     """``columns[p][q]``, the entry of ``table``, flat in ``radix_strides``
     order over ``factors``, at the P-block tuple p and the Q-block tuple q.
     P is the factors of ``part`` in that order, Q the others in factor
@@ -353,8 +353,9 @@ def split_columns(factors, table, part) -> list:
     after the last one of ``part`` form a contiguous run of the layout, so
     each column is read as slices of that run, one per ``heads`` entry (the
     Q factors before it): a single slice, or single entries when the run
-    is one long."""
-    strides = radix_strides(factors)
+    is one long.  ``strides`` are the factors' ``radix_strides``, when the
+    caller holds them."""
+    strides = strides or radix_strides(factors)
     last = max(part)
     run = strides[last]
     heads, offsets = [0], [0]

@@ -187,7 +187,7 @@ def _differences(hi, lo) -> list:
     return list(map(operator.sub, hi, lo))
 
 
-def single_crossing_witness(p_factors, q_factors, columns, step=_signs):
+def single_crossing_witness(p_factors, q_factors, columns, step=_signs, covers=None):
     """Least violation ``(p, p2, q, q2, clause)`` of a rising step, or None.
 
     Blocks are flat-indexed in canonical nested order and ``columns[p][q]``
@@ -199,11 +199,12 @@ def single_crossing_witness(p_factors, q_factors, columns, step=_signs):
     pairs of Q, read off each factor's covers at its mixed-radix stride.
     The first failing pair alone is rescanned over all q <= q2 in canonical
     order; every earlier pair is clean, so that witness is the least one.
+    ``covers`` are Q's ``cover_pairs``, when the caller holds them.
     ``clause`` is "weak" when s[q2] < 0 and "strict" otherwise, the
     single-crossing clause that fails.  Both walks read the strict up-sets
     of ``componentwise_up``, a ascending and then b ascending.
     """
-    lows, highs = cover_pairs(q_factors)
+    lows, highs = covers or cover_pairs(q_factors)
     ps = _block_elements(p_factors)
     for a, row in enumerate(componentwise_up(p_factors, ps)):
         for b in iter_bits(row & ~(1 << a)):

@@ -1,8 +1,9 @@
 """Best-response correspondences as value masks over the opponents' up-rows,
 and zhou's cover-pair check ``games.best_response_strong_set_order``, both
 against the label-level scan ``conftest.oracle_strong_set_order``; the
-stdout of a failing ``verify --theorem zhou``; and the correspondence cap,
-which guards only the scan a failing check runs for its witness."""
+stdout of a failing ``verify --theorem zhou``; the correspondence cap,
+which guards only the scan a failing check runs for its witness; and one
+build of each player's opponent cover pairs per game."""
 import itertools
 import json
 import math
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from latgames import (Game, argmax, best_response_correspondence, games,
-                      is_increasing_strong_set_order, reports)
+                      is_increasing_strong_set_order, properties, reports)
 from latgames.cli import main
 from latgames.errors import StateSpaceTooLarge, TheoremFalsified
 from latgames.games import best_response_strong_set_order, enumerate_nash, radix_strides
@@ -279,3 +280,21 @@ def test_opponent_labels_that_encode_alike_exit_two(capsys, tmp_path):
     assert capsys.readouterr().out == \
         "ERROR DuplicateLabel: product label '(a,b,c)' names two elements\n"
     assert main(["solve", str(path)]) == 0
+
+
+def test_zhou_builds_each_players_opponent_covers_once(monkeypatch, criterion_06_games):
+    built = []
+    cover_pairs = games.cover_pairs
+
+    def counting(factors):
+        built.append(len(factors))
+        return cover_pairs(factors)
+
+    monkeypatch.setattr(games, "cover_pairs", counting)
+    monkeypatch.setattr(properties, "cover_pairs", counting)
+    for G in criterion_06_games[:50]:
+        expected = reports.zhou_report(G)
+        fresh = Game(G.players, G.strategies, G.codomains, G.values)
+        before = len(built)
+        assert reports.zhou_report(fresh) == expected
+        assert built[before:] == [len(G.players) - 1] * len(G.players)

@@ -1,20 +1,29 @@
 """The payoff reader of ``io.parse`` against ``oracle_parse_game``, the
-row-by-row reader it replaced: on mutated payoff rows of the corpus games
-and on the criterion-06 games read back, both give the same ``ParseError``
-text or equal players, values and ranks."""
+row-by-row reader it replaced: on mutated payoff rows of the corpus games,
+on the criterion-06 games read back and on hand-made value spellings, both
+give the same ``ParseError`` text or equal players, values and ranks.  A
+valid document is read by the column pass alone, and a parsed game builds
+its exact ``values`` only when something reads them."""
 from __future__ import annotations
 
 import copy
 import json
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_parse_game
+from latgames import io
+from latgames.cli import main
 from latgames.corpus import DATA
 from latgames.errors import ParseError
+from latgames.games import Game
+from latgames.generators import random_game, random_strictly_increasing_map
 from latgames.io import detect_kind, parse, serialize
+from latgames.rng import Xoshiro256StarStar
 
 GAMES = {}
 for path in sorted(DATA.glob("*.json")):
@@ -115,3 +124,119 @@ def test_criterion_06_games_read_back_as_the_oracle_reads_them(criterion_06_game
     for G in criterion_06_games:
         players, values, ranks = assert_same_reading(serialize(G))
         assert (players, values, ranks) == (G.players, G.values, G.ranks)
+
+
+@pytest.fixture
+def no_row_loop(monkeypatch):
+    """Make the row-by-row fault finder raise: the document must be read by
+    the column pass alone."""
+    def refuse(*args):
+        raise AssertionError("a valid document entered the row loop")
+
+    monkeypatch.setattr(io, "_payoff_rows", refuse)
+
+
+@pytest.fixture
+def values_built(monkeypatch):
+    """The games whose exact values were built, one entry per build."""
+    built = []
+    build = Game._build_values
+
+    def counting(self):
+        built.append(self)
+        return build(self)
+
+    monkeypatch.setattr(Game, "_build_values", counting)
+    return built
+
+
+def chain_game(values) -> dict:
+    """A one-player game on a chain with one strategy per value."""
+    labels = [f"s{k}" for k in range(len(values))]
+    return {"players": ["p"],
+            "strategies": {"p": {"elements": labels, "covers": [list(c) for c in zip(labels, labels[1:])]}},
+            "codomains": {"p": {"kind": "rational"}},
+            "payoffs": {"p": [{"profile": {"p": s}, "value": v} for s, v in zip(labels, values)]}}
+
+
+def shuffled(doc, seed) -> dict:
+    doc = copy.deepcopy(doc)
+    for rows in doc["payoffs"].values():
+        random.Random(seed).shuffle(rows)
+    return doc
+
+
+def test_spellings_of_one_value_share_a_rank(no_row_loop):
+    text = json.dumps(chain_game(["1/2", "2/4", " 1/2 ", "0.5", "5e-1", 1, "1", "-3/6"]))
+    _, values, ranks = assert_same_reading(text)
+    assert ranks["p"] == [1, 1, 1, 1, 1, 2, 2, 0]
+    assert values["p"] == [Fraction(1, 2)] * 5 + [1, 1, Fraction(-1, 2)]
+
+
+def test_denominators_past_two_to_the_64_rank_exactly(no_row_loop):
+    # lcm(2**40, 3**30) is about 2**87.5; 3/3**31 and 1/3**30 are one value
+    values = ["1/1099511627776", "1/205891132094649", "3/617673396283947", "-1/3",
+              "2/2", "0", "1/205891132094650", "2/2199023255552"]
+    _, got, ranks = assert_same_reading(json.dumps(chain_game(values)))
+    distinct = sorted(set(map(Fraction, values)))
+    assert ranks["p"] == [distinct.index(Fraction(v)) for v in values]
+    assert got["p"] == list(map(Fraction, values))
+
+
+def test_valid_documents_are_read_by_columns_in_any_row_order(no_row_loop, criterion_06_games):
+    docs = list(GAMES.values()) + [json.loads(serialize(G)) for G in criterion_06_games[:100]]
+    for k, doc in enumerate(docs):
+        canonical = assert_same_reading(json.dumps(doc))
+        assert assert_same_reading(json.dumps(shuffled(doc, k))) == canonical
+
+
+def test_labeled_and_faulty_tables_read_as_the_oracle_reads_them():
+    doc = GAMES["game_step_grid6"]
+    labeled = copy.deepcopy(doc)
+    _labeled(labeled, labeled["players"][0])
+    assert isinstance(assert_same_reading(json.dumps(shuffled(labeled, 1))), tuple)
+    short, unknown, off_chain = (copy.deepcopy(labeled) for _ in range(3))
+    p = labeled["players"][0]
+    del short["payoffs"][p][3]
+    unknown["payoffs"][p][3]["profile"][p] = "z"
+    off_chain["payoffs"][p][3]["value"] = "v999"
+    for faulty, fault in ((short, "must be total"), (unknown, "must be total"),
+                          (off_chain, "is not on the labeled chain")):
+        assert fault in assert_same_reading(json.dumps(faulty))
+
+
+def test_solve_and_zhou_never_build_values(tmp_path, capsys, values_built, criterion_06_games):
+    paths = [DATA / f"{name}.json" for name in GAMES]
+    for k, G in enumerate(criterion_06_games[:60]):
+        paths.append(tmp_path / f"g{k}.json")
+        paths[-1].write_text(serialize(G))
+    for path in paths:
+        main(["solve", str(path), "--method", "both"])
+        main(["verify", str(path), "--theorem", "zhou"])
+        main(["check-game", str(path)])
+    capsys.readouterr()
+    assert values_built == []
+    G = parse(paths[-1].read_text())[1]
+    serialize(G)
+    serialize(G)
+    assert values_built == [G]
+
+
+def test_parsed_games_write_back_byte_identical(criterion_06_games):
+    texts = [(DATA / f"{name}.json").read_text() for name in GAMES]
+    texts += [serialize(G) for G in criterion_06_games]
+    for text in texts:
+        assert serialize(parse(text)[1]) == text
+
+
+def test_readers_of_exact_values_get_fractions():
+    rng = Xoshiro256StarStar(0x5EED_0020)
+    for _ in range(20):
+        made = random_game(rng, max_players=3, max_size=4)
+        G = parse(serialize(made))[1]
+        p = G.players[-1]
+        assert all(type(v) is Fraction for v in made.values[p])
+        assert all(type(v) is Fraction for v in G.payoffs[p].values())
+        H = G.transformed(p, random_strictly_increasing_map(rng, set(G.values[p])))
+        assert all(type(v) is Fraction for q in H.players for v in H.values[q])
+        assert (H.ranks, G.values) == (G.ranks, made.values)
