@@ -27,10 +27,9 @@ from .errors import (
     TheoremFalsified,
 )
 from .functions import LatticeFunction, image_map, ranked_image
-from .lattice import (FinitePoset, componentwise_up, cover_pairs, extremal_in, extremes,
-                      iter_bits, pairwise_bounds, product_elements, radix_strides,
+from .lattice import (FinitePoset, chain_ranks, componentwise_up, cover_pairs, extremal_in,
+                      extremes, iter_bits, pairwise_bounds, product_elements, radix_strides,
                       split_columns, tuple_label, validate_label)
-from .topology import explicit_closed_family
 from .verdict import Verdict
 
 CORRESPONDENCE_CAP = 4096
@@ -49,9 +48,13 @@ class Game:
     The flat tables are lists rather than tuples because CPython keeps up
     to 2000 freed tuples of each length below 20 for reuse, so tables of
     short games of many sizes would stay resident after their games die.
+
+    A game is order data only: each strategy set carries its interval
+    closed sets, on a finite lattice all its subsets
+    (``interval_closed_family``), so a game declares none.
     """
 
-    def __init__(self, players, strategies, codomains, payoffs, topologies=None, _images=None):
+    def __init__(self, players, strategies, codomains, payoffs, _images=None):
         """``payoffs[p]`` maps each joint profile to a value in player ``p``'s
         codomain, or lists the values in ``profiles()`` order.  For a player
         of ``_images`` (``io``'s payoff reader) it lists the dense ranks in
@@ -73,16 +76,6 @@ class Game:
                                       f"missing {missing}, extra {extra}")
         self.strategies = {p: strategies[p] for p in self.players}
         self.codomains = {p: codomains[p] for p in self.players}
-        if topologies is not None:
-            extra = [p for p in topologies if p not in self.players]
-            if extra:
-                raise StructuralError(f"topologies declared for unknown players {extra}")
-            for p, spec in topologies.items():
-                if spec.kind == "explicit":
-                    # building the family validates the closed-family axioms
-                    # against the player's strategy labels
-                    explicit_closed_family(strategies[p].labels, spec.closed_sets)
-        self.topologies = dict(topologies) if topologies else {}
         self.factors = tuple(self.strategies[p] for p in self.players)
         self.strides = radix_strides(self.factors)
         self._images = _images or None
@@ -226,8 +219,7 @@ class Game:
         by_rank = [mapped[v] for v in image]
         payoffs = dict(self.values)
         payoffs[player] = [by_rank[r] for r in self.ranks[player]]
-        return Game(self.players, self.strategies, self.codomains, payoffs,
-                    topologies=self.topologies or None)
+        return Game(self.players, self.strategies, self.codomains, payoffs)
 
 
 def validate_game(G: Game) -> Verdict:
@@ -418,14 +410,13 @@ def _chain_sublattice(factors, coords) -> bool | None:
 
     On a product of chains a set is a sublattice iff (a) its projection on
     each pair of factors i < j is one, and (b) it holds every tuple whose
-    pairwise projections all lie in its own (Topkis 1998, §2.2).  A chain's
-    elements are ranked by the size of their up-sets, since label order
-    need not be chain order.  (b) counts, factor by factor, the tuples that
-    pass the projections so far; the set satisfies it iff the count is its
-    size.
+    pairwise projections all lie in its own (Topkis 1998, §2.2), read on
+    ``chain_ranks``, since label order need not be chain order.  (b) counts,
+    factor by factor, the tuples that pass the projections so far
+    (``_projection_count``); the set satisfies it iff the count is its size.
     """
-    ranks = [[f.n - row.bit_count() for row in f.up] for f in factors]
-    if any(len(set(r)) < len(r) for r in ranks):
+    ranks = list(map(chain_ranks, factors))
+    if None in ranks:
         return None
     points = [tuple(r[c] for r, c in zip(ranks, e)) for e in coords]
     proj = {}
@@ -436,17 +427,20 @@ def _chain_sublattice(factors, coords) -> bool | None:
         if not _pair_closed(rows):
             return False
     first = sum(1 << r for r in {p[0] for p in points})
+    return _projection_count(factors, proj, first, ()) == len(points)
 
-    def count(prefix) -> int:
-        d = len(prefix)
-        mask = factors[d].full if d else first
-        for i, t in enumerate(prefix):
-            mask &= proj[i, d][t]
-        if d == len(factors) - 1:
-            return mask.bit_count()
-        return sum(count(prefix + (t,)) for t in iter_bits(mask))
 
-    return count(()) == len(points)
+def _projection_count(factors, proj, first, prefix) -> int:
+    """The rank tuples extending ``prefix`` whose first coordinate is in the
+    mask ``first`` and whose pairwise projections all lie in ``proj``,
+    counted depth first, with the last factor's by ``bit_count``."""
+    d = len(prefix)
+    mask = factors[d].full if d else first
+    for i, t in enumerate(prefix):
+        mask &= proj[i, d][t]
+    if d == len(factors) - 1:
+        return mask.bit_count()
+    return sum(_projection_count(factors, proj, first, prefix + (t,)) for t in iter_bits(mask))
 
 
 def verify_equilibrium_structure(G: Game, cap: int = 1_000_000) -> NashReport:

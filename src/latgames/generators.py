@@ -18,6 +18,7 @@ from .games import Game, validate_game
 from .lattice import (
     FiniteLattice,
     FinitePoset,
+    chain_ranks,
     check_lattice,
     iter_bits,
     poset_from_covers,
@@ -222,9 +223,7 @@ def random_function(rng: Xoshiro256StarStar, L: FiniteLattice, strategy: str,
 
     codomain = ChainCodomain.rational()
     if strategy == SUPERMODULAR_THEN_TRANSFORM:
-        # a product of chains: every element of each factor is comparable to all
-        if L.factors is not None and all(f.up[x] | f.down[x] == f.full
-                                         for f in L.factors for x in range(f.n)):
+        if L.factors is not None and all(chain_ranks(f) is not None for f in L.factors):
             table = _grid_supermodular(rng, L)
         else:
             table = _shifted_upsets(rng, L)

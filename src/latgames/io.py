@@ -291,17 +291,8 @@ def parse_game(obj, where: str = "game") -> Game:
                  for p in players}
     payoffs, images = _payoff_tables(players, [strategies[p] for p in players], codomains,
                                      payoffs_obj, where)
-    topologies = None
-    if "topologies" in obj:
-        topologies = {}
-        topo_obj = obj["topologies"]
-        if not isinstance(topo_obj, dict):
-            raise ParseError(f"{where}: topologies must map players to topology objects")
-        for p, t in topo_obj.items():
-            topologies[p] = parse_topology(t, where=f"{where}.topologies[{p}]")
     try:
-        return Game(players, strategies, codomains, payoffs, topologies=topologies,
-                    _images=images)
+        return Game(players, strategies, codomains, payoffs, _images=images)
     except LatGamesError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -310,15 +301,12 @@ def game_obj(G: Game) -> dict:
     profiles = [dict(zip(G.players, profile)) for profile in G.profiles()]
     payoffs = {p: [{"profile": profile, "value": str(value)}
                    for profile, value in zip(profiles, G.values[p])] for p in G.players}
-    obj = {
+    return {
         "players": list(G.players),
         "strategies": {p: lattice_obj(G.strategies[p]) for p in G.players},
         "codomains": {p: codomain_obj(G.codomains[p]) for p in G.players},
         "payoffs": payoffs,
     }
-    if G.topologies:
-        obj["topologies"] = {p: topology_obj(t) for p, t in sorted(G.topologies.items())}
-    return obj
 
 
 def detect_kind(obj) -> str:

@@ -294,6 +294,15 @@ def inf_subset(L: FiniteLattice, labels) -> str:
     return L.labels[L._inf_mask(mask)]
 
 
+def chain_ranks(P: FinitePoset) -> list | None:
+    """Each element's rank, the number of elements below it, when ``P`` is a
+    chain; else None.  The rank is n - |up-set|, and the ranks are distinct
+    iff P is a chain: from the top down, the element with k elements
+    above it lies below all k of them, which are the k highest ranks."""
+    ranks = [P.n - row.bit_count() for row in P.up]
+    return ranks if len(set(ranks)) == P.n else None
+
+
 def componentwise_up(factors, coords, dual=False) -> list:
     """``up[i]``, the bitmask of the tuples in ``coords`` at or above
     ``coords[i]`` in the componentwise order of ``factors``; with ``dual``,

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 from .errors import (CarrierMismatch, LabeledCodomainUnsupported, NotAProductDomain,
                      TheoremFalsified)
 from .functions import LatticeFunction, integer_values
-from .lattice import (FiniteLattice, componentwise_up, cover_pairs, iter_bits, radix_strides,
-                      split_columns, tuple_label)
+from .lattice import (FiniteLattice, chain_ranks, componentwise_up, cover_pairs, iter_bits,
+                      radix_strides, split_columns, tuple_label)
 from .topology import ClosedFamily
 from .verdict import Verdict
 
@@ -54,19 +54,19 @@ def _qsm_fields(L: FiniteLattice, x: int, y: int, clause: str) -> tuple:
 def is_quasisupermodular(f: LatticeFunction) -> Verdict:
     """f(x) >= f(x^y) must force f(xvy) >= f(y), and strictly so for strict.
 
-    On a product of two chains (a factor is a chain iff its Hasse diagram
-    has n - 1 edges) the incomparable pairs are x = (a, d), y = (c, b) with
-    a < c and b < d, x^y = (a, b) and xvy = (c, d).  The clauses at (x, y)
-    are single crossing's with P = factor 1, and at (y, x) with P = factor
-    0, so f is quasisupermodular iff it is single crossing for both splits
-    (Topkis 1998, §2.2–2.4), decided by the cover-pair kernel.  When a split
-    fails, and on any other domain, ``qsm_witness`` scans, so the witness
-    is the least pair.  Three or more chains need the scan: single crossing
-    on every split does not give QSM there.
+    On a product of two chains (``lattice.chain_ranks``) the incomparable
+    pairs are x = (a, d), y = (c, b) with a < c and b < d, x^y = (a, b) and
+    xvy = (c, d).  The clauses at (x, y) are single crossing's with
+    P = factor 1, and at (y, x) with P = factor 0, so f is quasisupermodular
+    iff it is single crossing for both splits (Topkis 1998, §2.2–2.4),
+    decided by the cover-pair kernel.  When a split fails, and on any other
+    domain, ``qsm_witness`` scans, so the witness is the least pair.  Three
+    or more chains need the scan: single crossing on every split does not
+    give QSM there.
     """
     L = f.domain
     two_chains = (L.factors is not None and len(L.factors) == 2
-                  and all(len(c.covers) == c.n - 1 for c in L.factors))
+                  and all(chain_ranks(c) is not None for c in L.factors))
     if two_chains and not any(single_crossing_witness(P, Q, columns) for P, Q, _, _, columns
                               in (_split_columns(f, split, f.keys) for split in (0, 1))):
         return Verdict(True)

@@ -456,14 +456,8 @@ def oracle_parse_game(obj, where: str = "game") -> Game:
                 table[profile] = raw
             else:
                 raise ParseError(f"{at}: labeled values must be strings")
-    topologies = None
-    if "topologies" in obj:
-        if not isinstance(obj["topologies"], dict):
-            raise ParseError(f"{where}: topologies must map players to topology objects")
-        topologies = {p: io.parse_topology(t, where=f"{where}.topologies[{p}]")
-                      for p, t in obj["topologies"].items()}
     try:
-        return Game(players, strategies, codomains, payoffs, topologies=topologies)
+        return Game(players, strategies, codomains, payoffs)
     except LatGamesError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 

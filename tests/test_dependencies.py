@@ -1,5 +1,6 @@
 """The package stays pure Python with no runtime dependencies: every import
-in ``src/latgames`` names the standard library or latgames itself."""
+in ``src/latgames`` names the standard library or latgames itself.  The
+layers keep their direction: the game layer reads no topology."""
 import ast
 import sys
 from pathlib import Path
@@ -10,14 +11,18 @@ PACKAGE = Path(latgames.__file__).parent
 
 
 def imported_modules(path: Path):
-    """``(line, top-level module)`` of each absolute import in a source file;
-    relative imports stay inside the package."""
+    """``(line, dotted module)`` of each import in a source file, relative
+    imports resolved inside ``latgames``; ``from m import x`` names both
+    ``m`` and ``m.x``, since ``x`` may be a submodule."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                yield node.lineno, alias.name.partition(".")[0]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.lineno, node.module.partition(".")[0]
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["latgames" if node.level else None, node.module]))
+            yield node.lineno, module
+            for alias in node.names:
+                yield node.lineno, f"{module}.{alias.name}"
 
 
 def test_every_import_is_stdlib_or_latgames():
@@ -25,5 +30,13 @@ def test_every_import_is_stdlib_or_latgames():
     assert PACKAGE / "lattice.py" in sources
     foreign = [f"{path.relative_to(PACKAGE)}:{line} imports {module}"
                for path in sources for line, module in imported_modules(path)
-               if module != "latgames" and module not in sys.stdlib_module_names]
+               if module.partition(".")[0] not in ("latgames", *sys.stdlib_module_names)]
     assert foreign == []
+
+
+def test_games_does_not_import_topology():
+    # a game is order data only; CERTIFIES topological is decided by codomain kind
+    hits = [f"games.py:{line} imports {module}"
+            for line, module in imported_modules(PACKAGE / "games.py")
+            if module.split(".")[:2] == ["latgames", "topology"]]
+    assert hits == []

@@ -9,6 +9,7 @@ fast path must return an equal ``NashReport``.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 from collections import Counter
 
@@ -217,6 +218,19 @@ def test_projection_test_on_every_subset_of_a_small_product(sizes):
         assert _chain_sublattice(factors, coords) is want, coords
         seen[want] += 1
     assert min(seen.values()) > 0, seen
+
+
+def test_projection_test_leaves_no_cyclic_garbage():
+    # on a 4x4x3 product, the cube minus one corner: every level of the count runs
+    factors = [chain_lattice(n) for n in (4, 4, 3)]
+    coords = list(itertools.product(*(range(f.n) for f in factors)))[1:]
+    gc.collect()
+    gc.disable()
+    try:
+        assert _chain_sublattice(factors, coords) is False
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_even_weight_cube_fails_only_the_cylinder_count():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latgames.cli import main
+from latgames.corpus import DATA
 from latgames.errors import InvariantViolation, NotALattice, ParseError
 from latgames.io import (
     canonical_dumps,
@@ -179,22 +180,28 @@ class TestGameDocs:
         with pytest.raises(ParseError):
             parse(json.dumps(doc))
 
-    def test_topologies_round_trip(self):
-        doc = json.loads(json.dumps(GAME_DOC))
-        doc["topologies"] = {"left": {"kind": "discrete"},
-                             "right": {"kind": "explicit",
-                                       "closed_sets": [[], ["d"], ["d", "u"]]}}
-        kind, G = parse(json.dumps(doc))
-        assert G.topologies["left"].kind == "discrete"
-        text = serialize(G)
-        assert parse(text)[1].topologies == G.topologies
+    @pytest.mark.parametrize("path", sorted(DATA.glob("game_*.json")), ids=lambda p: p.stem)
+    def test_topologies_key_is_ignored(self, path, tmp_path, capsys):
+        # a game declares no topologies: a valid or a malformed key changes
+        # neither the reports nor the exit codes, and is not written back
+        doc = json.loads(path.read_text())
+        _, G = parse(path.read_text())
+        valid = {p: {"kind": "explicit", "closed_sets": [[], list(G.strategies[p].labels)]}
+                 for p in G.players}
+        no_empty_set = {p: {"kind": "explicit", "closed_sets": [list(G.strategies[p].labels)]}
+                        for p in G.players}
+        commands = (("solve", "--method", "both"), ("verify", "--theorem", "zhou"))
 
-    def test_bad_explicit_topology_rejected(self):
-        doc = json.loads(json.dumps(GAME_DOC))
-        doc["topologies"] = {"left": {"kind": "explicit",
-                                      "closed_sets": [["d"], ["d", "u"]]}}  # no empty set
-        with pytest.raises(ParseError):
-            parse(json.dumps(doc))
+        def outputs(file):
+            return [(main([command, str(file), *rest]), capsys.readouterr().out)
+                    for command, *rest in commands]
+
+        expected = outputs(path)
+        for topologies in (valid, no_empty_set):
+            edited = tmp_path / path.name
+            edited.write_text(json.dumps(dict(doc, topologies=topologies)))
+            assert outputs(edited) == expected
+            assert "topologies" not in json.loads(serialize(parse(edited.read_text())[1]))
 
     def test_player_order_is_semantic(self):
         doc = json.loads(json.dumps(GAME_DOC))

@@ -24,7 +24,7 @@ from latgames.errors import (
 )
 from latgames.generators import (all_lattices, chain_lattice, diamond, grid_lattice,
                                  lattices_of_size)
-from latgames.lattice import iter_bits
+from latgames.lattice import chain_ranks, iter_bits
 from latgames.rng import Xoshiro256StarStar
 from latgames.verdict import Verdict
 
@@ -395,6 +395,20 @@ class TestLatticeEnumeration:
             for L in lattices_of_size(n):
                 classes.add(_canonical_form(L))
             assert len(classes) == count, f"size {n}"
+
+
+class TestChainRanks:
+    def test_ranks_exactly_on_chains_up_to_six(self):
+        # a chain: every element is comparable to every other; its rank is
+        # the number of elements below it
+        kinds = set()
+        for L in all_lattices(6) + (chain_lattice(3, labels=["c2", "c9", "c10"]),):
+            chain = all(L.up[x] | L.down[x] == L.full for x in range(L.n))
+            want = [L.down[x].bit_count() - 1 for x in range(L.n)] if chain else None
+            assert chain_ranks(L) == want, L
+            kinds.add(chain)
+        assert kinds == {True, False}
+        assert chain_ranks(chain_lattice(3, labels=["c2", "c9", "c10"])) == [2, 0, 1]
 
 
 def _canonical_form(L):
