@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 from .errors import EmptyValue, NoGreatestElement, TheoremFalsified
 from .functions import LatticeFunction
-from .lattice import FiniteLattice, SubsetFlags, classify_subset, extremal_in, iter_bits
+from .lattice import (FiniteLattice, SubsetFlags, classify_subset, extremal_in, iter_bits,
+                      strong_set_witness)
 from .verdict import Verdict, format_atom
 
 
@@ -71,22 +72,6 @@ def is_increasing_weak_veinott(F: Correspondence) -> Verdict:
                             ("c", F.keys[k]), ("c2", F.keys[k2]),
                             ("x", L.labels[x]), ("x2", L.labels[x2])))
     return Verdict(True)
-
-
-def strong_set_witness(L: FiniteLattice, lo: int, hi: int):
-    """Least violation ``(x, x2, op, value)`` of ``lo`` below ``hi`` in the
-    strong set order, or None: x in lo, x2 in hi, both ascending, with the
-    meet x ^ x2 outside lo (tested first) or the join x v x2 outside hi."""
-    for x in iter_bits(lo):
-        meet, join = L.meet[x], L.join[x]
-        for x2 in iter_bits(hi):
-            m = meet[x2]
-            if not lo >> m & 1:
-                return x, x2, "meet", m
-            v = join[x2]
-            if not hi >> v & 1:
-                return x, x2, "join", v
-    return None
 
 
 def is_increasing_strong_set_order(G: Correspondence) -> Verdict:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .argmax import Correspondence, is_increasing_strong_set_order, strong_set_witness
+from .argmax import Correspondence, is_increasing_strong_set_order
 from .errors import (
     InvariantViolation,
     LabeledCodomainUnsupported,
@@ -26,10 +26,10 @@ from .errors import (
     StructuralError,
     TheoremFalsified,
 )
-from .functions import LatticeFunction, image_map, ranked_image
+from .functions import image_map, ranked_image
 from .lattice import (FinitePoset, chain_ranks, componentwise_up, cover_pairs, extremal_in,
                       extremes, iter_bits, pairwise_bounds, product_elements, radix_strides,
-                      split_columns, tuple_label, validate_label)
+                      split_columns, strong_set_witness, tuple_label, validate_label)
 from .verdict import Verdict
 
 CORRESPONDENCE_CAP = 4096
@@ -198,16 +198,6 @@ class Game:
             cache[base] = mask
         return mask
 
-    def section(self, i: int, opp: tuple) -> LatticeFunction:
-        """Player i's payoff as a function of their own strategy, opponents fixed."""
-        factor = self.factors[i]
-        player = self.players[i]
-        stride = self.strides[i]
-        base = self.profile_index(self.check_profile(opp[:i] + (factor.labels[0],) + opp[i:]))
-        return LatticeFunction(factor, self.codomains[player],
-                               {label: self.values[player][base + s * stride]
-                                for s, label in enumerate(factor.labels)})
-
     def transformed(self, player: str, t) -> "Game":
         """Copy of the game with a strictly increasing map applied to one payoff."""
         self.player_index(player)
@@ -288,7 +278,6 @@ class NashReport:
     is_complete_lattice: bool | None = None
     sublattice_gap: tuple | None = None
     certifies: tuple = ()
-    notes: tuple = ()
 
     @property
     def count(self) -> int:
@@ -475,12 +464,8 @@ def verify_equilibrium_structure(G: Game, cap: int = 1_000_000) -> NashReport:
                                                for _, _, lub, glb in pairwise_bounds(order)))
     certifies = ("order", "topological") if all(
         G.codomains[p].is_rational for p in G.players) else ("order",)
-    notes = ()
-    if certifies == ("order",):
-        notes = ("labeled gains: only the order-theoretic route applies",)
     return NashReport(equilibria=E, largest=base.largest, least=base.least,
-                      is_complete_lattice=complete, sublattice_gap=gap,
-                      certifies=certifies, notes=notes)
+                      is_complete_lattice=complete, sublattice_gap=gap, certifies=certifies)
 
 
 def best_response_correspondence(G: Game, player: str) -> Correspondence:

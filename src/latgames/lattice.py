@@ -1,4 +1,4 @@
-"""Finite posets and lattices, their bounds and subset classification.
+"""Finite posets and lattices: bounds, subsets and the strong set order.
 
 Elements are kept in lexicographic label order and that order is canonical
 for every subset-valued result in the package.  Subsets are bitmasks over
@@ -212,19 +212,13 @@ class FiniteLattice(FinitePoset):
                             f"{'missing' if bound is None else labels[bound]}")
         self._tables_checked = True
 
-    def _sup_mask(self, mask: int) -> int:
-        """Join of a nonempty mask, folded in canonical order."""
+    def _fold(self, mask: int, table) -> int:
+        """``table`` (``join`` or ``meet``) folded over a nonempty mask in
+        canonical order: the mask's sup or inf."""
         bits = iter_bits(mask)
         acc = next(bits)
         for i in bits:
-            acc = self.join[acc][i]
-        return acc
-
-    def _inf_mask(self, mask: int) -> int:
-        bits = iter_bits(mask)
-        acc = next(bits)
-        for i in bits:
-            acc = self.meet[acc][i]
+            acc = table[acc][i]
         return acc
 
     def __repr__(self):
@@ -284,14 +278,14 @@ def sup_subset(L: FiniteLattice, labels) -> str:
     mask = L.subset_mask(labels)
     if mask == 0:
         raise EmptySubset("sup of the empty subset")
-    return L.labels[L._sup_mask(mask)]
+    return L.labels[L._fold(mask, L.join)]
 
 
 def inf_subset(L: FiniteLattice, labels) -> str:
     mask = L.subset_mask(labels)
     if mask == 0:
         raise EmptySubset("inf of the empty subset")
-    return L.labels[L._inf_mask(mask)]
+    return L.labels[L._fold(mask, L.meet)]
 
 
 def chain_ranks(P: FinitePoset) -> list | None:
@@ -469,7 +463,7 @@ def first_unbounded(L: FiniteLattice, mask: int, submasks):
     """Witness fields for the first of ``submasks`` whose sup (tested first)
     or inf lies outside ``mask``, or None."""
     for sub in submasks:
-        for bound, value in (("sup", L._sup_mask(sub)), ("inf", L._inf_mask(sub))):
+        for bound, value in (("sup", L._fold(sub, L.join)), ("inf", L._fold(sub, L.meet))):
             if not mask >> value & 1:
                 return ("subset", L.labels_of(sub)), ("bound", bound), ("value", L.labels[value])
     return None
@@ -527,22 +521,33 @@ class SubsetFlags:
         )
 
 
+def strong_set_witness(L: FiniteLattice, lo: int, hi: int):
+    """Least violation ``(x, x2, op, value)`` of ``lo`` below ``hi`` in the
+    strong set order, or None: x in lo, x2 in hi, both ascending, with the
+    meet x ^ x2 outside lo (tested first) or the join x v x2 outside hi."""
+    for x in iter_bits(lo):
+        meet, join = L.meet[x], L.join[x]
+        for x2 in iter_bits(hi):
+            m = meet[x2]
+            if not lo >> m & 1:
+                return x, x2, "meet", m
+            v = join[x2]
+            if not hi >> v & 1:
+                return x, x2, "join", v
+    return None
+
+
 def sublattice_witness(L: FiniteLattice, mask: int):
     """Witness fields for the first pair of ``mask``'s elements, in
     ``combinations`` order, whose meet (tested first) or join lies outside
-    ``mask``, or None when ``mask`` is a sublattice."""
-    labels = L.labels
-    bits = list(iter_bits(mask))
-    for k, a in enumerate(bits):
-        meet, join = L.meet[a], L.join[a]
-        for b in bits[k + 1:]:
-            m = meet[b]
-            if not mask >> m & 1:
-                return ("x", labels[a]), ("y", labels[b]), ("op", "meet"), ("value", labels[m])
-            v = join[b]
-            if not mask >> v & 1:
-                return ("x", labels[a]), ("y", labels[b]), ("op", "join"), ("value", labels[v])
-    return None
+    ``mask``, or None when ``mask`` is a sublattice: ``strong_set_witness``
+    of ``mask`` below itself.  On checked tables (symmetric, idempotent) a
+    pair (x, x2) with index x2 <= x fails only if (x2, x), scanned first, did."""
+    hit = strong_set_witness(L, mask, mask)
+    if hit is None:
+        return None
+    x, y, op, value = hit
+    return ("x", L.labels[x]), ("y", L.labels[y]), ("op", op), ("value", L.labels[value])
 
 
 def classify_subset(L: FiniteLattice, subset) -> SubsetFlags:

@@ -471,6 +471,20 @@ def brute_is_sublattice(L, labels):
     return True
 
 
+def oracle_sublattice_witness(L, mask: int):
+    """Witness fields of the first pair of ``mask``'s elements, in
+    ``combinations`` order, whose meet (tested first) or join lies outside
+    ``mask``, or None: the pair scan that ``lattice.sublattice_witness``
+    replaced with the strong-set kernel of ``mask`` below itself."""
+    labels = L.labels
+    for a, b in itertools.combinations(iter_bits(mask), 2):
+        for op, table in (("meet", L.meet), ("join", L.join)):
+            value = table[a][b]
+            if not mask >> value & 1:
+                return ("x", labels[a]), ("y", labels[b]), ("op", op), ("value", labels[value])
+    return None
+
+
 def brute_is_subcomplete(L, labels):
     labels = list(labels)
     members = set(labels)

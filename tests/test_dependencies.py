@@ -1,6 +1,7 @@
 """The package stays pure Python with no runtime dependencies: every import
 in ``src/latgames`` names the standard library or latgames itself.  The
-layers keep their direction: the game layer reads no topology."""
+layers keep their direction: the game layer reads no topology, and the
+order layer reads only errors and verdicts."""
 import ast
 import sys
 from pathlib import Path
@@ -39,4 +40,13 @@ def test_games_does_not_import_topology():
     hits = [f"games.py:{line} imports {module}"
             for line, module in imported_modules(PACKAGE / "games.py")
             if module.split(".")[:2] == ["latgames", "topology"]]
+    assert hits == []
+
+
+def test_lattice_imports_only_errors_and_verdict():
+    # the order layer sits at the bottom: the kernels above it import it
+    hits = [f"lattice.py:{line} imports {module}"
+            for line, module in imported_modules(PACKAGE / "lattice.py")
+            if module.split(".")[0] == "latgames"
+            and module.split(".")[1:2] not in (["errors"], ["verdict"])]
     assert hits == []

@@ -66,8 +66,7 @@ def oracle_structure(G: Game) -> NashReport:
     rational = all(G.codomains[p].is_rational for p in G.players)
     return NashReport(
         equilibria=E, largest=largest, least=least, is_complete_lattice=complete,
-        sublattice_gap=gap, certifies=("order", "topological") if rational else ("order",),
-        notes=() if rational else ("labeled gains: only the order-theoretic route applies",))
+        sublattice_gap=gap, certifies=("order", "topological") if rational else ("order",))
 
 
 def assert_matches_oracle(G: Game) -> NashReport:

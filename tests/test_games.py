@@ -113,7 +113,9 @@ class TestBestResponse:
 
     def test_section_matches_argmax(self, step_grid6_game):
         G = step_grid6_game
-        section = G.section(1, ("1/3",))
+        S = G.strategies["2"]
+        section = LatticeFunction(S, G.codomains["2"],
+                                  {s: G.payoffs["2"][("1/3", s)] for s in S.labels})
         assert set(best_response(G, "2", ("1/3", "0"))) == set(argmax_set(section))
 
 

@@ -15,9 +15,10 @@ from fractions import Fraction
 import pytest
 
 from latgames import ChainCodomain, Game, LatticeFunction, product_lattice, properties
+from latgames.errors import TheoremFalsified
 from latgames.functions import integer_values
 from latgames.games import validate_game
-from latgames.generators import chain_lattice, diamond
+from latgames.generators import chain_lattice, diamond, grid_lattice
 from latgames.lattice import tuple_label
 from latgames.properties import has_increasing_differences, is_single_crossing
 from latgames.rng import Xoshiro256StarStar
@@ -182,3 +183,17 @@ def test_increasing_differences_on_integer_values_match_the_fraction_path(dens, 
     assert got == [oracle_increasing_differences(f, (s,), (1 - s,))
                    for f in functions for s in (0, 1)]
     assert any(v.holds for v in got) and not all(v.holds for v in got)
+
+
+def test_a_cover_pair_drop_the_rescan_cannot_confirm_is_loud(monkeypatch):
+    # f(p, q) = p·(q - 1) rises in q at p = 1, so it is single crossing;
+    # with lows and highs swapped the kernel sees a drop on a real cover
+    # pair, and the rescan over every q <= q2 finds none.
+    D = grid_lattice((2, 3))
+    f = LatticeFunction(D, RATIONAL,
+                        {label: p * (q - 1) for label, (p, q) in zip(D.labels, D.coords)})
+    assert is_single_crossing(f, 0).holds
+    cover_pairs = properties.cover_pairs
+    monkeypatch.setattr(properties, "cover_pairs", lambda factors: cover_pairs(factors)[::-1])
+    with pytest.raises(TheoremFalsified):
+        is_single_crossing(f, 0)

@@ -1,9 +1,10 @@
 """``verify --theorem veinott|chaincls`` are decided by
 ``FiniteLattice.check_tables``; here their reports are compared, line by
 line, with the exhaustive scans: ``first_unbounded`` over every submask and
-every chain of each subset, ascending, and ``sublattice_witness``.  Mask by
-mask, the verdicts that the checked tables give (``classify_subset``) are
-the scans' verdicts.  On a lattice with one wrong join or meet entry both
+every chain of each subset, ascending, and the pair scan
+``oracle_sublattice_witness``.  Mask by mask, the verdicts and witnesses
+that the checked tables give (``classify_subset``, ``sublattice_witness``)
+are the scans'.  On a lattice with one wrong join or meet entry both
 reports raise the ``InvariantViolation`` that ``check_tables`` raises, and
 the folds that the scans read are the folds of the wrong tables."""
 from __future__ import annotations
@@ -20,14 +21,14 @@ from latgames.lattice import (FiniteLattice, classify_subset, first_unbounded, i
 from latgames.rng import Xoshiro256StarStar
 from latgames.topology import INTERVAL, TopologySpec, family_for
 
-from conftest import iter_chain_masks, iter_submasks
+from conftest import iter_chain_masks, iter_submasks, oracle_sublattice_witness
 
 
 def scan_veinott(L):
     """The report as the exhaustive scans give it."""
     for mask in range(1 << L.n):
         subcomplete = first_unbounded(L, mask, iter_submasks(mask)) is None
-        if subcomplete != (sublattice_witness(L, mask) is None):
+        if subcomplete != (oracle_sublattice_witness(L, mask) is None):
             return [f"PROPERTY subcomplete-iff-sublattice FAIL "
                     f"subset={','.join(L.labels_of(mask))}"], False
         if first_unbounded(L, mask, iter_chain_masks(L.poset, mask)) is not None:
@@ -75,7 +76,8 @@ def test_tables_match_the_scans_on_every_mask(L):
     L.check_tables()
     for mask in range(1, 1 << L.n):
         flags = classify_subset(L, L.labels_of(mask))
-        gap = sublattice_witness(L, mask)
+        gap = oracle_sublattice_witness(L, mask)
+        assert sublattice_witness(L, mask) == flags.is_sublattice.witness == gap
         unbounded = first_unbounded(L, mask, iter_submasks(mask))
         assert flags.is_sublattice.holds == (gap is None) == (unbounded is None)
         assert flags.is_subcomplete.holds == (unbounded is None)
@@ -83,6 +85,14 @@ def test_tables_match_the_scans_on_every_mask(L):
             assert flags.is_subcomplete.witness == unbounded
         assert first_unbounded(L, mask, iter_chain_masks(L.poset, mask)) is None
         assert flags.is_chain_subcomplete.holds
+
+
+@pytest.mark.parametrize("L", [grid_lattice((4, 4)), diamond_mk(5)], ids=repr)
+def test_sublattice_witness_is_the_pair_scan_on_every_mask(L):
+    # The strong-set kernel of a mask below itself, on lazy product rows too.
+    L.check_tables()
+    for mask in range(1, 1 << L.n):
+        assert sublattice_witness(L, mask) == oracle_sublattice_witness(L, mask)
 
 
 def test_tables_past_sixteen_elements():
@@ -113,8 +123,8 @@ def test_tables_are_the_folds_on_corrupted_lattices():
     for L in corrupted_sample(count=100):
         for mask in range(1, 1 << L.n):
             bits = list(iter_bits(mask))
-            assert L._sup_mask(mask) == functools.reduce(lambda a, b: L.join[a][b], bits)
-            assert L._inf_mask(mask) == functools.reduce(lambda a, b: L.meet[a][b], bits)
+            assert L._fold(mask, L.join) == functools.reduce(lambda a, b: L.join[a][b], bits)
+            assert L._fold(mask, L.meet) == functools.reduce(lambda a, b: L.meet[a][b], bits)
         with pytest.raises(InvariantViolation):
             L.check_tables()
 
