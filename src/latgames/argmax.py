@@ -7,6 +7,7 @@ from .errors import EmptyValue, NoGreatestElement, TheoremFalsified
 from .functions import LatticeFunction
 from .lattice import (FiniteLattice, SubsetFlags, classify_subset, extremal_in, iter_bits,
                       strong_set_witness)
+from .properties import is_quasisupermodular, is_upper_chain_subcomplete
 from .verdict import Verdict, format_atom
 
 
@@ -139,8 +140,6 @@ def verify_kuku(f: LatticeFunction) -> ArgmaxReport:
     and the conclusion does not, the run fails loudly: that would falsify
     a structural guarantee this package is built on.
     """
-    from .properties import is_quasisupermodular, is_upper_chain_subcomplete
-
     arg = argmax_set(f)
     report = ArgmaxReport(quasisupermodular=is_quasisupermodular(f),
                           upper_chain_subcomplete=is_upper_chain_subcomplete(f), argmax=arg,

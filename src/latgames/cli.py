@@ -14,6 +14,7 @@ import sys
 from . import corpus as corpus_mod
 from . import reports
 from .errors import LatGamesError, NotALattice, ParseError, TheoremFalsified
+from .games import ENUMERATION_CAP, validate_game
 from .generators import CHAIN, DIAMOND_MK, GRID, GenSpec, generate
 from .io import load_path, save_path, serialize
 from .topology import DISCRETE, INTERVAL, TopologySpec, family_for
@@ -55,8 +56,6 @@ def cmd_check_function(args) -> int:
 
 def cmd_check_game(args) -> int:
     G = _load(args.file, "game")
-    from .games import validate_game
-
     verdict = validate_game(G)
     return _emit([reports.property_line("validated", verdict)], verdict.holds)
 
@@ -169,13 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute the equilibrium set of a game file")
     p.add_argument("file")
     p.add_argument("--method", choices=["enumerate", "tarski", "both"], default="both")
-    p.add_argument("--cap", type=_positive_int, default=1_000_000)
+    p.add_argument("--cap", type=_positive_int, default=ENUMERATION_CAP)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="verify a structure theorem on an instance")
     p.add_argument("file")
     p.add_argument("--theorem", required=True, choices=["kuku", "zhou", "veinott", "chaincls"])
-    p.add_argument("--cap", type=_positive_int, default=1_000_000)
+    p.add_argument("--cap", type=_positive_int, default=ENUMERATION_CAP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("generate", help="deterministically generate an instance")

@@ -13,7 +13,10 @@ from pathlib import Path
 
 from .. import reports
 from ..errors import ExpectationMismatch, ParseError
+from ..functions import LatticeFunction
+from ..games import Game
 from ..io import load_path
+from ..lattice import FiniteLattice
 from ..topology import TopologySpec, family_for
 
 DATA = Path(__file__).parent / "data"
@@ -278,10 +281,6 @@ def refreeze(name: str | None = None) -> tuple:
 def corpus_lattices(max_size: int | None = None) -> tuple:
     """Distinct lattices appearing in corpus instances (domains, strategy
     spaces, and function domains' factors), optionally capped by size."""
-    from ..functions import LatticeFunction
-    from ..games import Game
-    from ..lattice import FiniteLattice
-
     seen = []
 
     def add(L):

@@ -20,7 +20,6 @@ from .argmax import Correspondence, is_increasing_strong_set_order
 from .errors import (
     InvariantViolation,
     LabeledCodomainUnsupported,
-    NoGreatestElement,
     NotValidated,
     StateSpaceTooLarge,
     StructuralError,
@@ -30,8 +29,10 @@ from .functions import image_map, ranked_image
 from .lattice import (FinitePoset, chain_ranks, componentwise_up, cover_pairs, extremal_in,
                       extremes, iter_bits, pairwise_bounds, product_elements, radix_strides,
                       split_columns, strong_set_witness, tuple_label, validate_label)
+from .properties import qsm_witness, single_crossing_witness
 from .verdict import Verdict
 
+ENUMERATION_CAP = 1_000_000
 CORRESPONDENCE_CAP = 4096
 
 
@@ -172,10 +173,6 @@ class Game:
         others = [f.labels for j, f in enumerate(self.factors) if j != i]
         return itertools.product(*others)
 
-    def _opp_labels(self, i: int, base: int) -> tuple:
-        profile = self.labels_at(self.coords(base))
-        return profile[:i] + profile[i + 1:]
-
     def _opponent_covers(self, i: int) -> tuple:
         """``lattice.cover_pairs`` of player i's opponents; cached."""
         if self._covers[i] is None:
@@ -218,8 +215,6 @@ def validate_game(G: Game) -> Verdict:
     The witness names the player, the clause, and the violating tuple.
     Results are cached on the game.
     """
-    from .properties import qsm_witness, single_crossing_witness
-
     if G._validation is not None:
         return G._validation
     verdict = Verdict(True)
@@ -299,7 +294,7 @@ def _equilibrium_order(G: Game, cap: int) -> tuple:
     return G._equilibria
 
 
-def enumerate_nash(G: Game, cap: int = 1_000_000) -> NashReport:
+def enumerate_nash(G: Game, cap: int = ENUMERATION_CAP) -> NashReport:
     """Exact equilibrium set by brute force over all joint profiles."""
     order = _equilibrium_order(G, cap)[0]
     ext = extremes(order)
@@ -316,12 +311,15 @@ class TarskiReport:
 
 def _extremal_br(G: Game, i: int, base: int, want_greatest: bool) -> int:
     """Label index of the greatest (or least) best response of player i to
-    the opponents at ``base``."""
+    the opponents at ``base``.  On a validated game the best responses are
+    the argmax of a quasisupermodular section, a nonempty sublattice with
+    both extrema, so a missing one raises ``TheoremFalsified``."""
     idx = extremal_in(G.factors[i], G._br(i, base), want_greatest)
     if idx is None:
-        raise NoGreatestElement(f"best response of player {G.players[i]} against "
-                                f"{tuple_label(G._opp_labels(i, base))}"
-                                f" has no {'greatest' if want_greatest else 'least'} element")
+        profile = G.labels_at(G.coords(base))
+        raise TheoremFalsified(f"best response of player {G.players[i]} against "
+                               f"{tuple_label(profile[:i] + profile[i + 1:])} has no "
+                               f"{'greatest' if want_greatest else 'least'} element")
     return idx
 
 
@@ -432,7 +430,7 @@ def _projection_count(factors, proj, first, prefix) -> int:
     return sum(_projection_count(factors, proj, first, prefix + (t,)) for t in iter_bits(mask))
 
 
-def verify_equilibrium_structure(G: Game, cap: int = 1_000_000) -> NashReport:
+def verify_equilibrium_structure(G: Game, cap: int = ENUMERATION_CAP) -> NashReport:
     """Equilibrium set structure: completeness in the induced order, extremal
     points, and whether the set is also a sublattice of the joint space.
 

@@ -24,6 +24,7 @@ from .lattice import (
     poset_from_covers,
     product_lattice,
 )
+from .properties import is_quasisupermodular, is_supermodular
 from .rng import Xoshiro256StarStar
 
 CHAIN = "chain"
@@ -219,8 +220,6 @@ def _shifted_upsets(rng: Xoshiro256StarStar, L: FiniteLattice) -> dict:
 def random_function(rng: Xoshiro256StarStar, L: FiniteLattice, strategy: str,
                     budget: int = 100_000, values=(0, 1, 2, 3)) -> LatticeFunction:
     """Random quasisupermodular function on L; re-verified before return."""
-    from .properties import is_quasisupermodular, is_supermodular
-
     codomain = ChainCodomain.rational()
     if strategy == SUPERMODULAR_THEN_TRANSFORM:
         if L.factors is not None and all(chain_ranks(f) is not None for f in L.factors):
@@ -347,8 +346,6 @@ def random_game(rng: Xoshiro256StarStar, max_players: int = 3, max_size: int = 4
 def _random_supermodular_any(rng: Xoshiro256StarStar, L: FiniteLattice) -> dict:
     """Random supermodular table on an arbitrary finite lattice: up to 400
     rejection draws at small sizes, with the up-set construction as fallback."""
-    from .properties import is_supermodular
-
     codomain = ChainCodomain.rational()
     if L.n <= 6:
         pool = [Fraction(v) for v in (-2, -1, 0, 1, 2, 3)]

@@ -119,7 +119,7 @@ class FinitePoset:
         return hash((self.labels, self.up))
 
     def __repr__(self):
-        return f"FinitePoset({len(self.labels)} elements)"
+        return f"{type(self).__name__}({self.n} elements)"
 
 
 def poset_from_covers(elements, covers) -> FinitePoset:
@@ -182,11 +182,6 @@ class FiniteLattice(FinitePoset):
         self.top = top
         self._tables_checked = False
 
-    @property
-    def poset(self):
-        """The lattice itself, which is its own order."""
-        return self
-
     def meet_label(self, a: str, b: str) -> str:
         return self.labels[self.meet[self._index_of(a)][self._index_of(b)]]
 
@@ -220,9 +215,6 @@ class FiniteLattice(FinitePoset):
         for i in bits:
             acc = table[acc][i]
         return acc
-
-    def __repr__(self):
-        return f"FiniteLattice({self.n} elements)"
 
 
 def pairwise_bounds(poset: FinitePoset):
@@ -348,7 +340,7 @@ def cover_pairs(factors) -> tuple:
     return lows, highs
 
 
-def split_columns(factors, table, part, strides=None) -> list:
+def split_columns(factors, table, part, strides) -> list:
     """``columns[p][q]``, the entry of ``table``, flat in ``radix_strides``
     order over ``factors``, at the P-block tuple p and the Q-block tuple q.
     P is the factors of ``part`` in that order, Q the others in factor
@@ -356,9 +348,7 @@ def split_columns(factors, table, part, strides=None) -> list:
     after the last one of ``part`` form a contiguous run of the layout, so
     each column is read as slices of that run, one per ``heads`` entry (the
     Q factors before it): a single slice, or single entries when the run
-    is one long.  ``strides`` are the factors' ``radix_strides``, when the
-    caller holds them."""
-    strides = strides or radix_strides(factors)
+    is one long.  ``strides`` are the factors' ``radix_strides``."""
     last = max(part)
     run = strides[last]
     heads, offsets = [0], [0]
@@ -563,7 +553,7 @@ def classify_subset(L: FiniteLattice, subset) -> SubsetFlags:
     """
     mask = L.subset_mask(subset)
     if mask == 0:
-        empty = Verdict(True, note="empty subset: holds by convention")
+        empty = Verdict(True)
         return SubsetFlags(empty, empty, empty, empty, empty)
     L.check_tables()
     bits = list(iter_bits(mask))

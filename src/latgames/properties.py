@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (CarrierMismatch, LabeledCodomainUnsupported, NotAProductDomain,
                      TheoremFalsified)
@@ -166,7 +166,8 @@ def _split_columns(f: LatticeFunction, split, table):
     for coord, v in zip(f.domain.coords, table):
         flat[sum(map(operator.mul, coord, strides))] = v
     P, Q = [factors[i] for i in p_part], [factors[i] for i in q_part]
-    return P, Q, _block_elements(P), _block_elements(Q), split_columns(factors, flat, p_part)
+    return (P, Q, _block_elements(P), _block_elements(Q),
+            split_columns(factors, flat, p_part, strides))
 
 
 def _block_label(block, coord) -> str:
@@ -273,8 +274,7 @@ def is_upper_chain_subcomplete(f: LatticeFunction) -> Verdict:
 
 def is_order_upper_semicontinuous(f: LatticeFunction) -> Verdict:
     """On finite domains this coincides with upper chain subcompleteness."""
-    return replace(is_upper_chain_subcomplete(f),
-                   note="finite domain: decided via the upper-chain-subcomplete equivalence")
+    return is_upper_chain_subcomplete(f)
 
 
 def is_topologically_usc(f: LatticeFunction, family: ClosedFamily) -> Verdict:
@@ -318,7 +318,7 @@ def transfer_continuity(f: LatticeFunction, family: ClosedFamily) -> TransferCon
     f(y) < f(x).  O(n²).  Weak transfer always holds on a finite carrier:
     take x' to be a global maximizer and U the whole carrier.  Labeled
     chains are compared by position, an extension of the real-valued
-    definition, and flagged as such.
+    definition.
     """
     _check_carrier(f, family)
     L = f.domain
@@ -326,13 +326,10 @@ def transfer_continuity(f: LatticeFunction, family: ClosedFamily) -> TransferCon
     best_key = max(keys)
     stuck = [y for y, u in enumerate(family.neighbourhoods())
              if max(keys[z] for z in iter_bits(u)) == best_key]
-    note = None
-    if not f.codomain.is_rational:
-        note = "labeled chain compared by position (extension of the real-valued definition)"
-    upper = Verdict(True, note=note)
+    upper = Verdict(True)
     for x in range(L.n):
         y = next((y for y in stuck if keys[y] < keys[x]), None)
         if y is not None:
-            upper = Verdict(False, witness=(("x", L.labels[x]), ("y", L.labels[y])), note=note)
+            upper = Verdict(False, witness=(("x", L.labels[x]), ("y", L.labels[y])))
             break
-    return TransferContinuityReport(upper, Verdict(True, note=note))
+    return TransferContinuityReport(upper, Verdict(True))

@@ -8,6 +8,7 @@ from __future__ import annotations
 from .argmax import is_increasing_weak_veinott, level_correspondence, verify_kuku
 from .functions import LatticeFunction
 from .games import (
+    ENUMERATION_CAP,
     Game,
     best_response_strong_set_order,
     tarski_extremes,
@@ -126,7 +127,7 @@ def function_property_report(f: LatticeFunction, check: str, split=0, family=Non
     raise ValueError(f"unknown function check {check!r}")
 
 
-def solve_report(G: Game, method: str = "both", cap: int = 1_000_000) -> tuple:
+def solve_report(G: Game, method: str = "both", cap: int = ENUMERATION_CAP) -> tuple:
     validated = validate_game(G)
     lines = [property_line("validated", validated)]
     ok = validated.holds
@@ -158,7 +159,7 @@ def solve_report(G: Game, method: str = "both", cap: int = 1_000_000) -> tuple:
     return lines, ok
 
 
-def zhou_report(G: Game, cap: int = 1_000_000) -> tuple:
+def zhou_report(G: Game, cap: int = ENUMERATION_CAP) -> tuple:
     validated = validate_game(G)
     lines = [property_line("validated", validated)]
     ok = validated.holds

@@ -117,22 +117,14 @@ def explicit_closed_family(labels, closed_sets) -> ClosedFamily:
     pairwise union and intersection, which covers arbitrary ones on a
     finite carrier.  O(|F|²) for |F| listed sets.
     """
-    carrier = tuple(labels)
-    index = {label: i for i, label in enumerate(carrier)}
-    masks = set()
-    for s in closed_sets:
-        mask = 0
-        for label in s:
-            if label not in index:
-                raise InvariantViolation(f"label {label!r} is not in the carrier")
-            mask |= 1 << index[label]
-        masks.add(mask)
-    full = (1 << len(carrier)) - 1
+    carrier = ClosedFamily(labels, ())  # read for its labels; closures come below
+    masks = {carrier.subset_mask(s) for s in closed_sets}
+    full = carrier.full
     if 0 not in masks or full not in masks:
         raise InvariantViolation("a closed family must contain the empty set and the carrier")
 
     def render(mask):
-        return "{" + ",".join(carrier[i] for i in iter_bits(mask)) + "}"
+        return "{" + ",".join(carrier.labels_of(mask)) + "}"
 
     sets = sorted(masks)
     for a in sets:
@@ -143,11 +135,11 @@ def explicit_closed_family(labels, closed_sets) -> ClosedFamily:
             if a & b not in masks:
                 raise InvariantViolation(
                     f"family not closed under intersection: {render(a)} & {render(b)}")
-    closures = [full] * len(carrier)
+    closures = [full] * len(carrier.labels)
     for c in sets:
         for x in iter_bits(c):
             closures[x] &= c
-    return ClosedFamily(carrier, closures)
+    return ClosedFamily(carrier.labels, closures)
 
 
 def family_for(spec: TopologySpec, L: FiniteLattice) -> ClosedFamily:

@@ -18,12 +18,10 @@ class Verdict:
 
     ``holds`` is False exactly when ``witness`` is present; the witness is a
     tuple of (field, value) pairs that re-checks as a genuine violation.
-    ``note`` records caps or equivalences used while deciding.
     """
 
     holds: bool
     witness: tuple | None = None
-    note: str | None = None
 
     def __post_init__(self):
         if self.holds and self.witness is not None:

@@ -178,7 +178,7 @@ def product_tables(rng, D, L, C):
         label = D.labels[rng.below(D.n)]
         nudged[label] += rng.choice((-1, 1))
         yield nudged
-    w = [bin(L.poset.down[a]).count("1") // 2 for a in range(L.n)]
+    w = [bin(L.down[a]).count("1") // 2 for a in range(L.n)]
     yield {label: separable[label] + w[a] * b for label, (a, b) in zip(D.labels, D.coords)}
 
 
@@ -199,7 +199,7 @@ def with_join_entry(L, a: str, b: str, value: str) -> FiniteLattice:
     malformed lattice, which no file can describe."""
     join = [list(row) for row in L.join]
     join[L.index[a]][L.index[b]] = L.index[value]
-    return FiniteLattice(L.poset, L.meet, tuple(map(tuple, join)))
+    return FiniteLattice(L, L.meet, tuple(map(tuple, join)))
 
 
 # ------------------------------------------------------------------ oracles
@@ -273,7 +273,7 @@ def oracle_supermodular(f) -> Verdict:
 
 def coord_leq(factors, a, b) -> bool:
     """Componentwise order of two coordinate tuples over ``factors``."""
-    return all(f.poset._leq(x, y) for f, x, y in zip(factors, a, b))
+    return all(f._leq(x, y) for f, x, y in zip(factors, a, b))
 
 
 def oracle_product_lattice(factors):
@@ -365,7 +365,7 @@ def plateau_game(factors) -> Game:
 
 def profile_leq(G, a, b) -> bool:
     """Componentwise order of two joint profiles, one factor at a time."""
-    return all(f.poset._leq(f.index[x], f.index[y]) for f, x, y in zip(G.factors, a, b))
+    return all(f._leq(f.index[x], f.index[y]) for f, x, y in zip(G.factors, a, b))
 
 
 def brute_nash_set(G):
@@ -541,7 +541,7 @@ def oracle_least_unbounded(L, mask: int):
 
 def oracle_chain_unbounded(L, mask: int):
     """The same over every chain inside ``mask`` (``iter_chain_masks``)."""
-    return first_unbounded(L, mask, iter_chain_masks(L.poset, mask))
+    return first_unbounded(L, mask, iter_chain_masks(L, mask))
 
 
 def oracle_upper_chain_subcomplete(f) -> Verdict:
@@ -589,7 +589,7 @@ def oracle_saturate(n: int, seeds) -> tuple:
 
 def oracle_interval_sets(L) -> tuple:
     """The interval topology's closed sets, saturated from every ray."""
-    return oracle_saturate(L.n, L.poset.up + L.poset.down)
+    return oracle_saturate(L.n, L.up + L.down)
 
 
 @functools.lru_cache(maxsize=None)
@@ -649,15 +649,11 @@ def oracle_transfer(f, sets) -> TransferContinuityReport:
             if sup_u < best_key:
                 strict_ok[y] = True
                 break
-    note = None
-    if not f.codomain.is_rational:
-        note = "labeled chain compared by position (extension of the real-valued definition)"
     verdicts = []
     for ok in (strict_ok, weak_ok):
         fails = [(x, y) for x in range(n) for y in range(n) if keys[y] < keys[x] and not ok[y]]
-        verdicts.append(Verdict(True, note=note) if not fails else Verdict(
-            False, witness=(("x", L.labels[fails[0][0]]), ("y", L.labels[fails[0][1]])),
-            note=note))
+        verdicts.append(Verdict(True) if not fails else Verdict(
+            False, witness=(("x", L.labels[fails[0][0]]), ("y", L.labels[fails[0][1]]))))
     return TransferContinuityReport(*verdicts)
 
 

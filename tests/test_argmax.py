@@ -70,7 +70,7 @@ class TestLevelCorrespondence:
     def test_constant_single_level(self, diamond_lattice):
         f = LatticeFunction(diamond_lattice, RATIONAL, dict.fromkeys(diamond_lattice.labels, 2))
         F = level_correspondence(f)
-        assert (F.keys, F.up, F.masks) == ((Fraction(2),), (1,), (diamond_lattice.poset.full,))
+        assert (F.keys, F.up, F.masks) == ((Fraction(2),), (1,), (diamond_lattice.full,))
 
     def test_injective_chain_nested_levels(self):
         c = chain_lattice(3)
@@ -119,7 +119,7 @@ class TestWeakVeinott:
         assert {w["x"], w["x2"]} == {"a", "b"}
 
     def test_constant_correspondence(self, diamond_lattice):
-        full = diamond_lattice.poset.full
+        full = diamond_lattice.full
         F = Correspondence(diamond_lattice, (0, 1), CHAIN2, (full, full))
         assert is_increasing_weak_veinott(F).holds
 

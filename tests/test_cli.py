@@ -146,6 +146,14 @@ class TestCheckFunction:
         assert "PROPERTY transfer-upper FAIL x=c0 y=c1" in out
         assert "PROPERTY transfer-weak-upper PASS" in out
 
+    def test_topology_naming_an_unknown_label_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"kind": "explicit",
+                                    "closed_sets": [[], ["c0"], ["z"], ["c0", "c1", "c2"]]}))
+        code, out = run(capsys, "check-function", WEAK_ONLY,
+                        "--property", "topo-usc", "--topology", path)
+        assert (code, out) == (2, "ERROR InvariantViolation: label 'z' is not in the carrier\n")
+
     def test_transfer_defaults_to_interval(self, capsys):
         code, out = run(capsys, "check-function", STAR_FN, "--property", "transfer")
         assert code == 0

@@ -50,3 +50,16 @@ def test_lattice_imports_only_errors_and_verdict():
             if module.split(".")[0] == "latgames"
             and module.split(".")[1:2] not in (["errors"], ["verdict"])]
     assert hits == []
+
+
+def test_every_import_is_at_module_level():
+    # no import cycle needs breaking, so no function imports at call time
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                hits += [f"{path.relative_to(PACKAGE)}:{node.lineno} in {fn.name}"
+                         for node in ast.walk(fn)
+                         if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert hits == []

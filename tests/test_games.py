@@ -17,11 +17,13 @@ from latgames import (
     validate_game,
     verify_equilibrium_structure,
 )
+from latgames import games
 from latgames.errors import (
     InvariantViolation,
     NotValidated,
     StateSpaceTooLarge,
     StructuralError,
+    TheoremFalsified,
 )
 from latgames.functions import ChainCodomain, LatticeFunction
 from latgames.generators import chain_lattice, random_game
@@ -193,6 +195,25 @@ class TestTarski:
         assert not validate_game(G).holds
         with pytest.raises(NotValidated):
             tarski_extremes(G)
+
+    @pytest.mark.parametrize("greatest, message", [
+        (True, "best response of player 1 against (1) has no greatest element"),
+        (False, "best response of player 1 against (0) has no least element"),
+    ], ids=["greatest", "least"])
+    def test_a_missing_best_response_extremum_is_loud(self, monkeypatch, star_diamond_game,
+                                                      greatest, message):
+        # a validated game's best responses are a nonempty sublattice with
+        # both extrema, so losing one falsifies that theorem
+        original = games.extremal_in
+
+        def drop(poset, mask, want_greatest=True):
+            return None if want_greatest == greatest else original(poset, mask, want_greatest)
+
+        assert validate_game(star_diamond_game).holds
+        monkeypatch.setattr(games, "extremal_in", drop)
+        with pytest.raises(TheoremFalsified) as exc:
+            tarski_extremes(star_diamond_game)
+        assert str(exc.value) == message
 
 
 class TestStructure:

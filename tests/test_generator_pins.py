@@ -57,7 +57,7 @@ def large_game_stream():
 def lattice_rows():
     for n in range(1, 7):
         for L in lattices_of_size(n):
-            yield repr((L.labels, L.poset.up))
+            yield repr((L.labels, L.up))
 
 
 def test_criterion_06_games_are_pinned(criterion_06_games):

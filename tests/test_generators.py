@@ -85,7 +85,7 @@ class TestFamilies:
         rng = Xoshiro256StarStar(11)
         for _ in range(20):
             L = meet_join_closure_lattice(rng)
-            check_lattice(L.poset)  # meets and joins exist and match
+            check_lattice(L)  # meets and joins exist and match
             assert L.n >= 2
 
     def test_caps(self):
@@ -218,5 +218,5 @@ class TestEnumerationHelpers:
             assert L.labels == ("a", "b", "c", "d")
             for i in range(L.n):
                 for j in range(L.n):
-                    if L.poset._leq(i, j):
+                    if L._leq(i, j):
                         assert i <= j

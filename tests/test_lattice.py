@@ -44,7 +44,7 @@ from conftest import (
 
 class TestPosetFromCovers:
     def test_diamond_incomparable_middles(self, diamond_lattice):
-        P = diamond_lattice.poset
+        P = diamond_lattice
         assert P.leq("0", "a") and P.leq("0", "b") and P.leq("a", "1")
         assert not P.leq("a", "b") and not P.leq("b", "a")
         assert P.leq("0", "1")  # transitive closure
@@ -167,7 +167,7 @@ class TestSupInfSubset:
 
 
 def _chain_masks(L):
-    return iter_chain_masks(L.poset, L.poset.full)
+    return iter_chain_masks(L, L.full)
 
 
 class TestProductLattice:
@@ -245,7 +245,7 @@ class TestClassifySubset:
 
     def test_cap_shortcut_flagged(self):
         # 25 elements, past the old enumeration cap of 20: there is no cap
-        # any more, so both flags are decided and carry no note.
+        # any more, so both flags are decided.
         c = chain_lattice(25)
         flags = classify_subset(c, c.labels)
         assert flags.is_subcomplete == Verdict(True)
@@ -309,7 +309,7 @@ class TestSubcompletenessDecider:
         sizes, tried = set(), 0
         while tried < 8:
             a, b = rng.below(L.n), rng.below(L.n)
-            interval = L.poset.up[L.meet[a][b]] & L.poset.down[L.join[a][b]]
+            interval = L.up[L.meet[a][b]] & L.down[L.join[a][b]]
             if not 8 <= interval.bit_count() <= 16:
                 continue
             tried += 1
@@ -348,7 +348,7 @@ class TestSubcompletenessDecider:
 
 class TestExtremes:
     def test_diamond(self, diamond_lattice):
-        ex = extremes(diamond_lattice.poset)
+        ex = extremes(diamond_lattice)
         assert ex.least == "0" and ex.greatest == "1"
         assert ex.minimal == ("0",) and ex.maximal == ("1",)
 
@@ -360,13 +360,13 @@ class TestExtremes:
 
     def test_chain(self):
         c = chain_lattice(3, labels=["0", "1", "2"])
-        ex = extremes(c.poset)
+        ex = extremes(c)
         assert ex.least == "0" and ex.greatest == "2"
 
     def test_minimal_of_lattice_is_the_least(self):
         # On a lattice the minimal element is unique and least (dually for maximal).
         for L in all_lattices(5):
-            ex = extremes(L.poset)
+            ex = extremes(L)
             assert ex.minimal == (ex.least,)
             assert ex.maximal == (ex.greatest,)
 
@@ -374,7 +374,7 @@ class TestExtremes:
 class TestMeetJoinRoundTrip:
     def test_tables_reproducible_from_relation(self):
         for L in all_lattices(5):
-            rebuilt = check_lattice(L.poset)
+            rebuilt = check_lattice(L)
             assert rebuilt.meet == L.meet
             assert rebuilt.join == L.join
 
@@ -419,7 +419,7 @@ def _canonical_form(L):
         bits = 0
         for i in range(n):
             for j in range(n):
-                if L.poset._leq(i, j):
+                if L._leq(i, j):
                     bits |= 1 << (perm[i] * n + perm[j])
         if best is None or bits < best:
             best = bits

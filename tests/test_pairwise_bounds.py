@@ -48,7 +48,7 @@ def outcome(poset: FinitePoset):
 def _relabeled(L, rng) -> FinitePoset:
     names = [f"e{k}" for k in range(L.n)]
     rng.shuffle(names)
-    covers = [(names[L.index[a]], names[L.index[b]]) for a, b in L.poset.covers]
+    covers = [(names[L.index[a]], names[L.index[b]]) for a, b in L.covers]
     return poset_from_covers(names, covers)
 
 
@@ -68,7 +68,7 @@ def test_all_small_lattices_and_relabelings():
     lattices = all_lattices(6)
     assert len(lattices) == 51
     for L in lattices:
-        for poset in (L.poset, _relabeled(L, rng), _relabeled(L, rng)):
+        for poset in (L, _relabeled(L, rng), _relabeled(L, rng)):
             want = oracle_check_lattice(poset)
             assert want[0] == "lattice"
             assert outcome(poset) == want

@@ -26,8 +26,8 @@ def _assert_same_product(factors):
     got, want = product_lattice(factors), oracle_product_lattice(factors)
     assert got.labels == want.labels
     assert got.coords == want.coords
-    assert got.poset.up == want.poset.up
-    assert got.poset.down == want.poset.down
+    assert got.up == want.up
+    assert got.down == want.down
     assert got.meet == want.meet
     assert got.join == want.join
 
@@ -80,8 +80,8 @@ def test_products_never_search_the_product(monkeypatch):
     monkeypatch.undo()
     for factors, L in zip(products, built):
         want = oracle_product_lattice(factors)
-        assert (L.poset.up, L.poset.down, L.meet, L.join) == (
-            want.poset.up, want.poset.down, want.meet, want.join)
+        assert (L.up, L.down, L.meet, L.join) == (
+            want.up, want.down, want.meet, want.join)
 
 
 @pytest.mark.parametrize("factors", [
@@ -97,8 +97,8 @@ def test_tables_equal_the_pairwise_search(factors):
     L = product_lattice(factors)
     # The order rebuilt from the up-rows alone: its down-rows by
     # transposition, its tables by check_lattice's search.
-    want = check_lattice(FinitePoset(L.labels, L.poset.up))
-    assert L.poset.down == want.poset.down
+    want = check_lattice(FinitePoset(L.labels, L.up))
+    assert L.down == want.down
     # Rows are built on first read, in any order: the join's last row
     # first, the meet's from the middle outwards.
     assert len(L.meet) == len(L.join) == L.n
@@ -128,7 +128,7 @@ def test_opponent_index_on_criterion_06_games(criterion_06_games):
             others = G.factors[:i] + G.factors[i + 1:]
             F = best_response_correspondence(G, player)
             want = oracle_product_lattice(others)
-            assert (F.keys, F.up) == (want.labels, want.poset.up)
+            assert (F.keys, F.up) == (want.labels, want.up)
             own = G.factors[i].labels
             table = payoff_keys(G, player)
             for mask, coord in zip(F.masks, want.coords):

@@ -259,8 +259,8 @@ class TestUpperChainSubcomplete:
 
     def test_star_function(self, star_function):
         assert is_upper_chain_subcomplete(star_function).holds
-        usc = is_order_upper_semicontinuous(star_function)
-        assert usc.holds and "equivalence" in usc.note
+        assert (is_order_upper_semicontinuous(star_function)
+                == is_upper_chain_subcomplete(star_function))
 
     def test_constant(self, diamond_lattice):
         f = LatticeFunction(diamond_lattice, RATIONAL, dict.fromkeys(diamond_lattice.labels, 1))
@@ -327,7 +327,6 @@ class TestTransferContinuity:
         fam = discrete_closed_family(c3.labels)
         report = transfer_continuity(f, fam)
         assert report.transfer_upper.holds
-        assert "labeled" in report.transfer_upper.note
 
 
 class TestTransformAndSum:
@@ -406,7 +405,7 @@ class TestSectionRestrictionProperty:
 
 
 def _all_chain_restrictions_qsm(f, first, second):
-    for cmask in iter_chain_masks(second.poset, second.poset.full):
+    for cmask in iter_chain_masks(second, second.full):
         chain_labels = second.labels_of(cmask)
         sub = chain_lattice(len(chain_labels), labels=list(chain_labels)) \
             if _labels_sorted(chain_labels, second) else None

@@ -65,7 +65,7 @@ def _break_a_section(G: Game, seed: int) -> Game | None:
     rng = Xoshiro256StarStar(seed)
     candidates = []
     for i, L in enumerate(G.factors):
-        P = L.poset
+        P = L
         candidates += [(i, x, y) for x in range(L.n)
                        for y in range(x + 1, L.n) if not (P.up[x] | P.down[x]) >> y & 1]
     if not candidates:

@@ -31,14 +31,14 @@ def scan_veinott(L):
         if subcomplete != (oracle_sublattice_witness(L, mask) is None):
             return [f"PROPERTY subcomplete-iff-sublattice FAIL "
                     f"subset={','.join(L.labels_of(mask))}"], False
-        if first_unbounded(L, mask, iter_chain_masks(L.poset, mask)) is not None:
+        if first_unbounded(L, mask, iter_chain_masks(L, mask)) is not None:
             return [f"PROPERTY chain-subcomplete FAIL subset={','.join(L.labels_of(mask))}"], False
     return ["PROPERTY subcomplete-iff-sublattice PASS", "PROPERTY chain-subcomplete PASS"], True
 
 
 def scan_chaincls(L):
     for mask in family_for(TopologySpec(INTERVAL), L).sets:
-        if first_unbounded(L, mask, iter_chain_masks(L.poset, mask)) is not None:
+        if first_unbounded(L, mask, iter_chain_masks(L, mask)) is not None:
             return ["PROPERTY interval-closed-chain-subcomplete FAIL "
                     f"set={','.join(L.labels_of(mask))}"], False
     return ["PROPERTY interval-closed-chain-subcomplete PASS"], True
@@ -51,7 +51,7 @@ def corrupted(rng, L):
     table = tables[rng.choice(["join", "meet"])]
     a, b = rng.below(L.n), rng.below(L.n)
     table[a][b] = rng.choice([v for v in range(L.n) if v != table[a][b]])
-    return FiniteLattice(L.poset, tuple(map(tuple, tables["meet"])),
+    return FiniteLattice(L, tuple(map(tuple, tables["meet"])),
                          tuple(map(tuple, tables["join"])))
 
 
@@ -83,7 +83,7 @@ def test_tables_match_the_scans_on_every_mask(L):
         assert flags.is_subcomplete.holds == (unbounded is None)
         if unbounded is not None:
             assert flags.is_subcomplete.witness == unbounded
-        assert first_unbounded(L, mask, iter_chain_masks(L.poset, mask)) is None
+        assert first_unbounded(L, mask, iter_chain_masks(L, mask)) is None
         assert flags.is_chain_subcomplete.holds
 
 

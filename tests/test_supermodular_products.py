@@ -27,10 +27,10 @@ def supermodular_table(rng, D) -> dict:
     chain), and couplings w_i(x_i) * w_j(x_j) of down-set sizes, which are
     supermodular and increasing on each factor."""
     table = random_monotone_supermodular(rng, D)
-    down = [[row.bit_count() for row in f.poset.down] for f in D.factors]
+    down = [[row.bit_count() for row in f.down] for f in D.factors]
     terms = []
     for f in D.factors:
-        if all(f.poset.up[x] | f.poset.down[x] == f.poset.full for x in range(f.n)):
+        if all(f.up[x] | f.down[x] == f.full for x in range(f.n)):
             terms.append([Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(f.n)])
         else:
             term = random_monotone_supermodular(rng, f)
@@ -126,7 +126,7 @@ def test_a_table_that_contradicts_the_factors_is_loud():
     x, y = D.coords.index((0, 1)), D.coords.index((1, 0))
     meet, join = [list(row) for row in D.meet], [list(row) for row in D.join]
     meet[x][y], join[x][y] = y, x
-    bad = FiniteLattice(D.poset, tuple(map(tuple, meet)), tuple(map(tuple, join)),
+    bad = FiniteLattice(D, tuple(map(tuple, meet)), tuple(map(tuple, join)),
                         D.factors, D.coords)
     values = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
     f = LatticeFunction(bad, RATIONAL, {label: values[c] for label, c in zip(D.labels, D.coords)})

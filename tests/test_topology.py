@@ -43,7 +43,7 @@ class TestIntervalFamily:
 
     def test_rays_are_members(self, diamond_lattice):
         fam = interval_closed_family(diamond_lattice)
-        P = diamond_lattice.poset
+        P = diamond_lattice
         for i in range(P.n):
             assert fam.is_closed_mask(P.up[i])
             assert fam.is_closed_mask(P.down[i])
