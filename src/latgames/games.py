@@ -221,7 +221,7 @@ def validate_game(G: Game) -> Verdict:
     for i, player in enumerate(G.players):
         factor = G.factors[i]
         # columns[s][c]: the rank at own label index s against the c-th opponent profile
-        columns = split_columns(G.factors, G.ranks[player], (i,), G.strides)
+        columns = split_columns(G.factors, G.ranks[player], i, G.strides)
         hit = qsm_witness(factor, list(zip(*columns)))
         if hit is not None:
             c, x, y, clause = hit
@@ -230,7 +230,7 @@ def validate_game(G: Game) -> Verdict:
                 ("opponents", list(G.opp_profiles(i))[c]),
                 ("x", factor.labels[x]), ("y", factor.labels[y]), ("clause", clause)))
             break
-        hit = single_crossing_witness([factor], G.factors[:i] + G.factors[i + 1:], columns,
+        hit = single_crossing_witness(factor, G.factors[:i] + G.factors[i + 1:], columns,
                                       covers=G._opponent_covers(i))
         if hit is not None:
             p, p2, q, q2, clause = hit

@@ -67,8 +67,8 @@ def is_quasisupermodular(f: LatticeFunction) -> Verdict:
     L = f.domain
     two_chains = (L.factors is not None and len(L.factors) == 2
                   and all(chain_ranks(c) is not None for c in L.factors))
-    if two_chains and not any(single_crossing_witness(P, Q, columns) for P, Q, _, _, columns
-                              in (_split_columns(f, split, f.keys) for split in (0, 1))):
+    if two_chains and not any(single_crossing_witness(*_split_columns(f, split, f.keys))
+                              for split in (0, 1)):
         return Verdict(True)
     hit = qsm_witness(L, [f.keys])
     if hit is not None:
@@ -121,63 +121,43 @@ def _topkis_supermodular(f: LatticeFunction, vals) -> bool:
                  for y in iter_bits(factor.full & ~(factor.up[x] | factor.down[x])) if y > x]
         if i == last and not pairs:
             break
-        block, rest, _, _, columns = _split_columns(f, i, vals)
+        _, rest, columns = _split_columns(f, i, vals)
         for x, y, m, v in pairs:
             if any(map(operator.gt, map(operator.add, columns[x], columns[y]),
                        map(operator.add, columns[m], columns[v]))):
                 return False
-        if i < last and single_crossing_witness(block, rest, columns, step=_differences):
+        if i < last and single_crossing_witness(factor, rest, columns, step=_differences):
             return False
     return True
 
 
-def _split_parts(f: LatticeFunction, split):
-    """Resolve a factor split into (p_indices, q_indices) over the product."""
+def _split_columns(f: LatticeFunction, split, table):
+    """``(P, Q, columns)``: factor ``split`` of f's product domain, the other
+    factors in order, and ``columns[p][q]``, the entry of ``table`` (per
+    element of the domain) at p and the tuple q of Q, flat-indexed in
+    nested order.  The table is read in layout order through ``radix``."""
     L = f.domain
-    if L.factors is None:
+    if L.radix is None:
         raise NotAProductDomain("this check needs a domain built by product_lattice")
     k = len(L.factors)
-    if isinstance(split, int):
-        p_part = (split,)
-    else:
-        p_part = tuple(split)
-    if any(i < 0 or i >= k for i in p_part) or len(set(p_part)) != len(p_part):
+    if not isinstance(split, int) or not 0 <= split < k:
         raise NotAProductDomain(f"split {split!r} does not name distinct factors of a {k}-factor product")
-    q_part = tuple(i for i in range(k) if i not in p_part)
-    if not p_part or not q_part:
+    if k == 1:
         raise NotAProductDomain("the split must leave factors on both sides")
-    return p_part, q_part
+    flat = list(map(table.__getitem__, L.radix))
+    return (L.factors[split], L.factors[:split] + L.factors[split + 1:],
+            split_columns(L.factors, flat, split, radix_strides(L.factors)))
 
 
-def _block_elements(block):
-    """All coordinate tuples of a factor block, in canonical nested order."""
-    return list(itertools.product(*(range(f.n) for f in block)))
-
-
-def _split_columns(f: LatticeFunction, split, table):
-    """The factor blocks (P, Q) of the split, their coordinate tuples, and
-    ``columns[p][q]``, the entry of ``table`` (per element of f's domain) at
-    (p, q), with both blocks flat-indexed in canonical nested order.  The
-    table is put in layout order once and read by ``lattice.split_columns``."""
-    p_part, q_part = _split_parts(f, split)
-    factors = f.domain.factors
-    strides = radix_strides(factors)
-    flat = [None] * len(table)
-    for coord, v in zip(f.domain.coords, table):
-        flat[sum(map(operator.mul, coord, strides))] = v
-    P, Q = [factors[i] for i in p_part], [factors[i] for i in q_part]
-    return (P, Q, _block_elements(P), _block_elements(Q),
-            split_columns(factors, flat, p_part, strides))
-
-
-def _block_label(block, coord) -> str:
-    labels = tuple(f.labels[c] for f, c in zip(block, coord))
+def _q_label(Q, c: int) -> str:
+    """The label of the tuple of Q with nested flat index ``c``."""
+    labels = tuple(f.labels[c // s % f.n] for f, s in zip(Q, radix_strides(Q)))
     return labels[0] if len(labels) == 1 else tuple_label(labels)
 
 
-def _pq_fields(P, Q, ps, qs, a, b, c, d) -> tuple:
-    return (("p", _block_label(P, ps[a])), ("p2", _block_label(P, ps[b])),
-            ("q", _block_label(Q, qs[c])), ("q2", _block_label(Q, qs[d])))
+def _pq_fields(P, Q, a, b, c, d) -> tuple:
+    return (("p", P.labels[a]), ("p2", P.labels[b]),
+            ("q", _q_label(Q, c)), ("q2", _q_label(Q, d)))
 
 
 def _signs(hi, lo) -> list:
@@ -188,12 +168,13 @@ def _differences(hi, lo) -> list:
     return list(map(operator.sub, hi, lo))
 
 
-def single_crossing_witness(p_factors, q_factors, columns, step=_signs, covers=None):
+def single_crossing_witness(P, q_factors, columns, step=_signs, covers=None):
     """Least violation ``(p, p2, q, q2, clause)`` of a rising step, or None.
 
-    Blocks are flat-indexed in canonical nested order and ``columns[p][q]``
-    is the entry at (p, q).  For p <= p2, s = step(columns[p2], columns[p])
-    compares the two columns entry by entry and must not drop as q rises.
+    P is one factor, Q's tuples are flat-indexed in canonical nested order
+    and ``columns[p][q]`` is the entry at (p, q).  For p <= p2,
+    s = step(columns[p2], columns[p]) compares the two columns entry by
+    entry and must not drop as q rises.
     With the sign step on keys that is single crossing (both clauses); with
     the difference step on values it is increasing differences.  Every
     q <= q2 is joined by a chain of covers, so it is decided on the cover
@@ -202,17 +183,17 @@ def single_crossing_witness(p_factors, q_factors, columns, step=_signs, covers=N
     order; every earlier pair is clean, so that witness is the least one.
     ``covers`` are Q's ``cover_pairs``, when the caller holds them.
     ``clause`` is "weak" when s[q2] < 0 and "strict" otherwise, the
-    single-crossing clause that fails.  Both walks read the strict up-sets
-    of ``componentwise_up``, a ascending and then b ascending.
+    single-crossing clause that fails.  Both walks read strict up-sets,
+    P's own and Q's from ``componentwise_up``, a ascending and then b
+    ascending.
     """
     lows, highs = covers or cover_pairs(q_factors)
-    ps = _block_elements(p_factors)
-    for a, row in enumerate(componentwise_up(p_factors, ps)):
+    for a, row in enumerate(P.up):
         for b in iter_bits(row & ~(1 << a)):
             s = step(columns[b], columns[a])
             if all(map(operator.le, map(s.__getitem__, lows), map(s.__getitem__, highs))):
                 continue
-            qs = _block_elements(q_factors)
+            qs = list(itertools.product(*(range(f.n) for f in q_factors)))
             for c, up in enumerate(componentwise_up(q_factors, qs)):
                 for d in iter_bits(up & ~(1 << c)):
                     if s[c] > s[d]:
@@ -223,16 +204,17 @@ def single_crossing_witness(p_factors, q_factors, columns, step=_signs, covers=N
 
 
 def is_single_crossing(f: LatticeFunction, split=0) -> Verdict:
-    """Single crossing relative to the (P, Q) split of a product domain.
+    """Single crossing relative to the (P, Q) split of a product domain:
+    P is factor ``split``, Q the other factors.
 
     For p <= p' and q <= q': f(p,q) <= f(p',q) must give f(p,q') <= f(p',q'),
     with the strict version checked as its own clause.
     """
-    P, Q, ps, qs, columns = _split_columns(f, split, f.keys)
+    P, Q, columns = _split_columns(f, split, f.keys)
     hit = single_crossing_witness(P, Q, columns)
     if hit is None:
         return Verdict(True)
-    return Verdict(False, witness=_pq_fields(P, Q, ps, qs, *hit[:4]) + (("clause", hit[4]),))
+    return Verdict(False, witness=_pq_fields(P, Q, *hit[:4]) + (("clause", hit[4]),))
 
 
 def has_increasing_differences(f: LatticeFunction, split=0) -> Verdict:
@@ -240,24 +222,21 @@ def has_increasing_differences(f: LatticeFunction, split=0) -> Verdict:
     if not f.codomain.is_rational:
         raise LabeledCodomainUnsupported(
             "increasing differences need the additive structure of rational values")
-    P, Q, ps, qs, columns = _split_columns(f, split, integer_values(f.values) or f.values)
+    P, Q, columns = _split_columns(f, split, integer_values(f.values) or f.values)
     hit = single_crossing_witness(P, Q, columns, step=_differences)
     if hit is None:
         return Verdict(True)
-    return Verdict(False, witness=_pq_fields(P, Q, ps, qs, *hit[:4]))
+    return Verdict(False, witness=_pq_fields(P, Q, *hit[:4]))
 
 
 def sections_quasisupermodular(f: LatticeFunction, split=0) -> Verdict:
-    """Every section f(., q) over the P block is quasisupermodular."""
-    P, Q, _, qs, columns = _split_columns(f, split, f.keys)
-    if len(P) != 1:
-        raise NotAProductDomain("sections are taken over a single factor")
-    hit = qsm_witness(P[0], list(zip(*columns)))
+    """Every section f(., q) over factor ``split`` is quasisupermodular."""
+    P, Q, columns = _split_columns(f, split, f.keys)
+    hit = qsm_witness(P, list(zip(*columns)))
     if hit is None:
         return Verdict(True)
     c, x, y, clause = hit
-    return Verdict(False, witness=(("at", _block_label(Q, qs[c])),)
-                   + _qsm_fields(P[0], x, y, clause))
+    return Verdict(False, witness=(("at", _q_label(Q, c)),) + _qsm_fields(P, x, y, clause))
 
 
 def is_upper_chain_subcomplete(f: LatticeFunction) -> Verdict:

@@ -15,7 +15,7 @@ from .games import (
     validate_game,
     verify_equilibrium_structure,
 )
-from .lattice import FiniteLattice, classify_subset
+from .lattice import FiniteLattice, classify_subset, tuple_label
 from .properties import (
     has_increasing_differences,
     is_quasisupermodular,
@@ -144,8 +144,8 @@ def solve_report(G: Game, method: str = "both", cap: int = ENUMERATION_CAP) -> t
             lines.append("SUBLATTICE-GAP none")
         else:
             a, b, op, value = report.sublattice_gap
-            lines.append(f"SUBLATTICE-GAP x=({','.join(a)}) y=({','.join(b)}) op={op} "
-                         f"value=({','.join(value)})")
+            lines.append(f"SUBLATTICE-GAP x={tuple_label(a)} y={tuple_label(b)} op={op} "
+                         f"value={tuple_label(value)}")
         lines.append(f"CERTIFIES {' '.join(report.certifies)}")
     if method in ("tarski", "both") and validated.holds:
         tarski = tarski_extremes(G)

@@ -279,7 +279,8 @@ def coord_leq(factors, a, b) -> bool:
 def oracle_product_lattice(factors):
     """The product built pair by pair: every coordinate tuple tested against
     every other one factor by factor, both ways for the up- and down-rows,
-    and meet and join taken coordinatewise from the factor tables.  No
+    and meet and join taken coordinatewise from the factor tables; ``radix``
+    is the position of each tuple taken in ``itertools.product`` order.  No
     shared mask builder, no ``check_lattice`` and no transposition."""
     factors = tuple(factors)
     raw = sorted((tuple_label(tuple(f.labels[c] for f, c in zip(factors, coord))), coord)
@@ -296,8 +297,9 @@ def oracle_product_lattice(factors):
         return tuple(tuple(index[tuple(getattr(f, op)[a][b] for f, a, b in zip(factors, ci, cj))]
                            for cj in coords) for ci in coords)
 
+    radix = [index[c] for c in itertools.product(*(range(f.n) for f in factors))]
     return FiniteLattice(FinitePoset(labels, up, _down=down), table("meet"), table("join"),
-                         factors=factors, coords=coords)
+                         factors=factors, coords=coords, radix=radix)
 
 
 def sc_clause(lo_q, hi_q, lo_q2, hi_q2):

@@ -6,6 +6,8 @@ import pytest
 from latgames import LatticeFunction
 from latgames.cli import main
 from latgames.corpus import DATA
+from latgames.generators import grid_lattice
+from latgames.io import save_path
 
 from conftest import RATIONAL, with_join_entry
 
@@ -154,6 +156,39 @@ class TestCheckFunction:
                         "--property", "topo-usc", "--topology", path)
         assert (code, out) == (2, "ERROR InvariantViolation: label 'z' is not in the carrier\n")
 
+    def test_topology_of_an_unknown_kind_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"kind": "bogus"}))
+        code, out = run(capsys, "check-function", WEAK_ONLY,
+                        "--property", "topo-usc", "--topology", path)
+        assert (code, out) == (2, "ERROR ParseError: topology: unknown topology kind 'bogus'\n")
+
+    @pytest.mark.parametrize("split", [2, -1])
+    def test_a_split_naming_no_factor_exits_two(self, capsys, tmp_path, split):
+        D = grid_lattice((2, 3))
+        path = tmp_path / "grid.json"
+        save_path(path, LatticeFunction(D, RATIONAL, dict.fromkeys(D.labels, 0)))
+        code, out = run(capsys, "check-function", path,
+                        "--property", "single-crossing", "--split", split)
+        assert (code, out) == (2, f"ERROR NotAProductDomain: split {split} does not name "
+                                  "distinct factors of a 2-factor product\n")
+
+    def test_a_split_check_on_a_non_product_exits_two(self, capsys):
+        code, out = run(capsys, "check-function", STAR_FN, "--property", "incr-diff")
+        assert (code, out) == (2, "ERROR NotAProductDomain: this check needs a domain "
+                                  "built by product_lattice\n")
+
+    def test_a_split_of_one_factor_exits_two(self, capsys, tmp_path):
+        chain = {"elements": ["0", "1"], "covers": [["0", "1"]]}
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"domain": {"product": [chain]},
+                                    "codomain": {"kind": "rational"},
+                                    "table": [{"element": "(0)", "value": 0},
+                                              {"element": "(1)", "value": 1}]}))
+        code, out = run(capsys, "check-function", path, "--property", "sections-qsm")
+        assert (code, out) == (2, "ERROR NotAProductDomain: the split must leave "
+                                  "factors on both sides\n")
+
     def test_transfer_defaults_to_interval(self, capsys):
         code, out = run(capsys, "check-function", STAR_FN, "--property", "transfer")
         assert code == 0
@@ -166,6 +201,10 @@ class TestCheckFunction:
 
 
 class TestCheckGameAndSolve:
+    def test_a_lattice_document_is_not_a_game(self, capsys):
+        code, out = run(capsys, "check-game", GRID45)
+        assert (code, out) == (2, f"ERROR ParseError: {GRID45} holds a lattice, expected a game\n")
+
     def test_check_game(self, capsys):
         code, out = run(capsys, "check-game", STAR_GAME)
         assert code == 0
@@ -203,6 +242,11 @@ class TestCheckGameAndSolve:
 
 
 class TestVerify:
+    def test_kuku_on_a_lattice_document_exits_two(self, capsys):
+        code, out = run(capsys, "verify", GRID45, "--theorem", "kuku")
+        assert (code, out) == (
+            2, f"ERROR ParseError: {GRID45} holds a lattice, expected a function\n")
+
     def test_kuku(self, capsys):
         code, out = run(capsys, "verify", STAR_FN, "--theorem", "kuku")
         assert code == 0

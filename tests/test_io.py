@@ -376,6 +376,12 @@ class TestCanonicalForm:
         kind, L = parse(json.dumps(doc))
         assert lattice_obj(L)["covers"] == [["0", "1"], ["1", "2"]]
 
+    @pytest.mark.parametrize("kind", ["interval", "discrete"])
+    def test_topology_round_trip(self, kind):
+        text = canonical_dumps({"kind": kind})
+        assert parse(text)[0] == "topology"
+        assert serialize(parse(text)[1]) == text
+
     def test_detect_unknown_document(self):
         with pytest.raises(ParseError):
             parse(json.dumps({"what": 1}))

@@ -1,5 +1,6 @@
 """The componentwise product order against the pairwise construction
-(``conftest.oracle_product_lattice``): labels, coordinates, up- and
+(``conftest.oracle_product_lattice``): labels, coordinates and radix
+positions, up- and
 down-rows and meet/join tables of ``product_lattice``, which reads its
 tables off the factors' and never searches the product, checked against
 ``check_lattice`` too; the rows of those tables, built on first read, and
@@ -26,6 +27,7 @@ def _assert_same_product(factors):
     got, want = product_lattice(factors), oracle_product_lattice(factors)
     assert got.labels == want.labels
     assert got.coords == want.coords
+    assert got.radix == want.radix
     assert got.up == want.up
     assert got.down == want.down
     assert got.meet == want.meet

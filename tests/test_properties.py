@@ -179,7 +179,15 @@ class TestIncreasingDifferences:
             table[label] = s1 + a + b
         f = LatticeFunction(P, RATIONAL, table)
         assert has_increasing_differences(f, split=0).holds
-        assert has_increasing_differences(f, split=(1, 2)).holds
+        # The block of the two halves against the quarter: one factor of a
+        # nested product.
+        halves = product_lattice([half, half])
+        nested = product_lattice([quarter, halves])
+        g = LatticeFunction(nested, RATIONAL, {
+            label: Fraction(quarter.labels[s]) + sum(Fraction(half.labels[x])
+                                                     for x in halves.coords[h])
+            for label, (s, h) in zip(nested.labels, nested.coords)})
+        assert has_increasing_differences(g, split=1).holds
 
     def test_parabola_scaling_fails(self):
         f = _parabola_function()

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from latgames import ChainCodomain, Game, LatticeFunction, product_lattice, properties
-from latgames.errors import TheoremFalsified
+from latgames.errors import NotAProductDomain, TheoremFalsified
 from latgames.functions import integer_values
 from latgames.games import validate_game
 from latgames.generators import chain_lattice, diamond, grid_lattice
@@ -133,22 +133,47 @@ def test_functions_on_all_small_lattices_times_a_chain():
 
 
 def test_multi_factor_blocks():
-    """Splits naming two factors on one side, over a three-factor product,
-    with the P block in factor order and out of it."""
+    """Every factor of a three-factor product against the rest, and blocks
+    of two factors, in factor order and out of it, as one factor of a
+    nested product: its verdicts are the flat scan's with the block as P.
+    A tuple split is not a factor index."""
     rng = Xoshiro256StarStar(0x5C_0002)
     factors = [chain_lattice(2), diamond(), chain_lattice(3)]
     D = product_lattice(factors)
+    at = dict(zip(D.coords, D.labels))
+    blocks = []
+    for p_part in ((0, 2), (1, 2), (2, 0), (2, 1), (1, 0)):
+        q_part = tuple(k for k in range(3) if k not in p_part)
+        block = product_lattice([factors[k] for k in p_part])
+        nested = product_lattice([factors[q_part[0]], block])
+        flat = []  # the element of D at each element of the nested product
+        for q, b in nested.coords:
+            coord = [0] * 3
+            for k, c in zip(q_part + p_part, (q,) + block.coords[b]):
+                coord[k] = c
+            flat.append(at[tuple(coord)])
+        blocks.append((p_part, q_part, nested, flat))
     outcomes = Counter()
     for table in itertools.islice(_three_factor_tables(rng, D), 80):
         f = LatticeFunction(D, RATIONAL, table)
-        for split in (0, 1, 2, (0, 2), (1, 2), (2, 0), (2, 1), (1, 0)):
-            p_part = (split,) if isinstance(split, int) else split
-            q_part = tuple(k for k in range(3) if k not in p_part)
-            assert is_single_crossing(f, split=split) == oracle_single_crossing(f, p_part, q_part)
+        for split in (0, 1, 2):
+            q_part = tuple(k for k in range(3) if k != split)
+            assert is_single_crossing(f, split=split) == oracle_single_crossing(f, (split,), q_part)
             got = has_increasing_differences(f, split=split)
-            assert got == oracle_increasing_differences(f, p_part, q_part), (table, split)
+            assert got == oracle_increasing_differences(f, (split,), q_part), (table, split)
+            outcomes[got.holds] += 1
+        for p_part, q_part, nested, flat in blocks:
+            g = LatticeFunction(nested, RATIONAL, dict(zip(nested.labels, map(table.get, flat))))
+            assert is_single_crossing(g, split=1) == oracle_single_crossing(f, p_part, q_part)
+            got = has_increasing_differences(g, split=1)
+            assert got == oracle_increasing_differences(f, p_part, q_part), (table, p_part)
             outcomes[got.holds] += 1
     assert outcomes[True] and outcomes[False], outcomes
+    for p_part, _, _, _ in blocks:
+        with pytest.raises(NotAProductDomain):
+            is_single_crossing(f, split=p_part)
+        with pytest.raises(NotAProductDomain):
+            has_increasing_differences(f, split=p_part)
 
 
 def test_criterion_06_games_and_their_perturbations(criterion_06_games):

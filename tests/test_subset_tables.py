@@ -68,6 +68,14 @@ def corrupted_sample(count=600, seed=0x5B5E7):
 WELL_FORMED = all_lattices(6) + (grid_lattice((3, 3)), grid_lattice((2, 2, 2)))
 
 
+@pytest.mark.parametrize("L", [diamond_mk(3), grid_lattice((2, 3))], ids=repr)
+def test_hand_built_tables_that_are_the_bounds_pass(L):
+    hand = FiniteLattice(L, L.meet, L.join)
+    assert not hand._tables_checked
+    hand.check_tables()
+    assert hand._tables_checked
+
+
 @pytest.mark.parametrize("L", WELL_FORMED, ids=repr)
 def test_tables_match_the_scans_on_every_mask(L):
     # Veinott's equivalences subset by subset, once the tables are checked:

@@ -127,7 +127,7 @@ def test_a_table_that_contradicts_the_factors_is_loud():
     meet, join = [list(row) for row in D.meet], [list(row) for row in D.join]
     meet[x][y], join[x][y] = y, x
     bad = FiniteLattice(D, tuple(map(tuple, meet)), tuple(map(tuple, join)),
-                        D.factors, D.coords)
+                        D.factors, D.coords, D.radix)
     values = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
     f = LatticeFunction(bad, RATIONAL, {label: values[c] for label, c in zip(D.labels, D.coords)})
     with pytest.raises(TheoremFalsified):
