@@ -4,8 +4,10 @@
 function and for every section of a game.  Here each of those must return
 the same ``Verdict`` as ``conftest.oracle_qsm``, which takes meets and joins
 from the raw order relation and visits every ordered pair.  On a product of
-two chains ``is_quasisupermodular`` first runs single crossing on both
-splits; its verdicts and witnesses must be ``qsm_witness``'s.
+two chains ``is_quasisupermodular`` decides by ``two_chain_failing_x`` and
+scans only the x it names; its verdicts and witnesses must be those of
+``qsm_witness`` over every pair, also on chains whose labels sort in
+another order than their ranks.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from latgames.errors import TheoremFalsified
 from latgames.games import validate_game
 from latgames.generators import (SUPERMODULAR_THEN_TRANSFORM, chain_lattice, diamond, diamond_mk,
                                  grid_lattice, random_function)
-from latgames.lattice import tuple_label
+from latgames.lattice import chain_ranks, tuple_label
 from latgames.properties import (is_quasisupermodular, is_single_crossing, qsm_witness,
                                  sections_quasisupermodular)
 from latgames.rng import Xoshiro256StarStar
@@ -222,9 +224,9 @@ def test_other_products_never_take_the_two_chain_route(monkeypatch):
           for D in domains for _ in range(30)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("single crossing ran in place of the QSM scan")
+        raise AssertionError("the two-chain kernel ran in place of the QSM scan")
 
-    monkeypatch.setattr(properties, "single_crossing_witness", refuse)
+    monkeypatch.setattr(properties, "two_chain_failing_x", refuse)
     outcomes = Counter()
     for f in fs:
         got = is_quasisupermodular(f)
@@ -236,7 +238,48 @@ def test_other_products_never_take_the_two_chain_route(monkeypatch):
 def test_a_failing_split_that_the_scan_cannot_find_is_loud(monkeypatch):
     D = grid_lattice((2, 2))
     f = LatticeFunction(D, RATIONAL, dict(zip(D.labels, (0, 1, 1, 0))))
-    assert not is_single_crossing(f, 0).holds
-    monkeypatch.setattr(properties, "qsm_witness", lambda L, columns: None)
+    ranks = [chain_ranks(c) for c in D.factors]
+    assert properties.two_chain_failing_x(D, ranks, f.keys) is not None
+    monkeypatch.setattr(properties, "qsm_witness", lambda L, columns, xs=None: None)
     with pytest.raises(TheoremFalsified):
         is_quasisupermodular(f)
+
+
+def _shuffled_chains(rng, dims):
+    """Two chains whose labels, drawn from a seeded shuffle, sort in another
+    order than their ranks."""
+    chains = []
+    for n in dims:
+        labels = [f"r{i}" for i in range(n)]
+        while labels == sorted(labels):
+            rng.shuffle(labels)
+        chains.append(chain_lattice(n, labels=labels))
+    return product_lattice(chains)
+
+
+def test_two_chains_whose_label_order_is_not_their_rank_order():
+    rng = Xoshiro256StarStar(0x5C_0025)
+    D = _shuffled_chains(rng, (3, 3))
+    cases = [(D, combo) for combo in itertools.product(range(3), repeat=D.n)]
+    for dims in ((4, 4), (5, 3)):
+        E = _shuffled_chains(rng, dims)
+        cases += [(E, [rng.below(3) for _ in E.labels]) for _ in range(300)]
+    outcomes = Counter()
+    for E, combo in cases:
+        f = LatticeFunction(E, RATIONAL, dict(zip(E.labels, combo)))
+        got = is_quasisupermodular(f)
+        assert got == scan_verdict(f) == oracle_function_qsm(f), (E.labels, combo)
+        outcomes[got.holds or got.witness_dict()["clause"]] += 1
+    assert outcomes[True] and outcomes["weak"] and outcomes["strict"], outcomes
+
+
+def test_a_failing_16x16_check_builds_one_meet_and_one_join_row():
+    rng = Xoshiro256StarStar(0x5C_0026)
+    base = random_function(rng, grid_lattice((16, 16)), SUPERMODULAR_THEN_TRANSFORM)
+    f = planted(base, 2, 5, 1)
+    L = f.domain
+    assert not any(r is not None for r in L.meet._rows + L.join._rows)
+    want = Verdict(False, witness=(("x", "(15,00)"), ("y", "(14,01)"), ("clause", "weak")))
+    assert is_quasisupermodular(f) == want
+    assert sum(r is not None for r in L.meet._rows) == 1
+    assert sum(r is not None for r in L.join._rows) == 1
