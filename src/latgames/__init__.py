@@ -36,6 +36,7 @@ from .lattice import (
     classify_subset,
     extremes,
     inf_subset,
+    lattice_from_covers,
     poset_from_covers,
     product_lattice,
     sup_subset,

@@ -21,7 +21,7 @@ from .lattice import (
     chain_ranks,
     check_lattice,
     iter_bits,
-    poset_from_covers,
+    lattice_from_covers,
     product_lattice,
 )
 from .properties import is_quasisupermodular, is_supermodular
@@ -63,7 +63,7 @@ def chain_lattice(n: int, labels=None) -> FiniteLattice:
         labels = [f"c{i:0{width}d}" for i in range(n)]
     labels = list(labels)
     covers = [(labels[i], labels[i + 1]) for i in range(n - 1)]
-    return check_lattice(poset_from_covers(labels, covers))
+    return lattice_from_covers(labels, covers)
 
 
 def fraction_chain(values) -> FiniteLattice:
@@ -100,12 +100,11 @@ def diamond_mk(k: int) -> FiniteLattice:
     mids = [f"x{i:0{width}d}" if k > 9 else f"x{i}" for i in range(1, k + 1)]
     elements = ["m", "M"] + mids
     covers = [("m", x) for x in mids] + [(x, "M") for x in mids]
-    return check_lattice(poset_from_covers(elements, covers))
+    return lattice_from_covers(elements, covers)
 
 
 def diamond() -> FiniteLattice:
-    return check_lattice(poset_from_covers(
-        ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]))
+    return lattice_from_covers(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
 
 
 _LATTICES_BY_SIZE: dict = {}

@@ -18,10 +18,10 @@ import re
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import LatGamesError, ParseError
+from .errors import LatGamesError, NotALattice, ParseError
 from .functions import ChainCodomain, LatticeFunction, ranked_image, rational_ranks
 from .games import Game
-from .lattice import FiniteLattice, check_lattice, poset_from_covers, product_lattice, radix_strides
+from .lattice import FiniteLattice, lattice_from_covers, product_lattice, radix_strides
 from .topology import EXPLICIT, KINDS, TopologySpec
 
 
@@ -86,6 +86,9 @@ def _labels(value, where, what) -> list:
 
 
 def parse_lattice(obj, where: str = "lattice") -> FiniteLattice:
+    """``product_lattice`` of a ``product`` document's factors, else
+    ``lattice_from_covers``, so a chain skips the closure and bound search.
+    A malformed document is a ``ParseError``; ``NotALattice`` is raised as is."""
     if isinstance(obj, dict) and "product" in obj:
         factor_objs = _expect(obj, "product", list, where)
         if not factor_objs:
@@ -97,18 +100,15 @@ def parse_lattice(obj, where: str = "lattice") -> FiniteLattice:
     covers = _expect(obj, "covers", list, where)
     if not elements:
         raise ParseError(f"{where}: empty elements list")
-    cover_pairs = []
     for c in covers:
         if len(_labels(c, where, "each cover")) != 2:
             raise ParseError(f"{where}: covers must be two-element label lists")
-        cover_pairs.append((c[0], c[1]))
     try:
-        poset = poset_from_covers(elements, cover_pairs)
+        return lattice_from_covers(elements, covers)
+    except NotALattice:
+        raise  # with its witness pair: the document is well-formed, the order fails
     except LatGamesError as exc:
         raise ParseError(f"{where}: {exc}") from exc
-    # NotALattice propagates with its witness pair: the document is
-    # well-formed, the order property fails.
-    return check_lattice(poset)
 
 
 def lattice_obj(L: FiniteLattice) -> dict:

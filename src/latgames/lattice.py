@@ -3,9 +3,11 @@
 Elements are kept in lexicographic label order and that order is canonical
 for every subset-valued result in the package.  Subsets are bitmasks over
 the canonical order and the full relation is stored per element.  Every
-predicate is decided in polynomial time.  All types are immutable after
-construction, so they are safe to use concurrently: a product's table rows
-are cached on first read, and a row built twice is the same row.
+predicate is decided in polynomial time.  ``lattice_from_covers`` builds a
+chain from its path and any other order by a closure and a bound search.
+All types are immutable after construction, so they are safe to use
+concurrently: a product's table rows, and their parts, are cached on first
+use, and a row built twice is the same row.
 """
 from __future__ import annotations
 
@@ -122,18 +124,23 @@ class FinitePoset:
         return f"{type(self).__name__}({self.n} elements)"
 
 
-def poset_from_covers(elements, covers) -> FinitePoset:
-    """Build a poset as the reflexive-transitive closure of a cover relation.
-
-    Fails with ``CycleDetected`` when the closure violates antisymmetry.
-    """
+def _declared(elements) -> list:
+    """``elements`` sorted, once each is a valid label declared once."""
     labels = [validate_label(e) for e in elements]
     seen = set()
     for label in labels:
         if label in seen:
             raise DuplicateLabel(f"label {label!r} declared twice")
         seen.add(label)
-    labels = sorted(labels)
+    return sorted(labels)
+
+
+def poset_from_covers(elements, covers) -> FinitePoset:
+    """Build a poset as the reflexive-transitive closure of a cover relation.
+
+    Fails with ``CycleDetected`` when the closure violates antisymmetry.
+    """
+    labels = _declared(elements)
     index = {label: i for i, label in enumerate(labels)}
     n = len(labels)
     up = [1 << i for i in range(n)]
@@ -268,6 +275,55 @@ def check_lattice(poset: FinitePoset) -> FiniteLattice:
     return L
 
 
+def _chain_path(labels, covers) -> list | None:
+    """``labels`` from bottom to top when ``covers`` are the n - 1 links of
+    one path through them all, else None.  With at most one upper and one
+    lower cover per element, the walk up from the one element that has no
+    lower cover never revisits an element."""
+    try:
+        above = dict(covers)
+        below = dict(zip(above.values(), above))
+    except (TypeError, ValueError):  # not pairs of hashable labels
+        return None
+    n, known = len(labels), set(labels)
+    if not (len(covers) == len(above) == len(below) == n - 1
+            and known >= above.keys() | below.keys()):
+        return None
+    path = list(known - below.keys())
+    while len(path) < n and path[-1] in above:
+        path.append(above[path[-1]])
+    return path if len(path) == n else None
+
+
+def lattice_from_covers(elements, covers) -> FiniteLattice:
+    """``check_lattice(poset_from_covers(elements, covers))``, the one covers
+    constructor.  A chain (``_chain_path``) skips the closure and the bound
+    search: with ``pos[r]`` the canonical position of rank r, its down-rows
+    (up-rows) are prefix (suffix) masks in rank order, and row r of the meet
+    (join) maps each element's rank through ``pos[:r] + [pos[r]] * (n - r)``
+    (its dual), one C-level ``map`` per row.  Any other input takes the
+    general route and raises its errors as before."""
+    labels, covers = _declared(elements), list(covers)
+    path = _chain_path(labels, covers)
+    if path is None:
+        return check_lattice(poset_from_covers(elements, covers))
+    n, index = len(labels), {label: i for i, label in enumerate(labels)}
+    pos = [index[label] for label in path]
+    rank = sorted(range(n), key=pos.__getitem__)
+    up, down, meet, join = [0] * n, [0] * n, [()] * n, [()] * n
+    acc = 0
+    for r, i in enumerate(pos):
+        acc |= 1 << i
+        down[i], up[i] = acc, (1 << n) - 1 ^ acc | 1 << i
+        meet[i] = tuple(map((pos[:r] + [i] * (n - r)).__getitem__, rank))
+        join[i] = tuple(map(([i] * r + pos[r:]).__getitem__, rank))
+    poset = FinitePoset(labels, up, _down=down)
+    poset._covers = tuple(sorted(zip(path, path[1:])))
+    L = FiniteLattice(poset, tuple(meet), tuple(join))
+    L._tables_checked = True
+    return L
+
+
 def sup_subset(L: FiniteLattice, labels) -> str:
     """Least upper bound of a nonempty subset, computed by folding join."""
     mask = L.subset_mask(labels)
@@ -377,18 +433,19 @@ def product_elements(factors):
 class _LazyRows:
     """A product's meet or join table, as a sequence whose row x is built on
     first read.  Per factor k and element a, a part holds stride_k ·
-    tables[k][a][y_k] over the canonical y; row x is the sum of the parts
-    at x's coordinates, mapped through ``pos`` (radix index -> canonical
-    position).  The parts are built on the first row read.  Rows are
-    tuples, and the table supports ``len``, iteration and ``==`` against a
-    sequence of rows."""
+    tables[k][a][y_k] over the canonical y, read through ``cols[k]``, the
+    coordinates y_k; row x is the sum of the parts at x's coordinates,
+    mapped through ``pos`` (radix index -> canonical position).  Each part
+    is built on its first use, so a row costs O(k·N) list operations.  Rows
+    are tuples, and the table supports ``len``, iteration and ``==`` against
+    a sequence of rows."""
 
-    __slots__ = ("_tables", "_strides", "_coords", "_pos", "_parts", "_rows")
+    __slots__ = ("_tables", "_strides", "_cols", "_pos", "_parts", "_rows")
 
-    def __init__(self, tables, strides, coords, pos):
-        self._tables, self._strides, self._coords, self._pos = tables, strides, coords, pos
-        self._parts = None
-        self._rows = [None] * len(coords)
+    def __init__(self, tables, strides, cols, pos):
+        self._tables, self._strides, self._cols, self._pos = tables, strides, cols, pos
+        self._parts = [[None] * len(table) for table in tables]
+        self._rows = [None] * len(pos)
 
     def __len__(self):
         return len(self._rows)
@@ -408,14 +465,12 @@ class _LazyRows:
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def _build_row(self, x):
-        if self._parts is None:
-            self._parts = [[list(map([stride * v for v in t].__getitem__, col)) for t in table]
-                           for table, stride, col in zip(self._tables, self._strides,
-                                                         zip(*self._coords))]
-        c = self._coords[x]
-        acc = self._parts[0][c[0]]
-        for k in range(1, len(c)):
-            acc = map(operator.add, acc, self._parts[k][c[k]])
+        acc = None
+        for parts, col, table, stride in zip(self._parts, self._cols, self._tables, self._strides):
+            a = col[x]
+            if parts[a] is None:
+                parts[a] = list(map([stride * v for v in table[a]].__getitem__, col))
+            acc = parts[a] if acc is None else map(operator.add, acc, parts[a])
         return tuple(map(self._pos.__getitem__, acc))
 
 
@@ -428,7 +483,7 @@ def product_lattice(factors) -> FiniteLattice:
     ``radix_strides`` index of the tuple of factor entries, mapped to its
     canonical position by ``radix``.  The tables are ``_LazyRows``: a row
     costs O(N·k) list operations for N elements and k factors, paid on its
-    first read."""
+    first read, and builds only the k parts at its coordinates."""
     factors = tuple(factors)
     if not factors:
         raise EmptyFactorList("a product needs at least one factor")
@@ -441,8 +496,9 @@ def product_lattice(factors) -> FiniteLattice:
         radix[sum(map(operator.mul, strides, c))] = i
     poset = FinitePoset(labels, componentwise_up(factors, coords),
                         _down=componentwise_up(factors, coords, dual=True))
-    L = FiniteLattice(poset, _LazyRows([f.meet for f in factors], strides, coords, radix),
-                      _LazyRows([f.join for f in factors], strides, coords, radix),
+    cols = tuple(zip(*coords))
+    L = FiniteLattice(poset, _LazyRows([f.meet for f in factors], strides, cols, radix),
+                      _LazyRows([f.join for f in factors], strides, cols, radix),
                       factors, coords, radix)
     L._tables_checked = True
     return L

@@ -3,15 +3,15 @@
 positions, up- and
 down-rows and meet/join tables of ``product_lattice``, which reads its
 tables off the factors' and never searches the product, checked against
-``check_lattice`` too; the rows of those tables, built on first read, and
-which commands read them; and the opponent index of
+``check_lattice`` too; the rows of those tables, built on first read from
+parts built on first use, and which commands read them; and the opponent index of
 ``best_response_correspondence``."""
 import itertools
 
 import pytest
 
-from latgames import (LatticeFunction, best_response_correspondence, check_lattice, lattice,
-                      poset_from_covers, product_lattice)
+from latgames import (LatticeFunction, best_response_correspondence, check_lattice,
+                      is_quasisupermodular, lattice, poset_from_covers, product_lattice)
 from latgames.cli import main
 from latgames.errors import DuplicateLabel, InvariantViolation
 from latgames.generators import (SUPERMODULAR_THEN_TRANSFORM, all_lattices, chain_lattice, diamond,
@@ -21,6 +21,7 @@ from latgames.lattice import FinitePoset
 from latgames.rng import Xoshiro256StarStar
 
 from conftest import oracle_product_lattice, payoff_keys, with_join_entry
+from test_qsm_kernel import planted
 
 
 def _assert_same_product(factors):
@@ -168,3 +169,27 @@ def test_grid_commands_build_only_the_rows_they_read(monkeypatch, tmp_path, caps
     assert capsys.readouterr().out.splitlines()[-1] == (
         "PROPERTY supermodular FAIL x=(00,01) y=(01,00)")
     assert sorted(built) == [0, 0, 1, 1]  # rows 0 and 1 of the meet and the join
+
+
+def test_rows_read_in_any_order_equal_the_eager_tables():
+    # Each part is built on its first use, so rows read in another order
+    # build their parts in another order.
+    products = [[A, B] for A, B in itertools.product(all_lattices(4), repeat=2)]
+    products.append([diamond(), _unpadded_chain(3), chain_lattice(2)])
+    for factors in products:
+        L = product_lattice(factors)
+        want = check_lattice(FinitePoset(L.labels, L.up))
+        for x in reversed(range(L.n)):
+            assert L.join[x] == want.join[x]
+            assert L.meet[L.n - 1 - x] == want.meet[L.n - 1 - x]
+
+
+def test_a_failing_16x16_check_builds_one_part_per_factor_per_table():
+    # The one-x witness scan reads one meet row and one join row, and each
+    # row sums one part per factor: 2 meet parts and 2 join parts, not 32.
+    rng = Xoshiro256StarStar(0x5C_0026)
+    f = planted(random_function(rng, grid_lattice((16, 16)), SUPERMODULAR_THEN_TRANSFORM), 2, 5, 1)
+    L = f.domain
+    assert not is_quasisupermodular(f).holds
+    for table in (L.meet, L.join):
+        assert [sum(part is not None for part in parts) for parts in table._parts] == [1, 1]
