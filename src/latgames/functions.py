@@ -163,9 +163,19 @@ class LatticeFunction:
 
     __slots__ = ("domain", "codomain", "values", "keys")
 
-    def __init__(self, domain: FiniteLattice, codomain: ChainCodomain, table):
+    def __init__(self, domain: FiniteLattice, codomain: ChainCodomain, table, _image=None):
+        """``table`` maps each element label to a value of ``codomain``.  For
+        ``io``'s table reader (``_image`` given) it lists the dense ranks in
+        element order instead, and ``_image`` the rational of each rank as an
+        integer pair (numerator, denominator): one ``Fraction`` is made per
+        distinct value, with no check and no second ranking."""
         self.domain = domain
         self.codomain = codomain
+        if _image is not None:
+            image = [Fraction(n, d) for n, d in _image]
+            self.values = tuple(map(image.__getitem__, table))
+            self.keys = tuple(table)
+            return
         missing = [label for label in domain.labels if label not in table]
         extra = [label for label in table if label not in domain.index]
         if missing or extra:

@@ -156,10 +156,57 @@ def _read_table_value(codomain, raw, where, cache):
     return value
 
 
-def parse_function(obj, where: str = "function") -> LatticeFunction:
-    domain = parse_lattice(_expect(obj, "domain", dict, where), where=f"{where}.domain")
-    codomain = parse_codomain(_expect(obj, "codomain", dict, where), where=f"{where}.codomain")
-    rows = _expect(obj, "table", list, where)
+def _ranked_rationals(raws):
+    """``(ranks, image)`` of raw rational table values: each distinct raw is
+    read once by ``read_pair`` and ranked by ``rational_ranks``, and the
+    result is the rank of each raw, in order, and the integer pair of each
+    rank.  None when a raw is not a string or an int (bool, float, null,
+    list and object values are faults) or ``read_pair`` refuses it.  This
+    is the one reader of rational tables, for payoffs and for functions."""
+    if not set(map(type, raws)) <= {str, int}:
+        return None
+    distinct = list(dict.fromkeys(raws))
+    try:
+        pairs = list(map(read_pair, distinct))
+    except ParseError:
+        return None
+    ranks = rational_ranks(pairs)
+    rank_of = dict(zip(distinct, ranks))
+    return list(map(rank_of.__getitem__, raws)), ranked_image(pairs, ranks)
+
+
+def _function_columns(rows, domain, codomain):
+    """A function's table rows read column by column with C-level ``map``:
+    the ``element`` fields placed through ``domain.index`` and the ``value``
+    fields.  Rational values are ranked by ``_ranked_rationals`` and passed
+    to ``LatticeFunction`` as ranks and ``_image``; labeled values, all
+    strings, as a table, which the constructor checks against their chain.
+    None on any anomaly: a row that is not an object, a missing field, an
+    element that is not a label of the domain, a duplicate, a table that is
+    not total, or an unreadable value."""
+    try:
+        index = list(map(domain.index.__getitem__, map(itemgetter("element"), rows)))
+        placed = dict(zip(index, map(itemgetter("value"), rows)))
+    except (KeyError, TypeError):
+        return None
+    if len(rows) != domain.n or len(placed) != domain.n:
+        return None
+    raws = list(map(placed.__getitem__, range(domain.n)))
+    if not codomain.is_rational:
+        if set(map(type, raws)) != {str}:
+            return None
+        return LatticeFunction(domain, codomain, dict(zip(domain.labels, raws)))
+    ranked = _ranked_rationals(raws)
+    return None if ranked is None else LatticeFunction(domain, codomain, ranked[0],
+                                                       _image=ranked[1])
+
+
+def _function_rows(rows, domain, codomain, where) -> LatticeFunction:
+    """A function's table rows read one at a time, in document order, each
+    checked for ``element`` string, duplicate, ``value`` field and value,
+    the first fault raised; the ``LatticeFunction`` constructor then checks
+    that the table is total.  ``parse_function`` runs it only on tables
+    that its column pass finds anomalous, to name the fault."""
     table = {}
     cache = {}
     for row in rows:
@@ -168,8 +215,20 @@ def parse_function(obj, where: str = "function") -> LatticeFunction:
             raise ParseError(f"{where}: duplicate table entry for {element!r}")
         table[element] = _read_table_value(codomain, _expect(row, "value", None, f"{where}.table"),
                                            f"{where}.table", cache)
+    return LatticeFunction(domain, codomain, table)
+
+
+def parse_function(obj, where: str = "function") -> LatticeFunction:
+    """A function document, its table read by ``_function_columns``, or by
+    ``_function_rows`` when that finds an anomaly."""
+    domain = parse_lattice(_expect(obj, "domain", dict, where), where=f"{where}.domain")
+    codomain = parse_codomain(_expect(obj, "codomain", dict, where), where=f"{where}.codomain")
+    rows = _expect(obj, "table", list, where)
     try:
-        return LatticeFunction(domain, codomain, table)
+        return (_function_columns(rows, domain, codomain)
+                or _function_rows(rows, domain, codomain, where))
+    except ParseError:
+        raise  # a row fault, named by the row loop
     except LatGamesError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -200,10 +259,9 @@ def topology_obj(spec: TopologySpec) -> dict:
 def _payoff_columns(rows, players, slots, count, codomain):
     """A player's payoff rows read column by column with C-level ``map``:
     the profile dicts, each player's ``{label: label index · stride}`` slot
-    of them, summed into profile indexes, and the ``value`` fields.  Each
-    distinct rational value is read once by ``read_pair`` and ranked by
-    ``rational_ranks``; the result is the ranks in profile-index order and
-    the integer pair of each rank.  Labeled values come back as they are.
+    of them, summed into profile indexes, and the ``value`` fields.
+    Rational values are ranked by ``_ranked_rationals``, in profile-index
+    order.  Labeled values come back as they are.
     None on any anomaly: a row or profile that is not an object, a profile
     that does not name exactly the players, an unknown label, a duplicate,
     a missing or unreadable value, or a table that is not total."""
@@ -217,19 +275,9 @@ def _payoff_columns(rows, players, slots, count, codomain):
     if len(rows) != count or len(placed) != count or set(map(len, profiles)) != {len(players)}:
         return None
     raws = list(map(placed.__getitem__, range(count)))
-    types = set(map(type, raws))
     if not codomain.is_rational:
-        return raws if types == {str} else None
-    if not types <= {str, int}:  # bool, float, null, list and object values are faults
-        return None
-    distinct = list(dict.fromkeys(raws))
-    try:
-        pairs = list(map(read_pair, distinct))
-    except ParseError:
-        return None
-    ranks = rational_ranks(pairs)
-    rank_of = dict(zip(distinct, ranks))
-    return list(map(rank_of.__getitem__, raws)), ranked_image(pairs, ranks)
+        return raws if set(map(type, raws)) == {str} else None
+    return _ranked_rationals(raws)
 
 
 def _payoff_rows(rows, players, codomain, at) -> dict:

@@ -100,16 +100,26 @@ class FinitePoset:
 
     @property
     def covers(self) -> tuple:
-        """Hasse pairs (transitive reduction), sorted by (lower, upper)."""
+        """Hasse pairs (transitive reduction) as labels, sorted by (lower, upper)."""
+        labels = self.labels
+        return tuple(sorted((labels[i], labels[j]) for i, j in self.cover_indexes))
+
+    @property
+    def cover_indexes(self) -> tuple:
+        """Hasse pairs (i, j), i covered by j, as element indexes, the lower
+        elements in order of down-set size, a linear extension: read
+        backwards, every cover out of j comes before every cover into j, and
+        read forwards, every cover into i before every cover out of i.
+        Computed once."""
         if self._covers is None:
+            order = sorted(range(self.n), key=[row.bit_count() for row in self.down].__getitem__)
             pairs = []
-            for i in range(self.n):
+            for i in order:
                 strict_up = self.up[i] & ~(1 << i)
                 for j in iter_bits(strict_up):
-                    between = strict_up & self.down[j] & ~(1 << j)
-                    if between == 0:
-                        pairs.append((self.labels[i], self.labels[j]))
-            self._covers = tuple(sorted(pairs))
+                    if strict_up & self.down[j] & ~(1 << j) == 0:
+                        pairs.append((i, j))
+            self._covers = tuple(pairs)
         return self._covers
 
     def __eq__(self, other):
@@ -318,7 +328,7 @@ def lattice_from_covers(elements, covers) -> FiniteLattice:
         meet[i] = tuple(map((pos[:r] + [i] * (n - r)).__getitem__, rank))
         join[i] = tuple(map(([i] * r + pos[r:]).__getitem__, rank))
     poset = FinitePoset(labels, up, _down=down)
-    poset._covers = tuple(sorted(zip(path, path[1:])))
+    poset._covers = tuple(zip(pos, pos[1:]))
     L = FiniteLattice(poset, tuple(meet), tuple(join))
     L._tables_checked = True
     return L
@@ -353,20 +363,29 @@ def componentwise_up(factors, coords, dual=False) -> list:
     ``coords[i]`` in the componentwise order of ``factors``; with ``dual``,
     at or below (the down-rows).
 
-    Per factor, one mask holds the tuples whose coordinate there is at or
-    above a given element, and ``up[i]`` is the AND of those masks over
-    ``coords[i]``: O(len(coords) · Σ|factor|) big-int operations.  This is
-    the one place the product order is computed.
+    Per factor, ``above[c]`` first holds the tuples whose coordinate there
+    is c, one pass over that coordinate's column; OR'ing in ``above`` of
+    c's upper covers (lower covers with ``dual``) makes it the tuples whose
+    coordinate is at or above (below) c.  The covers are read in the order
+    of ``cover_indexes`` (forwards with ``dual``, else backwards), so each
+    cover's mask is complete when it is read.  ``up[i]`` is the AND of
+    ``above`` over ``coords[i]``: O(len(coords) · k + Σ#covers) big-int
+    operations for k factors.  This is the one place the product order is
+    computed.
     """
+    weights = [1 << bit for bit in range(len(coords))]
     up = [(1 << len(coords)) - 1] * len(coords)
-    for k, f in enumerate(factors):
-        at = [0] * f.n
-        for bit, c in enumerate(coords):
-            at[c[k]] |= 1 << bit
-        rows = f.down if dual else f.up
-        above = [sum(at[x] for x in iter_bits(rows[c])) for c in range(f.n)]
-        for bit, c in enumerate(coords):
-            up[bit] &= above[c[k]]
+    for f, column in zip(factors, zip(*coords)):
+        above = [0] * f.n
+        for c, weight in zip(column, weights):
+            above[c] |= weight
+        if dual:
+            for lo, hi in f.cover_indexes:
+                above[hi] |= above[lo]
+        else:
+            for lo, hi in reversed(f.cover_indexes):
+                above[lo] |= above[hi]
+        up = list(map(operator.and_, up, map(above.__getitem__, column)))
     return up
 
 
@@ -391,8 +410,8 @@ def cover_pairs(factors) -> tuple:
     lows, highs = [], []
     for f, stride in zip(factors, radix_strides(factors)):
         block = stride * f.n
-        for lo, hi in f.covers:
-            lo, hi = f.index[lo] * stride, f.index[hi] * stride
+        for lo, hi in f.cover_indexes:
+            lo, hi = lo * stride, hi * stride
             for top in range(0, count, block):
                 lows.extend(range(top + lo, top + lo + stride))
                 highs.extend(range(top + hi, top + hi + stride))

@@ -151,7 +151,8 @@ def _topkis_supermodular(f: LatticeFunction, vals) -> bool:
     has increasing differences between each factor and the rest.  The splits
     i < k-1 cover every pair of factors.  A section can fail only on an
     incomparable pair of its factor, so a chain factor has nothing to scan;
-    increasing differences run on the cover-pair kernel.
+    increasing differences are decided on the cover pairs of both sides
+    (``increasing_differences_witness``).
     """
     factors = f.domain.factors
     last = len(factors) - 1
@@ -165,7 +166,7 @@ def _topkis_supermodular(f: LatticeFunction, vals) -> bool:
             if any(map(operator.gt, map(operator.add, columns[x], columns[y]),
                        map(operator.add, columns[m], columns[v]))):
                 return False
-        if i < last and single_crossing_witness(factor, rest, columns, step=_differences):
+        if i < last and increasing_differences_witness(factor, rest, columns):
             return False
     return True
 
@@ -242,6 +243,24 @@ def single_crossing_witness(P, q_factors, columns, step=_signs, covers=None):
     return None
 
 
+def increasing_differences_witness(P, q_factors, columns):
+    """``single_crossing_witness`` with the difference step, decided on P's
+    cover pairs: for p <= p2, f(p2,.) - f(p,.) is the sum of its steps along
+    a chain of P's covers, and a sum of functions that do not drop on Q's
+    cover pairs does not drop either.  A pass builds one difference column
+    per cover pair of P, O(#covers(P) · (|Q| + #covers(Q))); a difference
+    that drops is at a comparable pair, so the rescan over every p <= p2
+    finds the least witness."""
+    covers = cover_pairs(q_factors)
+    lows, highs = covers
+    for lo, hi in P.cover_indexes:
+        s = _differences(columns[hi], columns[lo])
+        if not all(map(operator.le, map(s.__getitem__, lows), map(s.__getitem__, highs))):
+            return single_crossing_witness(P, q_factors, columns, step=_differences,
+                                           covers=covers)
+    return None
+
+
 def is_single_crossing(f: LatticeFunction, split=0) -> Verdict:
     """Single crossing relative to the (P, Q) split of a product domain:
     P is factor ``split``, Q the other factors.
@@ -257,12 +276,17 @@ def is_single_crossing(f: LatticeFunction, split=0) -> Verdict:
 
 
 def has_increasing_differences(f: LatticeFunction, split=0) -> Verdict:
-    """f(p',q') - f(p,q') >= f(p',q) - f(p,q) for all p <= p', q <= q'."""
+    """f(p',q') - f(p,q') >= f(p',q) - f(p,q) for all p <= p', q <= q'.
+
+    Decided on the cover pairs of P and of Q
+    (``increasing_differences_witness``); a failing check rescans every
+    p <= p', so the witness is the least one.
+    """
     if not f.codomain.is_rational:
         raise LabeledCodomainUnsupported(
             "increasing differences need the additive structure of rational values")
     P, Q, columns = _split_columns(f, split, integer_values(f.values) or f.values)
-    hit = single_crossing_witness(P, Q, columns, step=_differences)
+    hit = increasing_differences_witness(P, Q, columns)
     if hit is None:
         return Verdict(True)
     return Verdict(False, witness=_pq_fields(P, Q, *hit[:4]))

@@ -464,6 +464,34 @@ def oracle_parse_game(obj, where: str = "game") -> Game:
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def oracle_parse_function(obj, where: str = "function") -> LatticeFunction:
+    """``io.parse_function`` with the table read the way the parser read it
+    before rows were placed by index: one element-keyed dict, each row
+    checked in turn (row object, ``element`` string, duplicate, ``value``
+    field, value), then ``LatticeFunction`` on that dict, which checks that
+    the table is total and ranks the values.  Raises the same
+    ``ParseError`` texts."""
+    domain = io.parse_lattice(io._expect(obj, "domain", dict, where), where=f"{where}.domain")
+    codomain = io.parse_codomain(io._expect(obj, "codomain", dict, where),
+                                 where=f"{where}.codomain")
+    table = {}
+    for row in io._expect(obj, "table", list, where):
+        element = io._expect(row, "element", str, f"{where}.table")
+        if element in table:
+            raise ParseError(f"{where}: duplicate table entry for {element!r}")
+        raw = io._expect(row, "value", None, f"{where}.table")
+        if codomain.is_rational:
+            table[element] = io.parse_value(raw)
+        elif isinstance(raw, str):
+            table[element] = raw
+        else:
+            raise ParseError(f"{where}.table: labeled values must be strings")
+    try:
+        return LatticeFunction(domain, codomain, table)
+    except LatGamesError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def brute_is_sublattice(L, labels):
     labels = list(labels)
     members = set(labels)

@@ -21,8 +21,8 @@ from latgames import io as latgames_io
 from latgames.cli import main
 from latgames.lattice import chain_ranks
 
-FIELDS = ("labels", "index", "up", "down", "full", "meet", "join", "covers", "bottom", "top",
-          "factors", "coords", "radix", "_tables_checked")
+FIELDS = ("labels", "index", "up", "down", "full", "meet", "join", "covers", "cover_indexes",
+          "bottom", "top", "factors", "coords", "radix", "_tables_checked")
 
 
 def _general(elements, covers):

@@ -424,3 +424,20 @@ def _canonical_form(L):
         if best is None or bits < best:
             best = bits
     return best
+
+
+def test_cover_indexes_are_the_covers_in_a_linear_extension_of_the_lower_element():
+    # Read forwards, every cover into an element comes before every cover
+    # out of it; componentwise_up relies on that order in both directions.
+    lattices = list(all_lattices(6)) + [grid_lattice((3, 4)), product_lattice([diamond()] * 2)]
+    for L in lattices:
+        pairs = L.cover_indexes
+        assert tuple(sorted((L.labels[i], L.labels[j]) for i, j in pairs)) == L.covers
+        assert L.covers == tuple(sorted(
+            (L.labels[i], L.labels[j]) for i in range(L.n) for j in range(L.n)
+            if i != j and L._leq(i, j) and not any(
+                k not in (i, j) and L._leq(i, k) and L._leq(k, j) for k in range(L.n))))
+        position = {}
+        for k, (i, j) in enumerate(pairs):
+            position.setdefault(i, k)
+            assert position.get(j, len(pairs)) > k, (L.labels, pairs)

@@ -4,8 +4,9 @@ positions, up- and
 down-rows and meet/join tables of ``product_lattice``, which reads its
 tables off the factors' and never searches the product, checked against
 ``check_lattice`` too; the rows of those tables, built on first read from
-parts built on first use, and which commands read them; and the opponent index of
-``best_response_correspondence``."""
+parts built on first use, and which commands read them; the opponent index of
+``best_response_correspondence``; and ``lattice.componentwise_up`` on
+subsets of coordinate tuples, against ``conftest.coord_leq``."""
 import itertools
 
 import pytest
@@ -20,7 +21,7 @@ from latgames.io import save_path
 from latgames.lattice import FinitePoset
 from latgames.rng import Xoshiro256StarStar
 
-from conftest import oracle_product_lattice, payoff_keys, with_join_entry
+from conftest import coord_leq, oracle_product_lattice, payoff_keys, with_join_entry
 from test_qsm_kernel import planted
 
 
@@ -193,3 +194,41 @@ def test_a_failing_16x16_check_builds_one_part_per_factor_per_table():
     assert not is_quasisupermodular(f).holds
     for table in (L.meet, L.join):
         assert [sum(part is not None for part in parts) for parts in table._parts] == [1, 1]
+
+
+def _reversed_labels(L):
+    """L with its labels renamed so that their order is the reverse of the
+    canonical one: the top sorts first, so label order is no linear
+    extension."""
+    rename = {label: chr(ord("z") - i) for i, label in enumerate(L.labels)}
+    return lattice.lattice_from_covers(list(rename.values()),
+                                       [(rename[lo], rename[hi]) for lo, hi in L.covers])
+
+
+def test_componentwise_up_on_coordinate_subsets():
+    # Equilibrium sets and opponent spaces pass subsets of a product's
+    # coordinate tuples, in any order; each row must be the tuples of the
+    # subset at or above (with dual, at or below) its own, pair by pair.
+    rng = Xoshiro256StarStar(0x5C_0027)
+    small = list(all_lattices(4))
+    lattices = small + [_reversed_labels(L) for L in small if L.n > 1] + [_unpadded_chain(11)]
+    products = [[A, B] for A, B in itertools.product(lattices, repeat=2)]
+    small = list(all_lattices(3))
+    products += [list(fs) for fs in itertools.product(
+        small + [_reversed_labels(L) for L in small if L.n > 1], repeat=3)]
+    sizes = set()
+    for factors in products:
+        every = list(itertools.product(*(range(f.n) for f in factors)))
+        subsets = [[], every]
+        for _ in range(2):
+            subset = [c for c in every if rng.chance(1, 2)]
+            rng.shuffle(subset)
+            subsets.append(subset)
+        for coords in subsets:
+            sizes.add(len(coords))
+            for dual in (False, True):
+                want = [sum(1 << j for j, b in enumerate(coords)
+                            if coord_leq(factors, *((b, a) if dual else (a, b))))
+                        for a in coords]
+                assert lattice.componentwise_up(factors, coords, dual) == want, (factors, dual)
+    assert 0 in sizes and max(sizes) == 11 * 11

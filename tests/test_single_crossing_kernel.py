@@ -4,11 +4,15 @@ Single crossing (sign step on keys) and increasing differences (difference
 step on values) share one kernel.  The oracles below are the canonical
 quartic scans over every p <= p2 and every q <= q2, kept here only to pin
 the kernel down: on every instance it must return the same ``Verdict``,
-least witness and clause included.
+least witness and clause included.  Increasing differences are decided on
+the cover pairs of P as well; a passing check builds one difference
+column per cover pair of P, and a failing one still reports the least
+witness over every p <= p2.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -18,13 +22,15 @@ from latgames import ChainCodomain, Game, LatticeFunction, product_lattice, prop
 from latgames.errors import NotAProductDomain, TheoremFalsified
 from latgames.functions import integer_values
 from latgames.games import validate_game
-from latgames.generators import chain_lattice, diamond, grid_lattice
+from latgames.generators import all_lattices, chain_lattice, diamond, grid_lattice
 from latgames.lattice import tuple_label
-from latgames.properties import has_increasing_differences, is_single_crossing
+from latgames.properties import has_increasing_differences, is_single_crossing, is_supermodular
 from latgames.rng import Xoshiro256StarStar
 from latgames.verdict import Verdict
 
-from conftest import coord_leq, oracle_validate_game, sc_clause, small_product_functions
+from conftest import (coord_leq, oracle_supermodular, oracle_validate_game, product_tables,
+                      sc_clause, small_product_functions)
+from test_qsm_kernel import planted
 
 RATIONAL = ChainCodomain.rational()
 
@@ -222,3 +228,92 @@ def test_a_cover_pair_drop_the_rescan_cannot_confirm_is_loud(monkeypatch):
     monkeypatch.setattr(properties, "cover_pairs", lambda factors: cover_pairs(factors)[::-1])
     with pytest.raises(TheoremFalsified):
         is_single_crossing(f, 0)
+
+
+# ------------------------------------------- increasing differences on covers
+
+def _comparable_pairs(P) -> int:
+    return sum(row.bit_count() - 1 for row in P.up)
+
+
+@pytest.fixture
+def differences_built(monkeypatch):
+    """The difference columns built by the property checkers, one entry each."""
+    built = []
+    differences = properties._differences
+
+    def counting(hi, lo):
+        built.append(1)
+        return differences(hi, lo)
+
+    monkeypatch.setattr(properties, "_differences", counting)
+    return built
+
+
+@pytest.mark.parametrize("factors", [
+    [chain_lattice(8), chain_lattice(8)],
+    [diamond(), chain_lattice(4)],
+    [chain_lattice(3), diamond(), chain_lattice(5)],
+], ids=["8x8", "diamond-4", "3-diamond-5"])
+def test_a_passing_check_builds_one_difference_column_per_cover_pair(factors, differences_built):
+    # h(x) = |down(x)| is supermodular and increasing on every factor, so the
+    # product of the h is supermodular with increasing differences.
+    D = product_lattice(factors)
+    f = LatticeFunction(D, RATIONAL, {
+        label: Fraction(1, 3) * sum(f.down[c].bit_count() for f, c in zip(factors, coord))
+        + Fraction(1, 2) * math.prod(f.down[c].bit_count() for f, c in zip(factors, coord))
+        for label, coord in zip(D.labels, D.coords)})
+    for split, P in enumerate(factors):
+        differences_built.clear()
+        assert has_increasing_differences(f, split=split).holds
+        assert len(differences_built) == len(P.covers) < _comparable_pairs(P)
+    differences_built.clear()
+    assert is_supermodular(f).holds
+    assert len(differences_built) == sum(len(P.covers) for P in factors[:-1])
+
+
+def _separable_coupled(rng, n: int) -> LatticeFunction:
+    """g(a) + h(b) + a·b on an n x n grid: supermodular, with increasing
+    differences for both splits."""
+    D = grid_lattice((n, n))
+    g = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n)]
+    h = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n)]
+    return LatticeFunction(D, RATIONAL, {label: g[a] + h[b] + a * b
+                                         for label, (a, b) in zip(D.labels, D.coords)})
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_planted_late_failures_return_the_least_witness(n):
+    rng = Xoshiro256StarStar(0x1D_0027 + n)
+    base = _separable_coupled(rng, n)
+    assert has_increasing_differences(base, split=0).holds
+    steep = rng.randint(2, 5)
+    f = planted(base, 1 + rng.below(4), steep, rng.randint(1, steep - 1))
+    for split in (0, 1):
+        got = has_increasing_differences(f, split=split)
+        assert not got.holds
+        assert got == oracle_increasing_differences(f, (split,), (1 - split,)), split
+    assert is_supermodular(f) == oracle_supermodular(f)
+    assert not is_supermodular(f).holds
+
+
+def test_non_chain_factors_match_the_oracle_on_both_value_paths(monkeypatch):
+    """Every lattice L of size <= 5 against a chain, P = L and P = the chain,
+    on tables with thirds and halves; with ``integer_values`` patched to None
+    the columns hold ``Fraction``s, the path for denominators past 2^64."""
+    rng = Xoshiro256StarStar(0x1D_0005)
+    functions = []
+    for L in all_lattices(5):
+        for m in (2, 3):
+            C = chain_lattice(m)
+            D = product_lattice([L, C])
+            for table in product_tables(rng, D, L, C):
+                functions.append(LatticeFunction(D, RATIONAL, {
+                    label: v * Fraction(1, 3) + Fraction(a % 2, 2)
+                    for (label, v), (a, _) in zip(table.items(), D.coords)}))
+    want = [oracle_increasing_differences(f, (s,), (1 - s,)) for f in functions for s in (0, 1)]
+    assert [has_increasing_differences(f, split=s) for f in functions for s in (0, 1)] == want
+    monkeypatch.setattr(properties, "integer_values", lambda values: None)
+    assert [has_increasing_differences(f, split=s) for f in functions for s in (0, 1)] == want
+    outcomes = Counter((v.holds, s) for v, s in zip(want, itertools.cycle((0, 1))))
+    assert all(outcomes[k] for k in itertools.product((True, False), (0, 1))), outcomes
