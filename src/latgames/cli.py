@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["qsm", "supermodular", "single-crossing", "incr-diff",
                             "sections-qsm", "ucs", "transfer", "topo-usc"])
     p.add_argument("--split", type=int, default=0,
-                   help="factor index forming the first block of a product domain")
+                   help="names one factor of a product domain, P, by its index, "
+                        "against the other factors, Q")
     p.add_argument("--topology", default=None,
                    help="topology for transfer checks: a file, 'interval', or 'discrete'")
     p.set_defaults(func=cmd_check_function)

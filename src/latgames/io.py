@@ -141,19 +141,13 @@ def codomain_obj(codomain: ChainCodomain) -> dict:
     return {"kind": "labeled", "labels": list(codomain.labels)}
 
 
-def _read_table_value(codomain, raw, where, cache):
-    """One table value of ``codomain``; rational strings go through
-    ``cache``, a per-document memo of the strings already read."""
+def _read_table_value(codomain, raw, where):
+    """One table value of ``codomain``."""
     if not codomain.is_rational:
         if not isinstance(raw, str):
             raise ParseError(f"{where}: labeled values must be strings")
         return raw
-    if type(raw) is not str:
-        return parse_value(raw)
-    value = cache.get(raw)
-    if value is None:
-        value = cache[raw] = parse_value(raw)
-    return value
+    return parse_value(raw)
 
 
 def _ranked_rationals(raws):
@@ -175,30 +169,25 @@ def _ranked_rationals(raws):
     return list(map(rank_of.__getitem__, raws)), ranked_image(pairs, ranks)
 
 
-def _function_columns(rows, domain, codomain):
-    """A function's table rows read column by column with C-level ``map``:
-    the ``element`` fields placed through ``domain.index`` and the ``value``
-    fields.  Rational values are ranked by ``_ranked_rationals`` and passed
-    to ``LatticeFunction`` as ranks and ``_image``; labeled values, all
-    strings, as a table, which the constructor checks against their chain.
-    None on any anomaly: a row that is not an object, a missing field, an
-    element that is not a label of the domain, a duplicate, a table that is
-    not total, or an unreadable value."""
+def _table_columns(rows, index, count, codomain):
+    """A table's rows read column by column with C-level ``map``: each row's
+    ``value`` field placed at the slot ``index(rows)`` gives that row, for
+    slots 0..count-1.  The result is ``_ranked_rationals``' ``(ranks,
+    image)`` in slot order for a rational codomain, and the values, all
+    strings, with image None for a labeled one.  This is the one column
+    pass, for function tables and for payoff tables.  None on any anomaly:
+    a row that is not an object, a missing field, a row ``index`` cannot
+    place, a duplicate, a table that is not total, or an unreadable value."""
     try:
-        index = list(map(domain.index.__getitem__, map(itemgetter("element"), rows)))
-        placed = dict(zip(index, map(itemgetter("value"), rows)))
+        placed = dict(zip(index(rows), map(itemgetter("value"), rows)))
+        raws = list(map(placed.__getitem__, range(count)))
     except (KeyError, TypeError):
         return None
-    if len(rows) != domain.n or len(placed) != domain.n:
+    if len(rows) != count or len(placed) != count:
         return None
-    raws = list(map(placed.__getitem__, range(domain.n)))
-    if not codomain.is_rational:
-        if set(map(type, raws)) != {str}:
-            return None
-        return LatticeFunction(domain, codomain, dict(zip(domain.labels, raws)))
-    ranked = _ranked_rationals(raws)
-    return None if ranked is None else LatticeFunction(domain, codomain, ranked[0],
-                                                       _image=ranked[1])
+    if codomain.is_rational:
+        return _ranked_rationals(raws)
+    return (raws, None) if set(map(type, raws)) == {str} else None
 
 
 def _function_rows(rows, domain, codomain, where) -> LatticeFunction:
@@ -206,27 +195,36 @@ def _function_rows(rows, domain, codomain, where) -> LatticeFunction:
     checked for ``element`` string, duplicate, ``value`` field and value,
     the first fault raised; the ``LatticeFunction`` constructor then checks
     that the table is total.  ``parse_function`` runs it only on tables
-    that its column pass finds anomalous, to name the fault."""
+    that the column pass finds anomalous, to name the fault."""
     table = {}
-    cache = {}
     for row in rows:
         element = _expect(row, "element", str, f"{where}.table")
         if element in table:
             raise ParseError(f"{where}: duplicate table entry for {element!r}")
         table[element] = _read_table_value(codomain, _expect(row, "value", None, f"{where}.table"),
-                                           f"{where}.table", cache)
+                                           f"{where}.table")
     return LatticeFunction(domain, codomain, table)
 
 
 def parse_function(obj, where: str = "function") -> LatticeFunction:
-    """A function document, its table read by ``_function_columns``, or by
-    ``_function_rows`` when that finds an anomaly."""
+    """A function document, its table read by ``_table_columns`` with each
+    row placed at the index of its ``element`` in ``domain.index``, or by
+    ``_function_rows`` when that finds an anomaly.  ``LatticeFunction``
+    takes rational values as ranks and ``_image``, and labeled values as a
+    table, which it checks against their chain."""
     domain = parse_lattice(_expect(obj, "domain", dict, where), where=f"{where}.domain")
     codomain = parse_codomain(_expect(obj, "codomain", dict, where), where=f"{where}.codomain")
     rows = _expect(obj, "table", list, where)
+    read = _table_columns(rows, lambda rows: map(domain.index.__getitem__,
+                                                 map(itemgetter("element"), rows)),
+                          domain.n, codomain)
     try:
-        return (_function_columns(rows, domain, codomain)
-                or _function_rows(rows, domain, codomain, where))
+        if read is None:
+            return _function_rows(rows, domain, codomain, where)
+        values, image = read
+        return LatticeFunction(domain, codomain,
+                               dict(zip(domain.labels, values)) if image is None else values,
+                               _image=image)
     except ParseError:
         raise  # a row fault, named by the row loop
     except LatGamesError as exc:
@@ -256,37 +254,13 @@ def topology_obj(spec: TopologySpec) -> dict:
     return {"kind": spec.kind}
 
 
-def _payoff_columns(rows, players, slots, count, codomain):
-    """A player's payoff rows read column by column with C-level ``map``:
-    the profile dicts, each player's ``{label: label index · stride}`` slot
-    of them, summed into profile indexes, and the ``value`` fields.
-    Rational values are ranked by ``_ranked_rationals``, in profile-index
-    order.  Labeled values come back as they are.
-    None on any anomaly: a row or profile that is not an object, a profile
-    that does not name exactly the players, an unknown label, a duplicate,
-    a missing or unreadable value, or a table that is not total."""
-    try:
-        profiles = list(map(itemgetter("profile"), rows))
-        index = list(map(sum, zip(*[map(slot.__getitem__, map(itemgetter(p), profiles))
-                                    for p, slot in zip(players, slots)])))
-        placed = dict(zip(index, map(itemgetter("value"), rows)))
-    except (KeyError, TypeError):
-        return None
-    if len(rows) != count or len(placed) != count or set(map(len, profiles)) != {len(players)}:
-        return None
-    raws = list(map(placed.__getitem__, range(count)))
-    if not codomain.is_rational:
-        return raws if set(map(type, raws)) == {str} else None
-    return _ranked_rationals(raws)
-
-
 def _payoff_rows(rows, players, codomain, at) -> dict:
     """A player's payoff rows read one at a time, in document order, into a
     profile-keyed table, each checked for profile object, missing
     coordinate, label strings, unknown players, duplicate, ``value`` field
     and value, the first fault raised.  ``_payoff_tables`` runs it only on
-    rows that its column pass finds anomalous, to name the fault."""
-    table, memo = {}, {}
+    rows that the column pass finds anomalous, to name the fault."""
+    table = {}
     for row in rows:
         profile_map = _expect(row, "profile", dict, at)
         try:
@@ -298,31 +272,42 @@ def _payoff_rows(rows, players, codomain, at) -> dict:
             raise ParseError(f"{at}: profile names unknown players")
         if profile in table:
             raise ParseError(f"{at}: duplicate profile {profile}")
-        table[profile] = _read_table_value(codomain, _expect(row, "value", None, at), at, memo)
+        table[profile] = _read_table_value(codomain, _expect(row, "value", None, at), at)
     return table
 
 
 def _payoff_tables(players, factors, codomains, payoffs_obj, where) -> tuple:
     """``Game``'s ``payoffs`` and ``_images`` from the players' payoff rows,
-    read player by player by ``_payoff_columns``.  A player whose rows it
-    finds anomalous is read again by ``_payoff_rows``, which raises the
-    first fault in document order or, for a table with an unknown label or
-    one that is not total, returns it profile-keyed, so that ``Game``
-    reports it after every row of every player has been read.  Labeled
-    values are checked against their chain by ``Game``."""
+    read player by player by ``_table_columns``.  A row's slot is its
+    profile index: the sum of each player's ``{label: label index ·
+    stride}`` slot of its coordinate, and none when the profile does not
+    name exactly the players.  A player whose rows the column pass finds
+    anomalous is read again by ``_payoff_rows``, which raises the first
+    fault in document order or, for a table with an unknown label or one
+    that is not total, returns it profile-keyed, so that ``Game`` reports it
+    after every row of every player has been read.  Labeled values are
+    checked against their chain by ``Game``."""
     slots = [{label: k * stride for k, label in enumerate(f.labels)}
              for f, stride in zip(factors, radix_strides(factors))]
+
+    def index(rows):
+        profiles = list(map(itemgetter("profile"), rows))
+        if set(map(len, profiles)) != {len(players)}:
+            return ()  # places no row, so the column pass refuses the table
+        return map(sum, zip(*[map(slot.__getitem__, map(itemgetter(p), profiles))
+                              for p, slot in zip(players, slots)]))
+
     count = math.prod(f.n for f in factors)
     payoffs, images = {}, {}
     for p in players:
         rows = _expect(payoffs_obj, p, list, f"{where}.payoffs")
-        read = _payoff_columns(rows, players, slots, count, codomains[p])
+        read = _table_columns(rows, index, count, codomains[p])
         if read is None:
             payoffs[p] = _payoff_rows(rows, players, codomains[p], f"{where}.payoffs[{p}]")
-        elif codomains[p].is_rational:
-            payoffs[p], images[p] = read
-        else:
-            payoffs[p] = read
+            continue
+        payoffs[p], image = read
+        if image is not None:
+            images[p] = image
     return payoffs, images
 
 

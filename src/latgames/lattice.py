@@ -195,11 +195,11 @@ class FiniteLattice(FinitePoset):
         self.factors = factors
         self.coords = coords
         self.radix = radix
-        bottom, top = extremal_in(self, self.full, False), extremal_in(self, self.full)
-        if bottom is None or top is None:
-            raise NotALattice((), "glb" if bottom is None else "lub")
-        self.bottom = bottom
-        self.top = top
+        try:  # the element whose up-set (down-set) is everything
+            self.bottom = self.up.index(self.full)
+            self.top = self.down.index(self.full)
+        except ValueError:
+            raise NotALattice((), "lub" if self.full in self.up else "glb") from None
         self._tables_checked = False
 
     def meet_label(self, a: str, b: str) -> str:

@@ -24,7 +24,7 @@ from latgames.errors import (
 )
 from latgames.generators import (all_lattices, chain_lattice, diamond, grid_lattice,
                                  lattices_of_size)
-from latgames.lattice import chain_ranks, iter_bits
+from latgames.lattice import FiniteLattice, FinitePoset, chain_ranks, extremal_in, iter_bits
 from latgames.rng import Xoshiro256StarStar
 from latgames.verdict import Verdict
 
@@ -369,6 +369,28 @@ class TestExtremes:
             ex = extremes(L)
             assert ex.minimal == (ex.least,)
             assert ex.maximal == (ex.greatest,)
+
+    def test_bottom_and_top_are_the_least_and_greatest_elements(self):
+        lattices = list(all_lattices(6))
+        for n in (1, 2, 7, 48):
+            labels = [f"c{k}" for k in range(n)]
+            lattices += [chain_lattice(n, labels), chain_lattice(n, labels[::-1])]
+        lattices += [product_lattice([A, B]) for A, B in itertools.product(all_lattices(4), repeat=2)]
+        lattices += [product_lattice([chain_lattice(3), diamond(), chain_lattice(2)]),
+                     grid_lattice((48, 48))]
+        for L in lattices:
+            assert L.bottom == extremal_in(L, L.full, False), L
+            assert L.top == extremal_in(L, L.full, True), L
+
+    @pytest.mark.parametrize("labels, up, missing", [
+        (("a", "b"), (0b01, 0b10), "glb"),         # an antichain: neither bound
+        (("0", "a", "b"), (0b111, 0b010, 0b100), "lub"),  # a least, no greatest element
+        (("1", "a", "b"), (0b001, 0b011, 0b101), "glb"),  # a greatest, no least element
+    ])
+    def test_a_poset_without_a_bound_is_not_a_lattice(self, labels, up, missing):
+        with pytest.raises(NotALattice) as exc:
+            FiniteLattice(FinitePoset(labels, up), (), ())
+        assert exc.value.missing == missing and exc.value.pair == ()
 
 
 class TestMeetJoinRoundTrip:
