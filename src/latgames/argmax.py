@@ -37,13 +37,13 @@ def argmax_set(f: LatticeFunction) -> tuple:
 
 
 def level_correspondence(f: LatticeFunction) -> Correspondence:
-    """Upper level sets indexed by the function's image chain (ascending);
-    the r-th value of the image is the one of rank r."""
+    """Upper level sets (``LatticeFunction.upper_levels``) indexed by the
+    function's image chain (ascending); the r-th value of the image is the
+    one of rank r."""
     image = f.image()
     full = (1 << len(image)) - 1
-    return Correspondence(
-        f.domain, image, [full >> r << r for r in range(len(image))],
-        [sum(1 << x for x, k in enumerate(f.keys) if k >= cut) for cut in range(len(image))])
+    return Correspondence(f.domain, image, [full >> r << r for r in range(len(image))],
+                          f.upper_levels())
 
 
 def _require_nonempty(F: Correspondence):

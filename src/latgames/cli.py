@@ -159,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="names one factor of a product domain, P, by its index, "
                         "against the other factors, Q")
     p.add_argument("--topology", default=None,
-                   help="topology for transfer checks: a file, 'interval', or 'discrete'")
+                   help="topology for the transfer and topo-usc checks: a file, "
+                        "'interval', or 'discrete'")
     p.set_defaults(func=cmd_check_function)
 
     p = sub.add_parser("check-game", help="validate a game file")

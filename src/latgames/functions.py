@@ -6,7 +6,9 @@ must be exact so that witnesses re-check.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -15,7 +17,7 @@ from .errors import (
     LabeledCodomainUnsupported,
     NotStrictlyIncreasing,
 )
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, validate_label
 
 RATIONAL = "rational"
 LABELED = "labeled"
@@ -25,8 +27,10 @@ class ChainCodomain:
     """A totally ordered value space: exact rationals, or a labeled chain.
 
     Labeled chains are ordered by list position and never compared
-    arithmetically; operations that need the additive structure of the
-    values (supermodularity, sums, increasing differences) reject them.
+    arithmetically.  Their labels follow the rule of element labels
+    (``lattice.validate_label``), so a value prints as one report field.
+    Operations that need the additive structure of the values
+    (supermodularity, sums, increasing differences) reject them.
     """
 
     __slots__ = ("kind", "labels", "_positions")
@@ -36,7 +40,7 @@ class ChainCodomain:
             raise InvariantViolation(f"unknown codomain kind {kind!r}")
         self.kind = kind
         if kind == LABELED:
-            labels = tuple(labels or ())
+            labels = tuple(map(validate_label, labels or ()))
             if not labels:
                 raise InvariantViolation("a labeled chain needs at least one label")
             if len(set(labels)) != len(labels):
@@ -197,6 +201,15 @@ class LatticeFunction:
     def image(self) -> tuple:
         """Distinct values in ascending chain order."""
         return ranked_image(self.values, self.keys)
+
+    def upper_levels(self) -> list:
+        """The upper level sets as masks, ``levels[r]`` = {x : rank of f(x)
+        >= r} for each rank r ascending, from the whole domain to the
+        argmax: one mask per rank, OR'd from the top rank down."""
+        exact = [0] * (max(self.keys) + 1)
+        for x, k in enumerate(self.keys):
+            exact[k] |= 1 << x
+        return list(itertools.accumulate(reversed(exact), operator.or_))[::-1]
 
     def transform(self, t) -> "LatticeFunction":
         """Apply a strictly increasing rational map pointwise.

@@ -23,6 +23,7 @@ from .lattice import (
     iter_bits,
     lattice_from_covers,
     product_lattice,
+    strong_set_witness,
 )
 from .properties import is_quasisupermodular, is_supermodular
 from .rng import Xoshiro256StarStar
@@ -266,30 +267,20 @@ def random_lattice(rng: Xoshiro256StarStar, max_size: int = 8) -> FiniteLattice:
 
 
 def meet_join_closure_lattice(rng: Xoshiro256StarStar) -> FiniteLattice:
-    """Random subset of a random grid, closed under the grid's meet and join,
-    taken as a standalone lattice with the induced order."""
+    """Random subset of a random grid, closed under the grid's meet and join
+    (each meet or join that ``strong_set_witness`` finds outside the set is
+    added until it finds none), taken as a standalone lattice with the
+    induced order."""
     grid = grid_lattice((rng.randint(2, 4), rng.randint(2, 4)))
-    chosen = {grid.bottom, grid.top}
+    chosen = 1 << grid.bottom | 1 << grid.top
     for i in range(grid.n):
         if rng.chance(2, 5):
-            chosen.add(i)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(sorted(chosen), 2):
-            for c in (grid.meet[a][b], grid.join[a][b]):
-                if c not in chosen:
-                    chosen.add(c)
-                    changed = True
-    members = sorted(chosen)
-    labels = [grid.labels[i] for i in members]
-    pos = {i: k for k, i in enumerate(members)}
-    up = [0] * len(members)
-    for i in members:
-        for j in iter_bits(grid.up[i]):
-            if j in pos:
-                up[pos[i]] |= 1 << pos[j]
-    return check_lattice(FinitePoset(labels, up))
+            chosen |= 1 << i
+    while (hit := strong_set_witness(grid, chosen, chosen)) is not None:
+        chosen |= 1 << hit[3]
+    members = list(iter_bits(chosen))
+    up = [sum(1 << k for k, j in enumerate(members) if grid.up[i] >> j & 1) for i in members]
+    return check_lattice(FinitePoset([grid.labels[i] for i in members], up))
 
 
 def random_game(rng: Xoshiro256StarStar, max_players: int = 3, max_size: int = 4) -> Game:

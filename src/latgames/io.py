@@ -141,15 +141,6 @@ def codomain_obj(codomain: ChainCodomain) -> dict:
     return {"kind": "labeled", "labels": list(codomain.labels)}
 
 
-def _read_table_value(codomain, raw, where):
-    """One table value of ``codomain``."""
-    if not codomain.is_rational:
-        if not isinstance(raw, str):
-            raise ParseError(f"{where}: labeled values must be strings")
-        return raw
-    return parse_value(raw)
-
-
 def _ranked_rationals(raws):
     """``(ranks, image)`` of raw rational table values: each distinct raw is
     read once by ``read_pair`` and ranked by ``rational_ranks``, and the
@@ -190,28 +181,36 @@ def _table_columns(rows, index, count, codomain):
     return (raws, None) if set(map(type, raws)) == {str} else None
 
 
-def _function_rows(rows, domain, codomain, where) -> LatticeFunction:
-    """A function's table rows read one at a time, in document order, each
-    checked for ``element`` string, duplicate, ``value`` field and value,
-    the first fault raised; the ``LatticeFunction`` constructor then checks
-    that the table is total.  ``parse_function`` runs it only on tables
-    that the column pass finds anomalous, to name the fault."""
+def _table_rows(rows, key, duplicate, codomain, at) -> dict:
+    """A table's rows read one at a time, in document order, into a dict
+    keyed by ``key(row)``, which checks the row's key and raises its first
+    fault; then each row is checked for duplicate (``duplicate`` and the
+    key), ``value`` field and value.  The one row loop, for function and
+    payoff tables, run only on tables that the column pass finds anomalous,
+    to name the first fault."""
     table = {}
     for row in rows:
-        element = _expect(row, "element", str, f"{where}.table")
-        if element in table:
-            raise ParseError(f"{where}: duplicate table entry for {element!r}")
-        table[element] = _read_table_value(codomain, _expect(row, "value", None, f"{where}.table"),
-                                           f"{where}.table")
-    return LatticeFunction(domain, codomain, table)
+        k = key(row)
+        if k in table:
+            raise ParseError(f"{duplicate} {k!r}")
+        raw = _expect(row, "value", None, at)
+        if codomain.is_rational:
+            table[k] = parse_value(raw)
+        elif isinstance(raw, str):
+            table[k] = raw
+        else:
+            raise ParseError(f"{at}: labeled values must be strings")
+    return table
 
 
 def parse_function(obj, where: str = "function") -> LatticeFunction:
     """A function document, its table read by ``_table_columns`` with each
-    row placed at the index of its ``element`` in ``domain.index``, or by
-    ``_function_rows`` when that finds an anomaly.  ``LatticeFunction``
-    takes rational values as ranks and ``_image``, and labeled values as a
-    table, which it checks against their chain."""
+    row placed at the index of its ``element`` in ``domain.index``.  When
+    that finds an anomaly, ``_table_rows`` reads the rows again, keyed by
+    their ``element`` strings, and names the first fault, or the
+    ``LatticeFunction`` constructor finds the table not total.
+    ``LatticeFunction`` takes rational values as ranks and ``_image``, and
+    labeled values as a table, which it checks against their chain."""
     domain = parse_lattice(_expect(obj, "domain", dict, where), where=f"{where}.domain")
     codomain = parse_codomain(_expect(obj, "codomain", dict, where), where=f"{where}.codomain")
     rows = _expect(obj, "table", list, where)
@@ -220,7 +219,10 @@ def parse_function(obj, where: str = "function") -> LatticeFunction:
                           domain.n, codomain)
     try:
         if read is None:
-            return _function_rows(rows, domain, codomain, where)
+            at = f"{where}.table"
+            return LatticeFunction(domain, codomain, _table_rows(
+                rows, lambda row: _expect(row, "element", str, at),
+                f"{where}: duplicate table entry for", codomain, at))
         values, image = read
         return LatticeFunction(domain, codomain,
                                dict(zip(domain.labels, values)) if image is None else values,
@@ -254,26 +256,19 @@ def topology_obj(spec: TopologySpec) -> dict:
     return {"kind": spec.kind}
 
 
-def _payoff_rows(rows, players, codomain, at) -> dict:
-    """A player's payoff rows read one at a time, in document order, into a
-    profile-keyed table, each checked for profile object, missing
-    coordinate, label strings, unknown players, duplicate, ``value`` field
-    and value, the first fault raised.  ``_payoff_tables`` runs it only on
-    rows that the column pass finds anomalous, to name the fault."""
-    table = {}
-    for row in rows:
-        profile_map = _expect(row, "profile", dict, at)
-        try:
-            profile = tuple(map(profile_map.__getitem__, players))
-        except KeyError as exc:
-            raise ParseError(f"{at}: profile missing coordinate {exc}") from None
-        _labels(list(profile), at, "profile coordinates")
-        if len(profile_map) != len(players):
-            raise ParseError(f"{at}: profile names unknown players")
-        if profile in table:
-            raise ParseError(f"{at}: duplicate profile {profile}")
-        table[profile] = _read_table_value(codomain, _expect(row, "value", None, at), at)
-    return table
+def _profile(row, players, at) -> tuple:
+    """A payoff row's profile, the labels of ``players`` in order, checked
+    for profile object, missing coordinate, label strings and unknown
+    players, the first fault raised."""
+    profile_map = _expect(row, "profile", dict, at)
+    try:
+        profile = tuple(map(profile_map.__getitem__, players))
+    except KeyError as exc:
+        raise ParseError(f"{at}: profile missing coordinate {exc}") from None
+    _labels(list(profile), at, "profile coordinates")
+    if len(profile_map) != len(players):
+        raise ParseError(f"{at}: profile names unknown players")
+    return profile
 
 
 def _payoff_tables(players, factors, codomains, payoffs_obj, where) -> tuple:
@@ -282,11 +277,11 @@ def _payoff_tables(players, factors, codomains, payoffs_obj, where) -> tuple:
     profile index: the sum of each player's ``{label: label index ·
     stride}`` slot of its coordinate, and none when the profile does not
     name exactly the players.  A player whose rows the column pass finds
-    anomalous is read again by ``_payoff_rows``, which raises the first
-    fault in document order or, for a table with an unknown label or one
-    that is not total, returns it profile-keyed, so that ``Game`` reports it
-    after every row of every player has been read.  Labeled values are
-    checked against their chain by ``Game``."""
+    anomalous is read again by ``_table_rows``, keyed by ``_profile``, which
+    raises the first fault in document order or, for a table with an
+    unknown label or one that is not total, returns it profile-keyed, so
+    that ``Game`` reports it after every row of every player has been read.
+    Labeled values are checked against their chain by ``Game``."""
     slots = [{label: k * stride for k, label in enumerate(f.labels)}
              for f, stride in zip(factors, radix_strides(factors))]
 
@@ -303,7 +298,9 @@ def _payoff_tables(players, factors, codomains, payoffs_obj, where) -> tuple:
         rows = _expect(payoffs_obj, p, list, f"{where}.payoffs")
         read = _table_columns(rows, index, count, codomains[p])
         if read is None:
-            payoffs[p] = _payoff_rows(rows, players, codomains[p], f"{where}.payoffs[{p}]")
+            at = f"{where}.payoffs[{p}]"
+            payoffs[p] = _table_rows(rows, lambda row: _profile(row, players, at),
+                                     f"{at}: duplicate profile", codomains[p], at)
             continue
         payoffs[p], image = read
         if image is not None:
@@ -342,17 +339,22 @@ def game_obj(G: Game) -> dict:
     }
 
 
+# The document kinds, in detection order: the root fields that mark one,
+# its parser, its writer and the type of its instances.
+_DOCUMENTS = {
+    "game": (("players",), parse_game, game_obj, Game),
+    "function": (("table",), parse_function, function_obj, LatticeFunction),
+    "lattice": (("elements", "product"), parse_lattice, lattice_obj, FiniteLattice),
+    "topology": (("kind",), parse_topology, topology_obj, TopologySpec),
+}
+
+
 def detect_kind(obj) -> str:
     if not isinstance(obj, dict):
         raise ParseError("document root must be an object")
-    if "players" in obj:
-        return "game"
-    if "table" in obj:
-        return "function"
-    if "elements" in obj or "product" in obj:
-        return "lattice"
-    if "kind" in obj:
-        return "topology"
+    for kind, (fields, *_) in _DOCUMENTS.items():
+        if any(field in obj for field in fields):
+            return kind
     raise ParseError("cannot tell whether this document is a lattice, function, game, or topology")
 
 
@@ -363,28 +365,15 @@ def parse(text: str):
     except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise ParseError(f"not valid JSON: {exc}") from exc
     kind = detect_kind(obj)
-    if kind == "game":
-        return kind, parse_game(obj)
-    if kind == "function":
-        return kind, parse_function(obj)
-    if kind == "lattice":
-        return kind, parse_lattice(obj)
-    return kind, parse_topology(obj)
+    return kind, _DOCUMENTS[kind][1](obj)
 
 
 def serialize(instance) -> str:
     """Canonical textual form of a lattice, function, game, or topology spec."""
-    if isinstance(instance, Game):
-        obj = game_obj(instance)
-    elif isinstance(instance, LatticeFunction):
-        obj = function_obj(instance)
-    elif isinstance(instance, FiniteLattice):
-        obj = lattice_obj(instance)
-    elif isinstance(instance, TopologySpec):
-        obj = topology_obj(instance)
-    else:
-        raise TypeError(f"cannot serialize {type(instance).__name__}")
-    return canonical_dumps(obj)
+    for _, _, write, cls in _DOCUMENTS.values():
+        if isinstance(instance, cls):
+            return canonical_dumps(write(instance))
+    raise TypeError(f"cannot serialize {type(instance).__name__}")
 
 
 def canonical_dumps(obj) -> str:

@@ -320,21 +320,12 @@ def is_order_upper_semicontinuous(f: LatticeFunction) -> Verdict:
 
 
 def is_topologically_usc(f: LatticeFunction, family: ClosedFamily) -> Verdict:
-    """Every upper level set is closed in the given family."""
+    """Every upper level set (``LatticeFunction.upper_levels``), levels
+    ascending, is closed in the given family."""
     _check_carrier(f, family)
-    L = f.domain
-    keys = f.keys
-    for a in sorted(set(keys)):
-        level = 0
-        value = None
-        for i, k in enumerate(keys):
-            if k >= a:
-                level |= 1 << i
-                if k == a:
-                    value = f.values[i]
+    for value, level in zip(f.image(), f.upper_levels()):
         if not family.is_closed_mask(level):
-            return Verdict(False, witness=(
-                ("level", value), ("set", L.labels_of(level))))
+            return Verdict(False, witness=(("level", value), ("set", f.domain.labels_of(level))))
     return Verdict(True)
 
 
@@ -356,18 +347,17 @@ def transfer_continuity(f: LatticeFunction, family: ClosedFamily) -> TransferCon
     containing y with f(z) < f(x') (resp. <=) for every z in U.  The best x'
     is a global maximizer and the best U is y's least open neighbourhood,
     so transfer upper continuity fails exactly at the y whose neighbourhood
-    reaches max f; the witness is the least x, then the least such y, with
-    f(y) < f(x).  O(n²).  Weak transfer always holds on a finite carrier:
-    take x' to be a global maximizer and U the whole carrier.  Labeled
-    chains are compared by position, an extension of the real-valued
-    definition.
+    meets the top upper level set, the argmax; the witness is the least x,
+    then the least such y, with f(y) < f(x).  O(n²).  Weak transfer always
+    holds on a finite carrier: take x' to be a global maximizer and U the
+    whole carrier.  Labeled chains are compared by position, an extension
+    of the real-valued definition.
     """
     _check_carrier(f, family)
     L = f.domain
     keys = f.keys
-    best_key = max(keys)
-    stuck = [y for y, u in enumerate(family.neighbourhoods())
-             if max(keys[z] for z in iter_bits(u)) == best_key]
+    top = f.upper_levels()[-1]
+    stuck = [y for y, u in enumerate(family.neighbourhoods()) if u & top]
     upper = Verdict(True)
     for x in range(L.n):
         y = next((y for y in stuck if keys[y] < keys[x]), None)

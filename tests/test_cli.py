@@ -1,10 +1,11 @@
 """command-line behavior: exit codes, report lines, file handling."""
+import argparse
 import json
 
 import pytest
 
 from latgames import LatticeFunction
-from latgames.cli import main
+from latgames.cli import build_parser, main
 from latgames.corpus import DATA
 from latgames.generators import grid_lattice
 from latgames.io import save_path
@@ -506,3 +507,83 @@ class TestSubsetClassificationViaGrid:
         code, out = run(capsys, "check-lattice", GRID45)
         assert code == 0
         assert "LEAST (1,1)" in out and "GREATEST (4,5)" in out
+
+
+def chain_abc_function(labels, values) -> dict:
+    """A function document on the chain a < b < c into a labeled chain."""
+    return {"domain": {"elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]]},
+            "codomain": {"kind": "labeled", "labels": labels},
+            "table": [{"element": e, "value": v} for e, v in zip("abc", values)]}
+
+
+def two_player_game(codomain2, values2) -> dict:
+    """A game on two 2-chains whose player 2 has ``codomain2`` and values ``values2``."""
+    chain = {"elements": ["0", "1"], "covers": [["0", "1"]]}
+    profiles = [{"1": a, "2": b} for a in "01" for b in "01"]
+    return {"players": ["1", "2"], "strategies": {"1": chain, "2": chain},
+            "codomains": {"1": {"kind": "rational"}, "2": codomain2},
+            "payoffs": {"1": [{"profile": q, "value": "0"} for q in profiles],
+                        "2": [{"profile": q, "value": v} for q, v in zip(profiles, values2)]}}
+
+
+class TestCodomainLabels:
+    """Labeled-codomain labels follow the element label rule, so a value
+    never splits a report field."""
+
+    BAD = "labels must be nonempty whitespace-free strings, got 'lo w'"
+
+    def test_a_function_with_a_spaced_label_exits_two(self, capsys, tmp_path):
+        doc = tmp_path / "f.json"
+        doc.write_text(json.dumps(chain_abc_function(["lo w", "", "hi gh"], ["hi gh", "lo w", ""])))
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"kind": "explicit",
+                                    "closed_sets": [[], ["a"], ["a", "b"], ["a", "b", "c"]]}))
+        for argv in (["--property", "topo-usc", "--topology", topo], ["--property", "qsm"]):
+            code, out = run(capsys, "check-function", doc, *argv)
+            assert (code, out) == (2, f"ERROR ParseError: function.codomain: {self.BAD}\n")
+        code, out = run(capsys, "verify", doc, "--theorem", "kuku")
+        assert (code, out) == (2, f"ERROR ParseError: function.codomain: {self.BAD}\n")
+
+    def test_a_game_with_a_spaced_label_exits_two(self, capsys, tmp_path):
+        doc = tmp_path / "g.json"
+        doc.write_text(json.dumps(two_player_game({"kind": "labeled", "labels": ["lo w", "hi"]},
+                                                  ["lo w", "hi", "hi", "lo w"])))
+        for argv in (["solve", doc], ["check-game", doc], ["verify", doc, "--theorem", "zhou"]):
+            code, out = run(capsys, *argv)
+            assert (code, out) == (2, f"ERROR ParseError: game.codomains[2]: {self.BAD}\n")
+
+
+def parser_choices(command: str, option: str) -> tuple:
+    """The choices that ``build_parser`` gives ``option`` of ``command``."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return tuple(next(a for a in sub.choices[command]._actions
+                      if option in a.option_strings).choices)
+
+
+class TestEveryCheckNameRuns:
+    """Every ``--property`` and ``--theorem`` choice of the parser names a
+    check that the reports and ``cmd_verify`` know."""
+
+    def test_every_property_runs(self, capsys, tmp_path):
+        D = grid_lattice((2, 3))
+        f = LatticeFunction(D, RATIONAL, {label: a * b for label, (a, b) in zip(D.labels, D.coords)})
+        doc = tmp_path / "f.json"
+        save_path(doc, f)
+        properties = parser_choices("check-function", "--property")
+        assert len(properties) == 8
+        for prop in properties:
+            code, out = run(capsys, "check-function", doc, "--property", prop)
+            assert code in (0, 1), (prop, out)
+            assert out.startswith("PROPERTY "), (prop, out)
+
+    def test_every_theorem_runs(self, capsys, tmp_path):
+        lattice = tmp_path / "lattice.json"
+        lattice.write_text(json.dumps({"elements": ["0", "1", "a", "b"],
+                                       "covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}))
+        docs = {"kuku": STAR_FN, "zhou": STAR_GAME, "veinott": lattice, "chaincls": lattice}
+        theorems = parser_choices("verify", "--theorem")
+        assert sorted(theorems) == sorted(docs)
+        for theorem in theorems:
+            code, out = run(capsys, "verify", docs[theorem], "--theorem", theorem)
+            assert code in (0, 1), (theorem, out)
+            assert "unknown theorem" not in out and out.startswith("PROPERTY "), (theorem, out)

@@ -57,7 +57,7 @@ def no_row_loop(monkeypatch):
     def refuse(*args):
         raise AssertionError("a valid document entered the row loop")
 
-    monkeypatch.setattr(io, "_function_rows", refuse)
+    monkeypatch.setattr(io, "_table_rows", refuse)
 
 
 def chain_function(values) -> dict:

@@ -22,6 +22,7 @@ from latgames.errors import (
     NotALattice,
     UnknownLabel,
 )
+from latgames.functions import ChainCodomain
 from latgames.generators import (all_lattices, chain_lattice, diamond, grid_lattice,
                                  lattices_of_size)
 from latgames.lattice import FiniteLattice, FinitePoset, chain_ranks, extremal_in, iter_bits
@@ -75,6 +76,12 @@ class TestPosetFromCovers:
             poset_from_covers(["a b"], [])
         with pytest.raises(BadLabel):
             poset_from_covers([""], [])
+
+    @pytest.mark.parametrize("labels", [["lo w", "", "hi gh"], ["lo", ""], ["lo", "h\ti"], [1]])
+    def test_bad_codomain_label(self, labels):
+        # Labeled-codomain labels follow the rule of element labels.
+        with pytest.raises(BadLabel):
+            ChainCodomain.labeled(labels)
 
     def test_redundant_covers_normalize(self):
         direct = poset_from_covers(["0", "1", "2"], [("0", "1"), ("1", "2")])

@@ -133,7 +133,7 @@ def no_row_loop(monkeypatch):
     def refuse(*args):
         raise AssertionError("a valid document entered the row loop")
 
-    monkeypatch.setattr(io, "_payoff_rows", refuse)
+    monkeypatch.setattr(io, "_table_rows", refuse)
 
 
 @pytest.fixture

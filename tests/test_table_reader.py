@@ -32,8 +32,7 @@ def no_row_loop(monkeypatch):
     def refuse(*args):
         raise AssertionError("a valid document entered a row loop")
 
-    monkeypatch.setattr(io, "_function_rows", refuse)
-    monkeypatch.setattr(io, "_payoff_rows", refuse)
+    monkeypatch.setattr(io, "_table_rows", refuse)
 
 
 def read_both(L, codomain, values, order):

@@ -3,6 +3,8 @@ the materialized closed-set family as oracle."""
 import pytest
 
 from latgames import (
+    ChainCodomain,
+    LatticeFunction,
     TopologySpec,
     classify_subset,
     discrete_closed_family,
@@ -13,6 +15,7 @@ from latgames import (
 )
 from latgames.errors import InvariantViolation
 from latgames.generators import all_lattices, chain_lattice, diamond, diamond_mk
+from latgames.rng import Xoshiro256StarStar
 from latgames.topology import family_for
 
 from conftest import (
@@ -127,6 +130,16 @@ def assert_matches_materialized(fam, sets, functions):
         assert transfer_continuity(f, fam) == oracle_transfer(f, sets)
 
 
+def sweep_functions(L, seed: int) -> list:
+    """``seeded_functions`` plus a seeded function into a five-label chain
+    whose values skip two of its labels."""
+    rng = Xoshiro256StarStar(seed)
+    chain = ChainCodomain.labeled(["none", "lo", "mid", "hi", "top"])
+    return [*seeded_functions(L, seed),
+            LatticeFunction(L, chain, {label: ("lo", "hi", "top")[rng.below(3)]
+                                       for label in L.labels})]
+
+
 class TestAgainstMaterializedFamilies:
     def test_topology_counts(self):
         assert [len(all_closed_families(n)) for n in range(1, 5)] == [1, 4, 29, 355]
@@ -134,14 +147,14 @@ class TestAgainstMaterializedFamilies:
     @pytest.mark.parametrize("L", [chain_lattice(n) for n in range(1, 5)] + [diamond()],
                              ids=["chain1", "chain2", "chain3", "chain4", "diamond"])
     def test_every_topology_on_small_carriers(self, L):
-        functions = list(seeded_functions(L, 0x7090 + L.n))
+        functions = sweep_functions(L, 0x7090 + L.n)
         for sets in all_closed_families(L.n):
             spec = TopologySpec("explicit", tuple(L.labels_of(mask) for mask in sets))
             assert_matches_materialized(family_for(spec, L), sets, functions)
 
     def test_interval_and_discrete_on_all_lattices_up_to_six(self):
         for k, L in enumerate(all_lattices(6)):
-            functions = list(seeded_functions(L, 0x7091 + k))
+            functions = sweep_functions(L, 0x7091 + k)
             assert_matches_materialized(family_for(TopologySpec("interval"), L),
                                         oracle_interval_sets(L), functions)
             assert_matches_materialized(family_for(TopologySpec("discrete"), L),
