@@ -132,23 +132,27 @@ def integer_values(values) -> list | None:
     return _over_common_denominator(list(map(Fraction.as_integer_ratio, values)))
 
 
-def image_map(image, t) -> dict:
-    """``{v: t(v)}`` over an ascending image of rationals, checked to be
-    rational-valued and strictly increasing there.  ``t`` is a callable or a
-    mapping defined on the image."""
+def image_map(image, t) -> list:
+    """``[t(v) for v in image]`` as ``Fraction``s over an ascending image of
+    rationals, checked to be rational-valued and then strictly increasing
+    (``out[k] < out[k+1]``).  ``t`` is a callable or a mapping defined on the
+    image.  The list is the mapped value of each dense rank of the image, so
+    a caller keeps its ranks and reads the new values off them."""
     lookup = t.__getitem__ if hasattr(t, "__getitem__") else t
-    mapped = {}
+    out = []
     for v in image:
-        out = lookup(v)
-        if isinstance(out, bool) or not isinstance(out, (int, Fraction)):
-            raise NotStrictlyIncreasing(f"map produced non-rational value {out!r}")
-        mapped[v] = Fraction(out)
-    for lo, hi in zip(image, image[1:]):
-        if not mapped[lo] < mapped[hi]:
+        value = lookup(v)
+        if type(value) is not Fraction:
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise NotStrictlyIncreasing(f"map produced non-rational value {value!r}")
+            value = Fraction(value)
+        out.append(value)
+    for k in range(len(out) - 1):
+        if not out[k] < out[k + 1]:
             raise NotStrictlyIncreasing(
                 f"map is not strictly increasing on the image: "
-                f"t({lo}) = {mapped[lo]} !< t({hi}) = {mapped[hi]}")
-    return mapped
+                f"t({image[k]}) = {out[k]} !< t({image[k + 1]}) = {out[k + 1]}")
+    return out
 
 
 def ranked_image(values, ranks) -> tuple:
@@ -215,13 +219,17 @@ class LatticeFunction:
         """Apply a strictly increasing rational map pointwise.
 
         ``t`` is a callable or a mapping defined on the image; strict
-        monotonicity is checked on the image, not assumed.
+        monotonicity is checked on the image, not assumed.  The map leaves
+        every dense rank as it is, so the result keeps ``keys`` and reads
+        its values off them, with no second check or ranking.
         """
         if not self.codomain.is_rational:
             raise LabeledCodomainUnsupported("transform is defined for rational codomains")
-        mapped = image_map(self.image(), t)
-        return LatticeFunction(self.domain, self.codomain,
-                               {label: mapped[v] for label, v in zip(self.domain.labels, self.values)})
+        by_rank = image_map(self.image(), t)
+        out = LatticeFunction.__new__(LatticeFunction)
+        out.domain, out.codomain, out.keys = self.domain, self.codomain, self.keys
+        out.values = tuple(map(by_rank.__getitem__, self.keys))
+        return out
 
     def __add__(self, other):
         if not isinstance(other, LatticeFunction):

@@ -11,6 +11,7 @@ reports are identical regardless of how work is partitioned.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -88,6 +89,9 @@ class Game:
             codomain = self.codomains[p]
             values = self._values[p] = list(map(codomain.validate, self._flat(p, payoffs[p])))
             self.ranks[p] = codomain.ranks(values)
+        self._empty_caches()
+
+    def _empty_caches(self):
         self._payoffs = None
         self._br_cache = [{} for _ in self.players]
         self._covers = [None] * len(self.players)
@@ -196,17 +200,23 @@ class Game:
         return mask
 
     def transformed(self, player: str, t) -> "Game":
-        """Copy of the game with a strictly increasing map applied to one payoff."""
+        """Copy of the game with a strictly increasing map applied to one
+        payoff.  The map leaves every dense rank as it is, so the copy keeps
+        the ranks of every player and the value lists of the others, reads
+        the player's new values off its ranks (``image_map``), and neither
+        validates nor ranks again; its caches start empty."""
         self.player_index(player)
-        codomain = self.codomains[player]
-        if not codomain.is_rational:
+        if not self.codomains[player].is_rational:
             raise LabeledCodomainUnsupported("transforms are defined for rational payoffs")
-        image = ranked_image(self.values[player], self.ranks[player])
-        mapped = image_map(image, t)
-        by_rank = [mapped[v] for v in image]
-        payoffs = dict(self.values)
-        payoffs[player] = [by_rank[r] for r in self.ranks[player]]
-        return Game(self.players, self.strategies, self.codomains, payoffs)
+        ranks = self.ranks[player]
+        by_rank = image_map(ranked_image(self.values[player], ranks), t)
+        game = copy.copy(self)
+        game._values = dict(self.values)
+        game._values[player] = list(map(by_rank.__getitem__, ranks))
+        game.ranks = dict(self.ranks)
+        game._images = None
+        game._empty_caches()
+        return game
 
 
 def validate_game(G: Game) -> Verdict:

@@ -8,12 +8,13 @@ re-verified against its advertised property before it is returned.
 from __future__ import annotations
 
 import itertools
+import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, InvariantViolation, NotALattice, RejectionBudgetExhausted
-from .functions import ChainCodomain, LatticeFunction
+from .functions import ChainCodomain, LatticeFunction, ranked_image
 from .games import Game, validate_game
 from .lattice import (
     FiniteLattice,
@@ -157,13 +158,17 @@ def _random_fraction(rng: Xoshiro256StarStar, lo: int = -6, hi: int = 6, dens=(1
 
 
 def random_strictly_increasing_map(rng: Xoshiro256StarStar, image) -> dict:
-    """Random strictly increasing rational map on a finite image."""
-    image = sorted(image)
+    """Random strictly increasing rational map on a finite image: a random
+    start, then a random step a/b, b in ``steps``, after each value.  The
+    levels are summed as integers over one denominator."""
+    steps = (1, 2, 3)
+    start = _random_fraction(rng, -8, 8)
+    den = math.lcm(start.denominator, *steps)
+    level = start.numerator * (den // start.denominator)
     out = {}
-    level = _random_fraction(rng, -8, 8)
-    for v in image:
-        out[v] = level
-        level = level + Fraction(rng.randint(1, 5), rng.choice((1, 2, 3)))
+    for v in sorted(image):
+        out[v] = Fraction(level, den)
+        level += rng.randint(1, 5) * (den // rng.choice(steps))
     return out
 
 
@@ -310,27 +315,46 @@ def random_game(rng: Xoshiro256StarStar, max_players: int = 3, max_size: int = 4
     payoffs = {}
     for i, p in enumerate(players):
         # Opponent-only noise shifts each section by a constant, so it changes
-        # neither the best responses nor any validation verdict.
-        noise = {}
+        # neither the best responses nor any validation verdict.  A section
+        # draws its noise when the profile order first meets it and sums its
+        # pull (the opponents' couplings) then; its payoffs own + weight *
+        # pull + noise are summed as integers over the section's denominator.
+        own_n, own_d = _over_lcm(own_part[p])
+        weight_n, weight_d = _over_lcm(coupling_own[p])
+        others = [coupling_other[q] for j, q in enumerate(players) if j != i]
+        sections = {}
         table = []
         for profile in itertools.product(*(f.labels for f in factors)):
             own = profile[i]
             opp = profile[:i] + profile[i + 1:]
-            if opp not in noise:
-                noise[opp] = _random_fraction(rng, -4, 4)
-            pull = sum((coupling_other[q][profile[j]]
-                        for j, q in enumerate(players) if j != i), Fraction(0))
-            table.append(own_part[p][own] + coupling_own[p][own] * pull + noise[opp])
+            section = sections.get(opp)
+            if section is None:
+                noise = _random_fraction(rng, -4, 4)
+                pull = sum(map(dict.__getitem__, others, opp), Fraction(0))
+                pull_d = weight_d * pull.denominator
+                den = math.lcm(own_d, pull_d, noise.denominator)
+                section = sections[opp] = (den, den // own_d, pull.numerator * (den // pull_d),
+                                           noise.numerator * (den // noise.denominator))
+            den, own_scale, weight_scale, shift = section
+            table.append(Fraction(own_n[own] * own_scale + weight_n[own] * weight_scale + shift,
+                                  den))
         payoffs[p] = table
     codomains = {p: ChainCodomain.rational() for p in players}
     game = Game(players, strategies, codomains, payoffs)
     for p in players:
         if rng.chance(1, 2):
-            image = sorted(set(game.values[p]))
+            image = ranked_image(game.values[p], game.ranks[p])
             game = game.transformed(p, random_strictly_increasing_map(rng, image))
     if not validate_game(game).holds:
         raise InvariantViolation("generator postcondition failed: game did not validate")
     return game
+
+
+def _over_lcm(table: dict) -> tuple:
+    """A table of rationals as ``({key: integer}, d)``, the integers its
+    values times d, the least common denominator of the values."""
+    d = math.lcm(*(v.denominator for v in table.values()))
+    return {key: v.numerator * (d // v.denominator) for key, v in table.items()}, d
 
 
 def _random_supermodular_any(rng: Xoshiro256StarStar, L: FiniteLattice) -> dict:

@@ -5,7 +5,10 @@ keys, one trailing newline, and semantically ordered lists (elements and
 covers sorted lexicographically, payoff tables sorted by profile).  Lists
 whose order carries meaning (``players``, labeled-chain ``labels``) keep
 their declared order.  ``parse(serialize(x))`` returns an equal instance and
-serialization of a canonical document is byte-identical to it.
+serialization of a canonical document is byte-identical to it.  One writer,
+``canonical_dumps``, turns every document object into its text: the text
+``json.dumps(obj, indent=2, sort_keys=True)`` gives, with json's own ASCII
+escaping of strings, written without json's pure-Python indenting encoder.
 
 Rational values are serialized as ``str`` of their ``Fraction``, ``"p/q"``
 or a bare integer string; floats are rejected to keep everything exact.
@@ -16,6 +19,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .errors import LatGamesError, NotALattice, ParseError
@@ -377,7 +381,38 @@ def serialize(instance) -> str:
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The canonical text of a document object: the text of ``json.dumps(obj,
+    indent=2, sort_keys=True)`` plus a newline, written directly.  It takes
+    what the ``*_obj`` writers emit, strings, lists and objects with string
+    keys, and raises ``TypeError`` on anything else."""
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(obj, indent: str) -> str:
+    """``obj`` at the nesting whose line break and indent is ``indent``:
+    strings escaped by json's own ``ensure_ascii`` encoder (inline for the
+    items and member values that are strings), list items and object
+    members, keys sorted, one per line two spaces deeper, and ``[]`` or
+    ``{}`` for an empty container."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = [encode_basestring_ascii(item) if type(item) is str else _dumps(item, inner)
+                 for item in obj]
+        opening, closing = "[", "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{encode_basestring_ascii(key)}: "
+                 f"{encode_basestring_ascii(v) if type(v) is str else _dumps(v, inner)}"
+                 for key, v in sorted(obj.items())]
+        opening, closing = "{", "}"
+    else:
+        raise TypeError(f"a canonical document holds no {type(obj).__name__}")
+    return opening + inner + ("," + inner).join(items) + indent + closing
 
 
 def load_path(path):

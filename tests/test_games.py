@@ -26,7 +26,8 @@ from latgames.errors import (
     TheoremFalsified,
 )
 from latgames.functions import ChainCodomain, LatticeFunction
-from latgames.generators import chain_lattice, random_game
+from latgames.generators import chain_lattice, random_game, random_strictly_increasing_map
+from latgames.io import serialize
 from latgames.lattice import iter_bits
 from latgames.rng import Xoshiro256StarStar
 
@@ -304,6 +305,20 @@ class TestOrdinalInvariance:
         after = enumerate_nash(H)
         assert after.equilibria == base.equilibria
         assert after.largest == base.largest and after.least == base.least
+
+    def test_transformed_keeps_ranks_and_equals_the_constructor(self, criterion_06_games):
+        rng = Xoshiro256StarStar(0xA7_0005)
+        for G in criterion_06_games:
+            verdict = validate_game(G)
+            H = G
+            for p in G.players:
+                H = H.transformed(p, random_strictly_increasing_map(rng, set(H.values[p])))
+                assert (H._validation, H._payoffs, H._equilibria) == (None, None, None)
+                assert not any(H._br_cache) and not any(H._covers)
+            assert H.ranks == G.ranks
+            rebuilt = Game(G.players, G.strategies, G.codomains, H.values)
+            assert serialize(H) == serialize(rebuilt)
+            assert validate_game(H) == validate_game(rebuilt) == verdict
 
 
 class TestRandomGameGenerator:

@@ -18,6 +18,7 @@ from latgames.generators import (
     meet_join_closure_lattice,
     random_function,
     random_game,
+    random_strictly_increasing_map,
 )
 from latgames.io import serialize
 from latgames.lattice import product_lattice
@@ -54,6 +55,16 @@ def large_game_stream():
         yield serialize(random_game(rng, max_players=2, max_size=8))
 
 
+def transformed_stream(games):
+    """The first criterion-06 games with each player's payoffs mapped in
+    turn by ``Game.transformed``, under maps from one seed."""
+    rng = Xoshiro256StarStar(0x5EED_0009)
+    for G in games:
+        for p in G.players:
+            G = G.transformed(p, random_strictly_increasing_map(rng, set(G.values[p])))
+            yield serialize(G)
+
+
 def lattice_rows():
     for n in range(1, 7):
         for L in lattices_of_size(n):
@@ -73,6 +84,11 @@ def test_function_stream_is_pinned():
 def test_large_game_stream_is_pinned():
     assert digest(large_game_stream()) == (
         "1bd1518778d9f74c57dd6035e0e13b16c6e25ee09fc5406ded51b77fbbc059b2")
+
+
+def test_transformed_stream_is_pinned(criterion_06_games):
+    assert digest(transformed_stream(criterion_06_games[:40])) == (
+        "595b9ed325d2cbf4084ca80c5b4926b21593a8b5032c9c5a1ce39be1fb8f5783")
 
 
 def test_lattice_enumeration_is_pinned():

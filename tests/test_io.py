@@ -367,7 +367,7 @@ def test_malformed_table_messages(tmp_path, capsys, command, doc, line):
 
 class TestCanonicalForm:
     def test_dumps_is_stable(self):
-        obj = {"b": [2, 1], "a": {"y": 1, "x": 2}}
+        obj = {"b": ["2", "1"], "a": {"y": "1", "x": "2"}}
         assert canonical_dumps(obj) == canonical_dumps(json.loads(canonical_dumps(obj)))
 
     def test_covers_normalize_to_transitive_reduction(self):

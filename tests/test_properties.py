@@ -30,6 +30,7 @@ from latgames.errors import (
     NotAProductDomain,
     NotStrictlyIncreasing,
 )
+from latgames.functions import image_map
 from latgames.generators import (
     all_lattices,
     chain_lattice,
@@ -360,6 +361,25 @@ class TestTransformAndSum:
     def test_non_strict_map_rejected(self, sum_f):
         with pytest.raises(NotStrictlyIncreasing):
             sum_f.transform(lambda v: v * 0)
+
+    def test_map_error_texts(self):
+        image = (Fraction(0), Fraction(1, 2), Fraction(2))
+        mapped = image_map(image, {image[0]: -1, image[1]: Fraction(1, 3), image[2]: 1})
+        assert mapped == [-1, Fraction(1, 3), 1] and {type(v) for v in mapped} == {Fraction}
+        for t, text in (
+                (lambda v: 1.5, "map produced non-rational value 1.5"),
+                (lambda v: v > 1, "map produced non-rational value False"),
+                ({image[0]: Fraction(7, 2), image[1]: 4, image[2]: 3},
+                 "map is not strictly increasing on the image: t(1/2) = 4 !< t(2) = 3")):
+            with pytest.raises(NotStrictlyIncreasing) as caught:
+                image_map(image, t)
+            assert str(caught.value) == text
+        f = LatticeFunction(chain_lattice(3), ChainCodomain.rational(),
+                            dict(zip(chain_lattice(3).labels, image)))
+        with pytest.raises(NotStrictlyIncreasing) as caught:
+            f.transform(lambda v: v * 0)
+        assert str(caught.value) == ("map is not strictly increasing on the image: "
+                                     "t(0) = 0 !< t(1/2) = 0")
 
     def test_sum_requires_same_domain(self, sum_f, star_function):
         with pytest.raises(DomainMismatch):
