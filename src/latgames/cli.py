@@ -16,15 +16,8 @@ from . import reports
 from .errors import LatGamesError, NotALattice, ParseError, TheoremFalsified
 from .games import ENUMERATION_CAP, validate_game
 from .generators import CHAIN, DIAMOND_MK, GRID, GenSpec, generate
-from .io import load_path, save_path, serialize
-from .topology import DISCRETE, INTERVAL, TopologySpec, family_for
-
-
-def _load(path, expected_kind):
-    kind, instance = load_path(path)
-    if kind != expected_kind:
-        raise ParseError(f"{path} holds a {kind}, expected a {expected_kind}")
-    return instance
+from .io import load_as, save_path, serialize
+from .topology import INTERVAL
 
 
 def _emit(lines, ok=True) -> int:
@@ -35,17 +28,15 @@ def _emit(lines, ok=True) -> int:
 
 
 def cmd_check_lattice(args) -> int:
-    return _emit(*reports.lattice_report(_load(args.file, "lattice")))
+    return _emit(*reports.lattice_report(load_as(args.file, "lattice")))
 
 
 def cmd_check_function(args) -> int:
-    f = _load(args.file, "function")
+    f = load_as(args.file, "function")
     props = args.property or ["qsm"]
     family = None
     if {"transfer", "topo-usc"} & set(props):
-        arg = args.topology or INTERVAL
-        spec = TopologySpec(arg) if arg in (INTERVAL, DISCRETE) else _load(arg, "topology")
-        family = family_for(spec, f.domain)
+        family = reports.topology_family(args.topology or INTERVAL, f.domain)
     ok = True
     for prop in props:
         lines, good = reports.function_property_report(f, prop, split=args.split, family=family)
@@ -55,19 +46,19 @@ def cmd_check_function(args) -> int:
 
 
 def cmd_check_game(args) -> int:
-    G = _load(args.file, "game")
+    G = load_as(args.file, "game")
     verdict = validate_game(G)
     return _emit([reports.property_line("validated", verdict)], verdict.holds)
 
 
 def cmd_solve(args) -> int:
-    G = _load(args.file, "game")
+    G = load_as(args.file, "game")
     return _emit(*reports.solve_report(G, method=args.method, cap=args.cap))
 
 
 def cmd_verify(args) -> int:
     if args.theorem == "kuku":
-        f = _load(args.file, "function")
+        f = load_as(args.file, "function")
         try:
             lines, _ = reports.kuku_report(f)
         except TheoremFalsified as exc:
@@ -75,11 +66,11 @@ def cmd_verify(args) -> int:
             return 1
         return _emit(lines)
     if args.theorem in ("veinott", "chaincls"):
-        L = _load(args.file, "lattice")
+        L = load_as(args.file, "lattice")
         report = reports.veinott_report if args.theorem == "veinott" else reports.chaincls_report
         return _emit(*report(L))
     if args.theorem == "zhou":
-        G = _load(args.file, "game")
+        G = load_as(args.file, "game")
         return _emit(*reports.zhou_report(G, cap=args.cap))
     raise ParseError(f"unknown theorem {args.theorem!r}")
 

@@ -17,7 +17,6 @@ from ..functions import LatticeFunction
 from ..games import Game
 from ..io import load_path
 from ..lattice import FiniteLattice
-from ..topology import TopologySpec, family_for
 
 DATA = Path(__file__).parent / "data"
 
@@ -26,16 +25,16 @@ DATA = Path(__file__).parent / "data"
 class CorpusEntry:
     """One frozen example: instance file, checks to run, optional context note.
 
-    ``checks`` is a tuple of (check, *args) tuples understood by ``run_entry``.
+    ``checks`` is a tuple of (check, *args) tuples understood by ``run_entry``;
+    a transfer or topo-usc check names its topology as ``reports.topology_family``
+    reads it, a document by its file name in ``DATA``.
     ``note`` is emitted verbatim as a NOTE line: it states which finite
     behavior the entry certifies, especially where a continuum original
     behaves differently.
     """
 
     name: str
-    kind: str
     checks: tuple
-    topology: str | None = None
     note: str | None = None
 
     @property
@@ -50,33 +49,28 @@ class CorpusEntry:
 ENTRIES = (
     CorpusEntry(
         name="veinott_single_crossing",
-        kind="function",
         checks=(("single-crossing", 0), ("sections-qsm", 0), ("qsm",)),
         note="single crossing with quasisupermodular sections does not force joint "
              "quasisupermodularity; the failing pair meets at value 2 and joins at value 0",
     ),
     CorpusEntry(
         name="sum_counterexample_f",
-        kind="function",
         checks=(("supermodular",), ("qsm",)),
     ),
     CorpusEntry(
         name="sum_counterexample_g",
-        kind="function",
         checks=(("qsm",), ("supermodular",)),
         note="quasisupermodular but not supermodular: ordinal conditions survive "
              "where the additive one fails",
     ),
     CorpusEntry(
         name="sum_counterexample_h",
-        kind="function",
         checks=(("qsm",),),
         note="pointwise sum of the two quasisupermodular tables f and g; "
              "quasisupermodularity is not closed under addition",
     ),
     CorpusEntry(
         name="grid_embedding_not_sublattice",
-        kind="subset",
         checks=(("classify", ("(1,1)", "(2,3)", "(3,2)", "(4,5)")),),
         note="the four points form a diamond under the induced order but are not a "
              "sublattice of the ambient grid: the componentwise meet of (2,3) and (3,2) "
@@ -84,14 +78,12 @@ ENTRIES = (
     ),
     CorpusEntry(
         name="star_argmax",
-        kind="function",
         checks=(("kuku",),),
         note="indicator-style table on the seven-element star: the maximizer set drops "
              "one midpoint and is still a subcomplete sublattice",
     ),
     CorpusEntry(
         name="star_transfer",
-        kind="function",
         checks=(("transfer", "interval"), ("topo-usc", "interval")),
         note="on a finite carrier the interval topology is discrete, so the punctured "
              "star is closed and transfer upper continuity holds; over an infinite "
@@ -99,21 +91,18 @@ ENTRIES = (
     ),
     CorpusEntry(
         name="game_star_diamond",
-        kind="game",
         checks=(("solve-both",),),
         note="equilibria are every non-punctured first coordinate paired with the top "
              "of the diamond",
     ),
     CorpusEntry(
         name="game_step_grid6",
-        kind="game",
         checks=(("solve-both",),),
         note="sixth-step grid restriction of a continuous game whose equilibrium set is "
              "the segment [2/3,1] x {1/2}; the grid reproduces its largest and least points",
     ),
     CorpusEntry(
         name="game_indicator_grid4",
-        kind="game",
         checks=(("solve-both",),),
         note="quarter-step grid restriction of a continuous game with equilibria "
              "(0,1] x {(1,1)}: the largest equilibrium (1,1,1) is reproduced exactly, and "
@@ -122,7 +111,6 @@ ENTRIES = (
     ),
     CorpusEntry(
         name="single_crossing_not_increasing_differences",
-        kind="function",
         checks=(("single-crossing", 1), ("incr-diff", 1)),
         note="(s1+1)(s2-s2^2) on the sixth-step square: relative to (second, first) "
              "coordinate the scaling by s1+1 never flips a preference, so single crossing "
@@ -131,43 +119,36 @@ ENTRIES = (
     ),
     CorpusEntry(
         name="transfer_weak_only",
-        kind="function",
-        checks=(("transfer", "file"),),
-        topology="down_topology_chain3",
+        checks=(("transfer", "down_topology_chain3.json"),),
         note="with only down-sets closed, every open neighborhood of the valley meets "
              "the maximizer set: weak transfer upper continuity holds, the strict form fails",
     ),
     CorpusEntry(
         name="transfer_upper_not_topological",
-        kind="function",
-        checks=(("transfer", "file"), ("topo-usc", "file")),
-        topology="down_topology_chain3",
+        checks=(("transfer", "down_topology_chain3.json"),
+                ("topo-usc", "down_topology_chain3.json")),
         note="the maximizer set is closed (transfer upper continuity holds) while an "
              "intermediate level set is not, so topological upper semicontinuity fails",
     ),
     CorpusEntry(
         name="weak_level_monotonicity_gap",
-        kind="function",
         checks=(("weak-veinott",), ("qsm",)),
         note="a strict quasisupermodularity failure with slack breaks level-set "
              "monotonicity in the weak Veinott sense",
     ),
     CorpusEntry(
         name="chain_function_qsm",
-        kind="function",
         checks=(("qsm",), ("supermodular",)),
         note="on a chain domain every pair is comparable, so both conditions hold "
              "for any table",
     ),
     CorpusEntry(
         name="labeled_gains",
-        kind="function",
         checks=(("qsm",),),
         note="gains on a labeled chain: positions, not arithmetic, decide every comparison",
     ),
     CorpusEntry(
         name="game_even_weight_cube",
-        kind="game",
         checks=(("solve-both",),),
         note="unvalidated game (single crossing fails), so no theorem covers it: the "
              "equilibria 000, 011, 101, 110, 111 form a complete lattice in the induced "
@@ -190,28 +171,9 @@ def get_entry(name: str) -> CorpusEntry:
         raise ParseError(f"unknown corpus entry {name!r}") from None
 
 
-def _load_instance(entry: CorpusEntry):
-    kind, instance = load_path(entry.instance_path)
-    expected = "lattice" if entry.kind == "subset" else entry.kind
-    if kind != expected:
-        raise ParseError(f"corpus entry {entry.name} holds a {kind}, expected {expected}")
-    return instance
-
-
-def _topology_family(entry: CorpusEntry, ref: str, domain):
-    """``ref`` is a topology kind, or "file" for the entry's topology document."""
-    if ref == "file":
-        kind, spec = load_path(DATA / f"{entry.topology}.json")
-        if kind != "topology":
-            raise ParseError(f"{entry.topology} is not a topology file")
-    else:
-        spec = TopologySpec(ref)
-    return family_for(spec, domain)
-
-
 def run_entry(entry: CorpusEntry) -> str:
     """Execute the entry's checks and return the report text."""
-    instance = _load_instance(entry)
+    _, instance = load_path(entry.instance_path)
     lines = []
     for check in entry.checks:
         head, args = check[0], check[1:]
@@ -224,7 +186,7 @@ def run_entry(entry: CorpusEntry) -> str:
         elif head == "solve-both":
             chunk, _ = reports.solve_report(instance, method="both")
         elif head in ("transfer", "topo-usc"):
-            family = _topology_family(entry, args[0], instance.domain)
+            family = reports.topology_family(args[0], instance.domain, DATA)
             chunk, _ = reports.function_property_report(instance, head, family=family)
         else:
             split = args[0] if args else 0
@@ -291,7 +253,7 @@ def corpus_lattices(max_size: int | None = None) -> tuple:
                 add(f)
 
     for entry in ENTRIES:
-        instance = _load_instance(entry)
+        _, instance = load_path(entry.instance_path)
         if isinstance(instance, FiniteLattice):
             add(instance)
         elif isinstance(instance, LatticeFunction):

@@ -28,8 +28,9 @@ from .errors import (
 )
 from .functions import image_map, ranked_image
 from .lattice import (FinitePoset, chain_ranks, componentwise_up, cover_pairs, extremal_in,
-                      extremes, iter_bits, pairwise_bounds, product_elements, radix_strides,
-                      split_columns, strong_set_witness, tuple_label, validate_label)
+                      extremes, flat_labels, iter_bits, pairwise_bounds, product_elements,
+                      radix_strides, split_columns, strong_set_witness, tuple_label,
+                      validate_label)
 from .properties import qsm_witness, single_crossing_witness
 from .verdict import Verdict
 
@@ -229,7 +230,7 @@ def validate_game(G: Game) -> Verdict:
         return G._validation
     verdict = Verdict(True)
     for i, player in enumerate(G.players):
-        factor = G.factors[i]
+        factor, opponents = G.factors[i], G.factors[:i] + G.factors[i + 1:]
         # columns[s][c]: the rank at own label index s against the c-th opponent profile
         columns = split_columns(G.factors, G.ranks[player], i, G.strides)
         hit = qsm_witness(factor, list(zip(*columns)))
@@ -237,18 +238,17 @@ def validate_game(G: Game) -> Verdict:
             c, x, y, clause = hit
             verdict = Verdict(False, witness=(
                 ("player", player), ("check", "section-quasisupermodular"),
-                ("opponents", list(G.opp_profiles(i))[c]),
+                ("opponents", flat_labels(opponents, c)),
                 ("x", factor.labels[x]), ("y", factor.labels[y]), ("clause", clause)))
             break
-        hit = single_crossing_witness(factor, G.factors[:i] + G.factors[i + 1:], columns,
-                                      covers=G._opponent_covers(i))
+        hit = single_crossing_witness(factor, opponents, columns, covers=G._opponent_covers(i))
         if hit is not None:
             p, p2, q, q2, clause = hit
-            opponents = list(G.opp_profiles(i))
             verdict = Verdict(False, witness=(
                 ("player", player), ("check", "single-crossing"),
                 ("p", factor.labels[p]), ("p2", factor.labels[p2]),
-                ("q", opponents[q]), ("q2", opponents[q2]), ("clause", clause)))
+                ("q", flat_labels(opponents, q)), ("q2", flat_labels(opponents, q2)),
+                ("clause", clause)))
             break
     G._validation = verdict
     return verdict

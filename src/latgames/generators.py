@@ -261,8 +261,10 @@ def random_lattice(rng: Xoshiro256StarStar, max_size: int = 8) -> FiniteLattice:
         if kind == 0:
             L = chain_lattice(rng.randint(1, max_size))
         elif kind == 1:
-            dims_pool = [(2, 2), (2, 3), (3, 2), (2, 4), (2, 2, 2)]
-            L = grid_lattice(rng.choice(dims_pool))
+            dims = rng.choice([(2, 2), (2, 3), (3, 2), (2, 4), (2, 2, 2)])
+            if math.prod(dims) > max_size:
+                continue  # the same draw, without building a grid it would discard
+            L = grid_lattice(dims)
         elif kind == 2:
             L = diamond_mk(rng.randint(1, max(1, max_size - 2)))
         else:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .errors import LatGamesError, NotALattice, ParseError
+from .errors import CapExceeded, LatGamesError, NotALattice, ParseError
 from .functions import ChainCodomain, LatticeFunction, ranked_image, rational_ranks
 from .games import Game
 from .lattice import FiniteLattice, lattice_from_covers, product_lattice, radix_strides
@@ -32,6 +32,7 @@ from .topology import EXPLICIT, KINDS, TopologySpec
 _PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 MAX_EXPONENT = 4300  # Python's default digit limit for reading an int
+PRODUCT_CAP = 1 << 14  # elements of one product lattice, checked before it is built
 
 
 def read_pair(raw) -> tuple:
@@ -92,13 +93,19 @@ def _labels(value, where, what) -> list:
 def parse_lattice(obj, where: str = "lattice") -> FiniteLattice:
     """``product_lattice`` of a ``product`` document's factors, else
     ``lattice_from_covers``, so a chain skips the closure and bound search.
-    A malformed document is a ``ParseError``; ``NotALattice`` is raised as is."""
+    A malformed document is a ``ParseError``; ``NotALattice`` is raised as is.
+    A product of more than ``PRODUCT_CAP`` elements is ``CapExceeded`` before
+    it is built: its size is exponential in the document's length."""
     if isinstance(obj, dict) and "product" in obj:
         factor_objs = _expect(obj, "product", list, where)
         if not factor_objs:
             raise ParseError(f"{where}: empty factor list")
         factors = [parse_lattice(fo, where=f"{where}.product[{k}]")
                    for k, fo in enumerate(factor_objs)]
+        size = math.prod(f.n for f in factors)
+        if size > PRODUCT_CAP:
+            raise CapExceeded(f"{where}: a product of {size} elements exceeds the cap of "
+                              f"{PRODUCT_CAP}")
         return product_lattice(factors)
     elements = _expect(obj, "elements", list, where)
     covers = _expect(obj, "covers", list, where)
@@ -422,6 +429,14 @@ def load_path(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse(text)
+
+
+def load_as(path, kind: str):
+    """The instance of the document at ``path``, which must hold a ``kind``."""
+    found, instance = load_path(path)
+    if found != kind:
+        raise ParseError(f"{path} holds a {found}, expected a {kind}")
+    return instance
 
 
 def save_path(path, instance):

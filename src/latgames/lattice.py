@@ -401,6 +401,12 @@ def radix_strides(factors) -> tuple:
     return tuple(reversed(strides))
 
 
+def flat_labels(factors, c: int) -> tuple:
+    """The labels, one per factor, of the tuple of ``factors`` at flat index
+    ``c`` in ``radix_strides`` order."""
+    return tuple(f.labels[c // s % f.n] for f, s in zip(factors, radix_strides(factors)))
+
+
 def cover_pairs(factors) -> tuple:
     """The cover pairs of the product of ``factors`` as two parallel lists
     of flat indexes in ``radix_strides`` order: ``lows[k]`` is covered by

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .errors import (CarrierMismatch, LabeledCodomainUnsupported, NotAProductDomain,
                      TheoremFalsified)
 from .functions import LatticeFunction, integer_values
-from .lattice import (FiniteLattice, chain_ranks, componentwise_up, cover_pairs, iter_bits,
-                      radix_strides, split_columns, tuple_label)
+from .lattice import (FiniteLattice, chain_ranks, componentwise_up, cover_pairs, flat_labels,
+                      iter_bits, radix_strides, split_columns, tuple_label)
 from .topology import ClosedFamily
 from .verdict import Verdict
 
@@ -191,7 +191,7 @@ def _split_columns(f: LatticeFunction, split, table):
 
 def _q_label(Q, c: int) -> str:
     """The label of the tuple of Q with nested flat index ``c``."""
-    labels = tuple(f.labels[c // s % f.n] for f, s in zip(Q, radix_strides(Q)))
+    labels = flat_labels(Q, c)
     return labels[0] if len(labels) == 1 else tuple_label(labels)
 
 

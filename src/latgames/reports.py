@@ -5,6 +5,8 @@ canonical so reports are stable enough for golden-file comparison.
 """
 from __future__ import annotations
 
+import os
+
 from .argmax import is_increasing_weak_veinott, level_correspondence, verify_kuku
 from .functions import LatticeFunction
 from .games import (
@@ -15,6 +17,7 @@ from .games import (
     validate_game,
     verify_equilibrium_structure,
 )
+from .io import load_as
 from .lattice import FiniteLattice, classify_subset, tuple_label
 from .properties import (
     has_increasing_differences,
@@ -26,6 +29,7 @@ from .properties import (
     sections_quasisupermodular,
     transfer_continuity,
 )
+from .topology import DISCRETE, INTERVAL, ClosedFamily, TopologySpec, family_for
 from .verdict import Verdict
 
 
@@ -89,6 +93,15 @@ def chaincls_report(L: FiniteLattice) -> tuple:
 def weak_veinott_report(f: LatticeFunction) -> tuple:
     verdict = is_increasing_weak_veinott(level_correspondence(f))
     return [property_line("weak-veinott-increasing", verdict)], verdict.holds
+
+
+def topology_family(ref: str, domain: FiniteLattice, folder: str = "") -> ClosedFamily:
+    """The closed family on ``domain`` that ``ref`` names: the interval or
+    the discrete topology by its kind, or any other by the path of its
+    topology document, relative to ``folder``."""
+    spec = (TopologySpec(ref) if ref in (INTERVAL, DISCRETE)
+            else load_as(os.path.join(folder, ref), "topology"))
+    return family_for(spec, domain)
 
 
 def transfer_report(f: LatticeFunction, family) -> tuple:

@@ -52,6 +52,19 @@ class TestCheckLattice:
         assert code == 2
         assert out.startswith("ERROR ParseError")
 
+    def test_empty_factor_list_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"product": []}))
+        assert run(capsys, "check-lattice", path) == (
+            2, "ERROR ParseError: lattice: empty factor list\n")
+
+    def test_unknown_codomain_kind_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps({"domain": {"elements": ["0"], "covers": []},
+                                    "codomain": {"kind": "complex"}, "table": []}))
+        assert run(capsys, "check-function", path) == (
+            2, "ERROR ParseError: function.codomain: unknown codomain kind 'complex'\n")
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, out = run(capsys, "check-lattice", tmp_path / "nope.json")
         assert code == 2
@@ -163,6 +176,12 @@ class TestCheckFunction:
         code, out = run(capsys, "check-function", WEAK_ONLY,
                         "--property", "topo-usc", "--topology", path)
         assert (code, out) == (2, "ERROR ParseError: topology: unknown topology kind 'bogus'\n")
+
+    def test_topology_naming_a_lattice_document_exits_two(self, capsys):
+        code, out = run(capsys, "check-function", WEAK_ONLY,
+                        "--property", "transfer", "--topology", GRID45)
+        assert (code, out) == (
+            2, f"ERROR ParseError: {GRID45} holds a lattice, expected a topology\n")
 
     @pytest.mark.parametrize("split", [2, -1])
     def test_a_split_naming_no_factor_exits_two(self, capsys, tmp_path, split):
@@ -333,11 +352,11 @@ class TestVerify:
     def test_corrupted_join_table_exits_two(self, capsys, monkeypatch, diamond_lattice):
         # Files cannot carry such a table (io builds lattices through
         # check_lattice), so the loaded instance is replaced.
-        from latgames import cli
+        from latgames import io
 
         bad = with_join_entry(diamond_lattice, "a", "b", "a")
         f = LatticeFunction(bad, RATIONAL, dict.fromkeys(bad.labels, 0))
-        monkeypatch.setattr(cli, "load_path", lambda path: ("function", f))
+        monkeypatch.setattr(io, "load_path", lambda path: ("function", f))
         for argv in (["check-function", "f.json", "--property", "ucs"],
                      ["verify", "f.json", "--theorem", "kuku"]):
             code, out = run(capsys, *argv)
@@ -348,7 +367,7 @@ class TestVerify:
                                                         diamond_lattice):
         # Files cannot carry such tables, so the loaded instance is replaced.
         # Both theorems check the tables first and exit 2 at the wrong entry.
-        from latgames import check_lattice, cli, poset_from_covers
+        from latgames import check_lattice, io, poset_from_covers
 
         m3 = check_lattice(poset_from_covers("abcde", [("a", "b"), ("a", "c"), ("a", "d"),
                                                        ("b", "e"), ("c", "e"), ("d", "e")]))
@@ -357,7 +376,7 @@ class TestVerify:
         top_is_b = with_join_entry(m3, "e", "e", "b")
         chain_sup_is_a = with_join_entry(diamond_lattice, "0", "1", "a")
         for L, entry in ((top_is_b, "(e, e) is b, "), (chain_sup_is_a, "(0, 1) is a, ")):
-            monkeypatch.setattr(cli, "load_path", lambda path, L=L: ("lattice", L))
+            monkeypatch.setattr(io, "load_path", lambda path, L=L: ("lattice", L))
             for theorem in ("veinott", "chaincls"):
                 code, out = run(capsys, "verify", "L.json", "--theorem", theorem)
                 assert code == 2

@@ -1,6 +1,10 @@
 """corpus integrity: every frozen expectation reproduces, drift is caught."""
+import shutil
+
 import pytest
 
+from latgames import corpus
+from latgames.cli import main
 from latgames.corpus import (
     DATA,
     ENTRIES,
@@ -54,6 +58,62 @@ class TestRun:
                                      else DATA / f"{self.name}.expected.txt"))
         with pytest.raises(ExpectationMismatch):
             check_corpus("chain_function_qsm")
+
+
+class TestCommandLine:
+    """``corpus run`` on a copy of the data directory, so that no test
+    writes into the package."""
+
+    @pytest.fixture
+    def data(self, monkeypatch, tmp_path):
+        copy = tmp_path / "data"
+        shutil.copytree(DATA, copy)
+        monkeypatch.setattr(corpus, "DATA", copy)
+        return copy
+
+    def test_refreeze_rewrites_every_expectation_as_frozen(self, capsys, data):
+        for path in data.glob("*.expected.txt"):
+            path.write_text("stale\n", encoding="utf-8")
+        assert main(["corpus", "run", "--refreeze"]) == 0
+        assert capsys.readouterr().out == "".join(f"ENTRY {name} REFROZEN\n"
+                                                  for name in entry_names())
+        for entry in ENTRIES:
+            name = f"{entry.name}.expected.txt"
+            assert (data / name).read_bytes() == (DATA / name).read_bytes(), name
+        assert main(["corpus", "run"]) == 0
+
+    def test_refreeze_of_one_entry_writes_only_it(self, capsys, data):
+        for path in data.glob("*.expected.txt"):
+            path.write_text("stale\n", encoding="utf-8")
+        assert main(["corpus", "run", "labeled_gains", "--refreeze"]) == 0
+        assert capsys.readouterr().out == "ENTRY labeled_gains REFROZEN\n"
+        assert sorted(path.name for path in data.glob("*.expected.txt")
+                      if path.read_text(encoding="utf-8") != "stale\n") == [
+            "labeled_gains.expected.txt"]
+
+    def test_mismatch_prints_the_indented_diff_and_exits_one(self, capsys, data):
+        path = data / "chain_function_qsm.expected.txt"
+        path.write_text(path.read_text(encoding="utf-8").replace("PROPERTY supermodular PASS",
+                                                                 "PROPERTY supermodular FAIL"))
+        assert main(["corpus", "run", "chain_function_qsm"]) == 1
+        assert capsys.readouterr().out == (
+            "ENTRY chain_function_qsm MISMATCH\n"
+            "  --- expected\n"
+            "  +++ actual\n"
+            "  @@ -1,3 +1,3 @@\n"
+            "   PROPERTY quasisupermodular PASS\n"
+            "  -PROPERTY supermodular FAIL\n"
+            "  +PROPERTY supermodular PASS\n"
+            "   NOTE on a chain domain every pair is comparable, so both conditions hold "
+            "for any table\n")
+
+    def test_missing_expectation_file_is_a_mismatch(self, capsys, data):
+        (data / "star_argmax.expected.txt").unlink()
+        assert main(["corpus", "run"]) == 1
+        out = capsys.readouterr().out
+        assert "ENTRY star_argmax MISMATCH\n  expectation file is missing; run --refreeze\n" in out
+        assert out.count("MISMATCH") == 1
+        assert out.count(" OK\n") == len(ENTRIES) - 1
 
 
 class TestFrozenFacts:

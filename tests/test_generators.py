@@ -1,10 +1,12 @@
 """seeded generators: determinism, family shapes, payoff soundness."""
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
 
 from latgames import check_lattice, is_quasisupermodular, is_supermodular, validate_game
+from latgames import generators
 from latgames.cli import main
 from latgames.errors import CapExceeded, RejectionBudgetExhausted
 from latgames.functions import LatticeFunction
@@ -87,6 +89,19 @@ class TestFamilies:
             L = meet_join_closure_lattice(rng)
             check_lattice(L)  # meets and joins exist and match
             assert L.n >= 2
+
+    def test_random_lattice_builds_no_grid_it_would_discard(self, monkeypatch):
+        # Closures are replaced by a chain too large to keep, so every grid
+        # built below is a grid draw of random_lattice itself.
+        built = []
+        monkeypatch.setattr(generators, "grid_lattice",
+                            lambda dims: built.append(dims) or grid_lattice(dims))
+        monkeypatch.setattr(generators, "meet_join_closure_lattice",
+                            lambda rng: chain_lattice(9))
+        rng = Xoshiro256StarStar(3)
+        drawn = [generators.random_lattice(rng, max_size=4) for _ in range(100)]
+        assert all(L.n <= 4 for L in drawn)
+        assert built and all(math.prod(dims) <= 4 for dims in built)
 
     def test_caps(self):
         with pytest.raises(CapExceeded, match="chain of 100 elements"):
