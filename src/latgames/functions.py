@@ -126,12 +126,6 @@ def rational_ranks(pairs) -> list:
     return _dense_ranks(keys if keys is not None else [Fraction(n, d) for n, d in pairs])
 
 
-def integer_values(values) -> list | None:
-    """Nonempty rationals ``values`` as integers over their least common
-    denominator (``_over_common_denominator``), or None."""
-    return _over_common_denominator(list(map(Fraction.as_integer_ratio, values)))
-
-
 def image_map(image, t) -> list:
     """``[t(v) for v in image]`` as ``Fraction``s over an ascending image of
     rationals, checked to be rational-valued and then strictly increasing
@@ -164,25 +158,29 @@ def ranked_image(values, ranks) -> tuple:
 class LatticeFunction:
     """A total, exact-valued table on a finite lattice.
 
-    ``values`` holds the exact values in element order, for the additive
-    checks; ``keys`` their dense ranks (``ChainCodomain.ranks``), which
-    every ordinal check compares.
+    ``keys`` holds the dense ranks of the values in element order
+    (``ChainCodomain.ranks``), which every ordinal check compares.
+    ``values``, the exact values in element order, are built on first read
+    when the function came from ``io``'s table reader or from ``transform``,
+    which hand over the ranks and the rational of each rank as an integer
+    pair; ``integer_values`` reads the additive checks' integers straight
+    off those pairs.  Both are cached, and a table built twice is equal.
     """
 
-    __slots__ = ("domain", "codomain", "values", "keys")
+    __slots__ = ("domain", "codomain", "keys", "_image", "_values", "_integers")
 
     def __init__(self, domain: FiniteLattice, codomain: ChainCodomain, table, _image=None):
         """``table`` maps each element label to a value of ``codomain``.  For
-        ``io``'s table reader (``_image`` given) it lists the dense ranks in
-        element order instead, and ``_image`` the rational of each rank as an
-        integer pair (numerator, denominator): one ``Fraction`` is made per
-        distinct value, with no check and no second ranking."""
+        ``io``'s table reader and ``transform`` (``_image`` given) it lists
+        the dense ranks in element order instead, and ``_image`` the
+        rational of each rank as an integer pair (numerator, denominator >
+        0), not necessarily in lowest terms: no check, no second ranking,
+        and no ``Fraction`` until ``values`` is read."""
         self.domain = domain
         self.codomain = codomain
+        self._image, self._integers = _image, _UNREAD
         if _image is not None:
-            image = [Fraction(n, d) for n, d in _image]
-            self.values = tuple(map(image.__getitem__, table))
-            self.keys = tuple(table)
+            self.keys, self._values = tuple(table), None
             return
         missing = [label for label in domain.labels if label not in table]
         extra = [label for label in table if label not in domain.index]
@@ -193,8 +191,17 @@ class LatticeFunction:
             if extra:
                 parts.append(f"entries for unknown elements {extra}")
             raise InvariantViolation("function table must be total: " + "; ".join(parts))
-        self.values = tuple(codomain.validate(table[label]) for label in domain.labels)
-        self.keys = tuple(codomain.ranks(self.values))
+        self._values = tuple(codomain.validate(table[label]) for label in domain.labels)
+        self.keys = tuple(codomain.ranks(self._values))
+
+    @property
+    def values(self) -> tuple:
+        """The exact values in element order: one ``Fraction`` per rank,
+        made on first read when the function holds integer pairs."""
+        if self._values is None:
+            image = [Fraction(n, d) for n, d in self._image]
+            self._values = tuple(map(image.__getitem__, self.keys))
+        return self._values
 
     def value(self, label: str):
         return self.values[self.domain._index_of(label)]
@@ -220,16 +227,14 @@ class LatticeFunction:
 
         ``t`` is a callable or a mapping defined on the image; strict
         monotonicity is checked on the image, not assumed.  The map leaves
-        every dense rank as it is, so the result keeps ``keys`` and reads
-        its values off them, with no second check or ranking.
+        every dense rank as it is, so the result keeps ``keys`` and takes
+        the mapped value of each rank, with no second check or ranking.
         """
         if not self.codomain.is_rational:
             raise LabeledCodomainUnsupported("transform is defined for rational codomains")
         by_rank = image_map(self.image(), t)
-        out = LatticeFunction.__new__(LatticeFunction)
-        out.domain, out.codomain, out.keys = self.domain, self.codomain, self.keys
-        out.values = tuple(map(by_rank.__getitem__, self.keys))
-        return out
+        return LatticeFunction(self.domain, self.codomain, self.keys,
+                               _image=list(map(Fraction.as_integer_ratio, by_rank)))
 
     def __add__(self, other):
         if not isinstance(other, LatticeFunction):
@@ -253,3 +258,19 @@ class LatticeFunction:
 
     def __repr__(self):
         return f"LatticeFunction({self.domain.n} elements, {self.codomain.kind})"
+
+
+_UNREAD = object()  # ``LatticeFunction._integers`` before ``integer_values`` reads it
+
+
+def integer_values(f: LatticeFunction) -> list | None:
+    """A rational-valued ``f``'s values in element order as integers over
+    the least common denominator of its image (``_over_common_denominator``),
+    or None when that is 2**64 or more.  Read off the integer pair of each
+    rank when ``f`` holds them, with no ``Fraction`` made, and computed once
+    per function."""
+    if f._integers is _UNREAD:
+        pairs = f._image or list(map(Fraction.as_integer_ratio, f.image()))
+        image = _over_common_denominator(pairs)
+        f._integers = None if image is None else list(map(image.__getitem__, f.keys))
+    return f._integers

@@ -485,7 +485,7 @@ def best_response_correspondence(G: Game, player: str) -> Correspondence:
     if count > CORRESPONDENCE_CAP:
         raise StateSpaceTooLarge(
             f"opponent space of size {count} exceeds the correspondence cap {CORRESPONDENCE_CAP}")
-    labels, coords = product_elements(others)
+    labels, coords, _ = product_elements(others)
     strides = G.strides[:i] + G.strides[i + 1:]
     return Correspondence(G.factors[i], labels, componentwise_up(others, coords),
                           [G._br(i, sum(c * stride for c, stride in zip(coord, strides)))

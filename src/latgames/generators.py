@@ -24,7 +24,6 @@ from .lattice import (
     iter_bits,
     lattice_from_covers,
     product_lattice,
-    strong_set_witness,
 )
 from .properties import is_quasisupermodular, is_supermodular
 from .rng import Xoshiro256StarStar
@@ -268,23 +267,47 @@ def random_lattice(rng: Xoshiro256StarStar, max_size: int = 8) -> FiniteLattice:
         elif kind == 2:
             L = diamond_mk(rng.randint(1, max(1, max_size - 2)))
         else:
-            L = meet_join_closure_lattice(rng)
+            grid, chosen = _meet_join_closure(rng)
+            if chosen.bit_count() > max_size:
+                continue  # the same draw, without building a lattice it would discard
+            L = _induced_lattice(grid, chosen)
         if L.n <= max_size:
             return L
 
 
 def meet_join_closure_lattice(rng: Xoshiro256StarStar) -> FiniteLattice:
     """Random subset of a random grid, closed under the grid's meet and join
-    (each meet or join that ``strong_set_witness`` finds outside the set is
-    added until it finds none), taken as a standalone lattice with the
+    (``_meet_join_closure``), taken as a standalone lattice with the
     induced order."""
+    return _induced_lattice(*_meet_join_closure(rng))
+
+
+def _meet_join_closure(rng: Xoshiro256StarStar) -> tuple:
+    """``(grid, mask)``: a random grid and the closure under its meet and
+    join of a random subset that holds its bottom and top.  One scan in
+    ascending order pairs each element with itself and every element
+    scanned before it, and adds their meet and join; an element added
+    below the scan point is scanned next.  So every pair is tested once,
+    and the set when no element is left unscanned is the least closed set
+    that holds the subset, which is unique."""
     grid = grid_lattice((rng.randint(2, 4), rng.randint(2, 4)))
     chosen = 1 << grid.bottom | 1 << grid.top
     for i in range(grid.n):
         if rng.chance(2, 5):
             chosen |= 1 << i
-    while (hit := strong_set_witness(grid, chosen, chosen)) is not None:
-        chosen |= 1 << hit[3]
+    scanned = 0
+    while unscanned := chosen & ~scanned:
+        x = (unscanned & -unscanned).bit_length() - 1
+        scanned |= 1 << x
+        meet, join = grid.meet[x], grid.join[x]
+        for y in iter_bits(scanned):
+            chosen |= 1 << meet[y] | 1 << join[y]
+    return grid, chosen
+
+
+def _induced_lattice(grid: FiniteLattice, chosen: int) -> FiniteLattice:
+    """The elements of ``grid`` in the mask ``chosen`` as a lattice with the
+    order they have in ``grid``."""
     members = list(iter_bits(chosen))
     up = [sum(1 << k for k, j in enumerate(members) if grid.up[i] >> j & 1) for i in members]
     return check_lattice(FinitePoset([grid.labels[i] for i in members], up))

@@ -33,6 +33,7 @@ _PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 MAX_EXPONENT = 4300  # Python's default digit limit for reading an int
 PRODUCT_CAP = 1 << 14  # elements of one product lattice, checked before it is built
+ELEMENT_CAP = 1 << 10  # elements of one covers-built lattice, checked before it is built
 
 
 def read_pair(raw) -> tuple:
@@ -95,7 +96,9 @@ def parse_lattice(obj, where: str = "lattice") -> FiniteLattice:
     ``lattice_from_covers``, so a chain skips the closure and bound search.
     A malformed document is a ``ParseError``; ``NotALattice`` is raised as is.
     A product of more than ``PRODUCT_CAP`` elements is ``CapExceeded`` before
-    it is built: its size is exponential in the document's length."""
+    it is built: its size is exponential in the document's length.  So is
+    an element list longer than ``ELEMENT_CAP``: its meet and join tables
+    are quadratic in the document's length."""
     if isinstance(obj, dict) and "product" in obj:
         factor_objs = _expect(obj, "product", list, where)
         if not factor_objs:
@@ -111,6 +114,9 @@ def parse_lattice(obj, where: str = "lattice") -> FiniteLattice:
     covers = _expect(obj, "covers", list, where)
     if not elements:
         raise ParseError(f"{where}: empty elements list")
+    if len(elements) > ELEMENT_CAP:
+        raise CapExceeded(f"{where}: a lattice of {len(elements)} elements exceeds the cap of "
+                          f"{ELEMENT_CAP}")
     for c in covers:
         if len(_labels(c, where, "each cover")) != 2:
             raise ParseError(f"{where}: covers must be two-element label lists")

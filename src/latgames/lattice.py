@@ -5,9 +5,11 @@ for every subset-valued result in the package.  Subsets are bitmasks over
 the canonical order and the full relation is stored per element.  Every
 predicate is decided in polynomial time.  ``lattice_from_covers`` builds a
 chain from its path and any other order by a closure and a bound search.
-All types are immutable after construction, so they are safe to use
-concurrently: a product's table rows, and their parts, are cached on first
-use, and a row built twice is the same row.
+``product_lattice`` builds only the labels, coordinates and radix table of
+a product: its order rows are built on first read, and its table rows,
+and their parts, on first use.  All types are immutable once built, so
+they are safe to use concurrently: what is built on first read is then
+cached, and a row built twice is equal.
 """
 from __future__ import annotations
 
@@ -31,7 +33,10 @@ from .verdict import Verdict
 
 
 def validate_label(label) -> str:
-    if not isinstance(label, str) or not label or any(c.isspace() for c in label):
+    """``label``, once it is a nonempty string with no whitespace: one
+    C-level test, since ``str.split`` splits at exactly the characters for
+    which ``str.isspace`` holds."""
+    if not (isinstance(label, str) and label.split() == [label]):
         raise BadLabel(f"labels must be nonempty whitespace-free strings, got {label!r}")
     return label
 
@@ -61,7 +66,7 @@ class FinitePoset:
 
     def __init__(self, labels, up, *, _down=None):
         self.labels = tuple(labels)
-        self.index = {label: i for i, label in enumerate(self.labels)}
+        self.index = dict(zip(self.labels, range(len(self.labels))))
         self.up = tuple(up)
         n = len(self.labels)
         self.full = (1 << n) - 1
@@ -182,7 +187,9 @@ class FiniteLattice(FinitePoset):
     ``factors``/``coords``/``radix`` are set on lattices built by
     ``product_lattice``: ``coords`` gives each element its per-factor
     coordinates, and ``radix[r]`` is the canonical position of the element
-    with ``radix_strides`` index r.
+    with ``radix_strides`` index r.  A product (``_ProductLattice``) builds
+    its ``up`` and ``down`` rows on first read and its tables row by row
+    (``_LazyRows``); any other lattice holds its rows from the start.
     """
 
     __slots__ = ("meet", "join", "factors", "coords", "radix", "bottom", "top", "_tables_checked")
@@ -235,6 +242,30 @@ class FiniteLattice(FinitePoset):
         for i in bits:
             acc = table[acc][i]
         return acc
+
+
+class _ProductLattice(FiniteLattice):
+    """A lattice built by ``product_lattice``, whose ``up`` and ``down`` rows
+    are built by ``componentwise_up`` on their first read.  Only products
+    read their rows through a property: every other lattice keeps plain
+    slot reads, which the interpreter specializes."""
+
+    __slots__ = ("_up", "_down")
+
+    @property
+    def up(self) -> tuple:
+        if self._up is None:
+            self._up = tuple(componentwise_up(self.factors, self.coords))
+        return self._up
+
+    @property
+    def down(self) -> tuple:
+        if self._down is None:
+            self._down = tuple(componentwise_up(self.factors, self.coords, dual=True))
+        return self._down
+
+    def __repr__(self):
+        return f"FiniteLattice({self.n} elements)"
 
 
 def pairwise_bounds(poset: FinitePoset):
@@ -444,15 +475,20 @@ def split_columns(factors, table, i, strides) -> list:
 
 def product_elements(factors):
     """Labels and coordinate tuples of the product of ``factors``, both in
-    canonical label order.  Raises ``DuplicateLabel`` when two tuples encode
-    to the same label (factor labels holding ``,`` or parentheses)."""
-    pairs = zip(map(tuple_label, itertools.product(*(f.labels for f in factors))),
-                itertools.product(*(range(f.n) for f in factors)))
-    labels, coords = zip(*sorted(pairs))
-    for a, b in zip(labels, labels[1:]):
-        if a == b:
-            raise DuplicateLabel(f"product label {a!r} names two elements")
-    return labels, coords
+    canonical label order, and ``radix``, the canonical position of each
+    tuple in nested (``radix_strides``) order.  The tuples are labeled in
+    nested order; one C-level sort of their indexes by label is the
+    canonical order, and one of that order by index its inverse, ``radix``.
+    Raises ``DuplicateLabel`` when two tuples encode to the same label
+    (factor labels holding ``,`` or parentheses)."""
+    nested = list(map(tuple_label, itertools.product(*(f.labels for f in factors))))
+    order = sorted(range(len(nested)), key=nested.__getitem__)
+    labels = tuple(map(nested.__getitem__, order))
+    if len(set(labels)) < len(labels):
+        twice = next(a for a, b in zip(labels, labels[1:]) if a == b)
+        raise DuplicateLabel(f"product label {twice!r} names two elements")
+    coords = tuple(map(list(itertools.product(*(range(f.n) for f in factors))).__getitem__, order))
+    return labels, coords, sorted(range(len(order)), key=order.__getitem__)
 
 
 class _LazyRows:
@@ -504,28 +540,32 @@ def product_lattice(factors) -> FiniteLattice:
 
     A product's bounds are its factors' bounds coordinatewise (Topkis 1998,
     §2.2), so once the factors pass ``check_tables`` the product's tables
-    are read off theirs and it starts out checked.  Entry (x, y) is the
+    are read off theirs and it starts out checked, and its bottom and top
+    are the tuples of the factors' bottoms and tops.  Entry (x, y) is the
     ``radix_strides`` index of the tuple of factor entries, mapped to its
     canonical position by ``radix``.  The tables are ``_LazyRows``: a row
     costs O(N·k) list operations for N elements and k factors, paid on its
-    first read, and builds only the k parts at its coordinates."""
+    first read, and builds only the k parts at its coordinates.  The order
+    rows are built on their first read (``_ProductLattice``), so a check
+    that reads only the factors, ``radix`` and the tables never builds
+    them."""
     factors = tuple(factors)
     if not factors:
         raise EmptyFactorList("a product needs at least one factor")
     for f in factors:
         f.check_tables()
-    labels, coords = product_elements(factors)
+    labels, coords, radix = product_elements(factors)
     strides = radix_strides(factors)
-    radix = [0] * len(coords)  # a list: map() reads list items twice as fast as tuple items
-    for i, c in enumerate(coords):
-        radix[sum(map(operator.mul, strides, c))] = i
-    poset = FinitePoset(labels, componentwise_up(factors, coords),
-                        _down=componentwise_up(factors, coords, dual=True))
     cols = tuple(zip(*coords))
-    L = FiniteLattice(poset, _LazyRows([f.meet for f in factors], strides, cols, radix),
-                      _LazyRows([f.join for f in factors], strides, cols, radix),
-                      factors, coords, radix)
-    L._tables_checked = True
+    L = _ProductLattice.__new__(_ProductLattice)
+    L.labels, L.index = labels, dict(zip(labels, range(len(labels))))
+    L.full, L._covers, L._tables_checked = (1 << len(labels)) - 1, None, True
+    L._up = L._down = None
+    L.meet = _LazyRows([f.meet for f in factors], strides, cols, radix)
+    L.join = _LazyRows([f.join for f in factors], strides, cols, radix)
+    L.factors, L.coords, L.radix = factors, coords, radix
+    L.bottom = radix[sum(f.bottom * stride for f, stride in zip(factors, strides))]
+    L.top = radix[sum(f.top * stride for f, stride in zip(factors, strides))]
     return L
 
 

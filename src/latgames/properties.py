@@ -129,7 +129,7 @@ def is_supermodular(f: LatticeFunction) -> Verdict:
         raise LabeledCodomainUnsupported(
             "supermodularity needs the additive structure of rational values")
     L = f.domain
-    vals = integer_values(f.values) or f.values
+    vals = integer_values(f) or f.values
     product = L.factors is not None and len(L.factors) > 1
     if product and _topkis_supermodular(f, vals):
         return Verdict(True)
@@ -285,7 +285,7 @@ def has_increasing_differences(f: LatticeFunction, split=0) -> Verdict:
     if not f.codomain.is_rational:
         raise LabeledCodomainUnsupported(
             "increasing differences need the additive structure of rational values")
-    P, Q, columns = _split_columns(f, split, integer_values(f.values) or f.values)
+    P, Q, columns = _split_columns(f, split, integer_values(f) or f.values)
     hit = increasing_differences_witness(P, Q, columns)
     if hit is None:
         return Verdict(True)

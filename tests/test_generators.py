@@ -1,4 +1,5 @@
 """seeded generators: determinism, family shapes, payoff soundness."""
+import copy
 import hashlib
 import math
 from fractions import Fraction
@@ -25,6 +26,7 @@ from latgames.generators import (
     random_strictly_increasing_map,
 )
 from latgames.io import serialize
+from latgames.lattice import strong_set_witness
 from latgames.rng import Xoshiro256StarStar
 
 from conftest import RATIONAL
@@ -96,12 +98,46 @@ class TestFamilies:
         built = []
         monkeypatch.setattr(generators, "grid_lattice",
                             lambda dims: built.append(dims) or grid_lattice(dims))
-        monkeypatch.setattr(generators, "meet_join_closure_lattice",
-                            lambda rng: chain_lattice(9))
+        monkeypatch.setattr(generators, "_meet_join_closure",
+                            lambda rng: (chain_lattice(9), chain_lattice(9).full))
         rng = Xoshiro256StarStar(3)
         drawn = [generators.random_lattice(rng, max_size=4) for _ in range(100)]
         assert all(L.n <= 4 for L in drawn)
         assert built and all(math.prod(dims) <= 4 for dims in built)
+
+    def test_random_lattice_builds_no_closure_it_would_discard(self, monkeypatch):
+        closures, built = [], []
+        closure, induced = generators._meet_join_closure, generators._induced_lattice
+        monkeypatch.setattr(generators, "_meet_join_closure",
+                            lambda rng: closures.append(closure(rng)) or closures[-1])
+        monkeypatch.setattr(generators, "_induced_lattice",
+                            lambda grid, mask: built.append(mask) or induced(grid, mask))
+        rng = Xoshiro256StarStar(3)
+        drawn = [generators.random_lattice(rng, max_size=5) for _ in range(100)]
+        assert all(L.n <= 5 for L in drawn)
+        assert built and all(mask.bit_count() <= 5 for mask in built)
+        assert len(built) < len(closures)  # the larger closures were drawn but not built
+
+    def test_the_closure_equals_the_restarted_pair_scan(self):
+        # The same draws replayed from a copy of the stream, closed the old
+        # way: restart the strong-set scan after each element it adds.
+        rng = Xoshiro256StarStar(0x6E_0029)
+        sizes = set()
+        for _ in range(300):
+            replay = copy.deepcopy(rng)
+            grid, mask = generators._meet_join_closure(rng)
+            assert grid.factors == grid_lattice((replay.randint(2, 4),
+                                                 replay.randint(2, 4))).factors
+            want = 1 << grid.bottom | 1 << grid.top
+            for i in range(grid.n):
+                if replay.chance(2, 5):
+                    want |= 1 << i
+            sizes.add(mask.bit_count() - want.bit_count())
+            while (hit := strong_set_witness(grid, want, want)) is not None:
+                want |= 1 << hit[3]
+            assert mask == want
+            assert rng.next_u64() == replay.next_u64()
+        assert 0 in sizes and max(sizes) >= 3  # some sets were closed, some grew
 
     def test_caps(self):
         with pytest.raises(CapExceeded, match="chain of 100 elements"):

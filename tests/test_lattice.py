@@ -1,5 +1,6 @@
 """lattice construction, subset classification, and the small-size order facts."""
 import itertools
+import sys
 
 import pytest
 
@@ -25,7 +26,8 @@ from latgames.errors import (
 from latgames.functions import ChainCodomain
 from latgames.generators import (all_lattices, chain_lattice, diamond, grid_lattice,
                                  lattices_of_size)
-from latgames.lattice import FiniteLattice, FinitePoset, chain_ranks, extremal_in, iter_bits
+from latgames.lattice import (FiniteLattice, FinitePoset, chain_ranks, extremal_in, iter_bits,
+                              validate_label)
 from latgames.rng import Xoshiro256StarStar
 from latgames.verdict import Verdict
 
@@ -76,6 +78,19 @@ class TestPosetFromCovers:
             poset_from_covers(["a b"], [])
         with pytest.raises(BadLabel):
             poset_from_covers([""], [])
+
+    def test_every_whitespace_code_point_is_rejected(self):
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert len(spaces) > 20 and "\x1c" in spaces and "\u3000" in spaces
+        for c in spaces:
+            for label in (c, f"a{c}b", f"{c}ab", f"ab{c}", f"a{c}{c}b"):
+                with pytest.raises(BadLabel):
+                    validate_label(label)
+        for label in ("", None, 1, b"ab", ["ab"], ("ab",)):
+            with pytest.raises(BadLabel, match="nonempty whitespace-free strings"):
+                validate_label(label)
+        for label in ("a", "a,b", "(x,y)", "\u200b", "é", "a\x00b"):
+            assert validate_label(label) is label
 
     @pytest.mark.parametrize("labels", [["lo w", "", "hi gh"], ["lo", ""], ["lo", "h\ti"], [1]])
     def test_bad_codomain_label(self, labels):

@@ -207,7 +207,7 @@ def test_increasing_differences_on_integer_values_match_the_fraction_path(dens, 
         functions.append(LatticeFunction(f.domain, RATIONAL, {
             label: v + g[a] + h[b]
             for (label, v), (a, b) in zip(f.table().items(), f.domain.coords)}))
-        assert (integer_values(functions[-1].values) is None) == (dens[0] > 2**32)
+        assert (integer_values(functions[-1]) is None) == (dens[0] > 2**32)
     got = [has_increasing_differences(f, split=s) for f in functions for s in (0, 1)]
     monkeypatch.setattr(properties, "integer_values", lambda values: None)
     assert got == [has_increasing_differences(f, split=s) for f in functions for s in (0, 1)]
