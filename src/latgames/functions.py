@@ -6,6 +6,7 @@ must be exact so that witnesses re-check.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -155,53 +156,92 @@ def ranked_image(values, ranks) -> tuple:
     return tuple(map(of_rank.__getitem__, range(len(of_rank))))
 
 
+class RankedValues:
+    """The stored form of a table: a function's values in element order, or
+    a player's payoffs in profile order.  ``ranks`` holds the dense rank of
+    each entry (``ChainCodomain.ranks``), which every ordinal check
+    compares.  The value of each rank is held exact or, for a rational
+    table read by ``io``, as an integer pair (numerator, denominator > 0,
+    not necessarily in lowest terms), so no ``Fraction`` is made until a
+    value is read.  A table is made of its ranks and one of: the validated
+    ``values`` in entry order, the ``image`` or the integer ``pairs`` of
+    each rank.  ``image``, ``values`` (of the sequence type of ``ranks``)
+    and ``integers`` are built on first read; nothing is written after
+    that, so copies share tables."""
+
+    def __init__(self, ranks, values=None, image=None, pairs=None):
+        self.ranks, self._pairs = ranks, pairs
+        if values is not None:
+            self.values = values
+        if image is not None:
+            self.image = image
+
+    @classmethod
+    def of_pairs(cls, entries, keys, pairs, seq) -> "RankedValues":
+        """The rational table of ``entries``, each one of the distinct
+        ``keys``, whose values are the integer ``pairs`` in order: the pairs
+        ranked once by ``rational_ranks``, the entries' ranks in a ``seq``."""
+        ranks = rational_ranks(pairs)
+        rank_of = dict(zip(keys, ranks))
+        return cls(seq(map(rank_of.__getitem__, entries)), pairs=ranked_image(pairs, ranks))
+
+    @functools.cached_property
+    def image(self) -> tuple:
+        """Distinct values in ascending chain order: the value of each rank."""
+        if self._pairs is None:
+            return ranked_image(self.values, self.ranks)
+        return tuple(itertools.starmap(Fraction, self._pairs))
+
+    @functools.cached_property
+    def values(self):
+        return type(self.ranks)(map(self.image.__getitem__, self.ranks))
+
+    @functools.cached_property
+    def integers(self) -> list | None:
+        """A rational table's values in entry order as integers over the
+        least common denominator of its image, or None when that is 2**64 or
+        more (``_over_common_denominator``); read off the pairs if held."""
+        pairs = self._pairs or list(map(Fraction.as_integer_ratio, self.image))
+        image = _over_common_denominator(pairs)
+        return None if image is None else list(map(image.__getitem__, self.ranks))
+
+    def mapped(self, t) -> "RankedValues":
+        """The table under a strictly increasing rational map ``t``
+        (``image_map``): the same ``ranks``, which such a map leaves as is."""
+        return RankedValues(self.ranks, image=tuple(image_map(self.image, t)))
+
+
 class LatticeFunction:
-    """A total, exact-valued table on a finite lattice.
+    """A total, exact-valued table on a finite lattice, held as the
+    ``RankedValues`` of its values in element order (``ranked``): ``keys``
+    are their ranks and ``values`` the exact values.  A table built twice
+    is equal."""
 
-    ``keys`` holds the dense ranks of the values in element order
-    (``ChainCodomain.ranks``), which every ordinal check compares.
-    ``values``, the exact values in element order, are built on first read
-    when the function came from ``io``'s table reader or from ``transform``,
-    which hand over the ranks and the rational of each rank as an integer
-    pair; ``integer_values`` reads the additive checks' integers straight
-    off those pairs.  Both are cached, and a table built twice is equal.
-    """
+    __slots__ = ("domain", "codomain", "ranked", "keys")
 
-    __slots__ = ("domain", "codomain", "keys", "_image", "_values", "_integers")
-
-    def __init__(self, domain: FiniteLattice, codomain: ChainCodomain, table, _image=None):
-        """``table`` maps each element label to a value of ``codomain``.  For
-        ``io``'s table reader and ``transform`` (``_image`` given) it lists
-        the dense ranks in element order instead, and ``_image`` the
-        rational of each rank as an integer pair (numerator, denominator >
-        0), not necessarily in lowest terms: no check, no second ranking,
-        and no ``Fraction`` until ``values`` is read."""
+    def __init__(self, domain: FiniteLattice, codomain: ChainCodomain, table):
+        """``table`` maps each element label to a value of ``codomain``, or
+        is the ``RankedValues`` of the values in element order, with tuple
+        ranks (``io``'s table reader, ``transform``), taken unchecked."""
         self.domain = domain
         self.codomain = codomain
-        self._image, self._integers = _image, _UNREAD
-        if _image is not None:
-            self.keys, self._values = tuple(table), None
-            return
-        missing = [label for label in domain.labels if label not in table]
-        extra = [label for label in table if label not in domain.index]
-        if missing or extra:
-            parts = []
-            if missing:
-                parts.append(f"missing entries for {missing}")
-            if extra:
-                parts.append(f"entries for unknown elements {extra}")
-            raise InvariantViolation("function table must be total: " + "; ".join(parts))
-        self._values = tuple(codomain.validate(table[label]) for label in domain.labels)
-        self.keys = tuple(codomain.ranks(self._values))
+        if not isinstance(table, RankedValues):
+            missing = [label for label in domain.labels if label not in table]
+            extra = [label for label in table if label not in domain.index]
+            if missing or extra:
+                parts = []
+                if missing:
+                    parts.append(f"missing entries for {missing}")
+                if extra:
+                    parts.append(f"entries for unknown elements {extra}")
+                raise InvariantViolation("function table must be total: " + "; ".join(parts))
+            values = tuple(codomain.validate(table[label]) for label in domain.labels)
+            table = RankedValues(tuple(codomain.ranks(values)), values)
+        self.ranked, self.keys = table, table.ranks
 
     @property
     def values(self) -> tuple:
-        """The exact values in element order: one ``Fraction`` per rank,
-        made on first read when the function holds integer pairs."""
-        if self._values is None:
-            image = [Fraction(n, d) for n, d in self._image]
-            self._values = tuple(map(image.__getitem__, self.keys))
-        return self._values
+        return self.ranked.values
 
     def value(self, label: str):
         return self.values[self.domain._index_of(label)]
@@ -211,7 +251,7 @@ class LatticeFunction:
 
     def image(self) -> tuple:
         """Distinct values in ascending chain order."""
-        return ranked_image(self.values, self.keys)
+        return self.ranked.image
 
     def upper_levels(self) -> list:
         """The upper level sets as masks, ``levels[r]`` = {x : rank of f(x)
@@ -226,15 +266,12 @@ class LatticeFunction:
         """Apply a strictly increasing rational map pointwise.
 
         ``t`` is a callable or a mapping defined on the image; strict
-        monotonicity is checked on the image, not assumed.  The map leaves
-        every dense rank as it is, so the result keeps ``keys`` and takes
-        the mapped value of each rank, with no second check or ranking.
+        monotonicity is checked on the image, not assumed.  The result
+        keeps ``keys`` (``RankedValues.mapped``).
         """
         if not self.codomain.is_rational:
             raise LabeledCodomainUnsupported("transform is defined for rational codomains")
-        by_rank = image_map(self.image(), t)
-        return LatticeFunction(self.domain, self.codomain, self.keys,
-                               _image=list(map(Fraction.as_integer_ratio, by_rank)))
+        return LatticeFunction(self.domain, self.codomain, self.ranked.mapped(t))
 
     def __add__(self, other):
         if not isinstance(other, LatticeFunction):
@@ -260,17 +297,8 @@ class LatticeFunction:
         return f"LatticeFunction({self.domain.n} elements, {self.codomain.kind})"
 
 
-_UNREAD = object()  # ``LatticeFunction._integers`` before ``integer_values`` reads it
-
-
 def integer_values(f: LatticeFunction) -> list | None:
     """A rational-valued ``f``'s values in element order as integers over
-    the least common denominator of its image (``_over_common_denominator``),
-    or None when that is 2**64 or more.  Read off the integer pair of each
-    rank when ``f`` holds them, with no ``Fraction`` made, and computed once
-    per function."""
-    if f._integers is _UNREAD:
-        pairs = f._image or list(map(Fraction.as_integer_ratio, f.image()))
-        image = _over_common_denominator(pairs)
-        f._integers = None if image is None else list(map(image.__getitem__, f.keys))
-    return f._integers
+    the least common denominator of its image, or None when that is 2**64
+    or more (``RankedValues.integers``)."""
+    return f.ranked.integers

@@ -15,7 +15,6 @@ import copy
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .argmax import Correspondence, is_increasing_strong_set_order
 from .errors import (
@@ -26,7 +25,7 @@ from .errors import (
     StructuralError,
     TheoremFalsified,
 )
-from .functions import image_map, ranked_image
+from .functions import RankedValues
 from .lattice import (FinitePoset, chain_ranks, componentwise_up, cover_pairs, extremal_in,
                       extremes, flat_labels, iter_bits, pairwise_bounds, product_elements,
                       radix_strides, split_columns, strong_set_witness, tuple_label,
@@ -41,13 +40,13 @@ CORRESPONDENCE_CAP = 4096
 class Game:
     """Players, per-player strategy lattices, and payoff tables on profiles.
 
-    ``values[p]`` holds player ``p``'s exact payoffs and ``ranks[p]`` their
-    dense ranks (``ChainCodomain.ranks``), both flat lists indexed by the
-    profile index, which enumerates profiles in ``profiles()`` order; every
-    check compares ranks.  The values of a player ranked by the parser are
-    built on first read of ``values``.  ``payoffs[p]``, the same table keyed
-    by profile tuples, is built on first use.  Instances are immutable after
-    construction (the lists are never written to); caches are fill-once.
+    ``ranked[p]`` holds player ``p``'s payoffs as ``RankedValues`` over the
+    profile index, which enumerates profiles in ``profiles()`` order: flat
+    lists of their dense ranks (``ranks[p]``), which every check compares,
+    and of their exact values (``values[p]``), built on first read.
+    ``payoffs[p]``, the same table keyed by profile tuples, is built on
+    first use.  Instances are immutable after construction (the lists are
+    never written to); caches are fill-once.
     The flat tables are lists rather than tuples because CPython keeps up
     to 2000 freed tuples of each length below 20 for reuse, so tables of
     short games of many sizes would stay resident after their games die.
@@ -57,12 +56,11 @@ class Game:
     (``interval_closed_family``), so a game declares none.
     """
 
-    def __init__(self, players, strategies, codomains, payoffs, _images=None):
+    def __init__(self, players, strategies, codomains, payoffs):
         """``payoffs[p]`` maps each joint profile to a value in player ``p``'s
-        codomain, or lists the values in ``profiles()`` order.  For a player
-        of ``_images`` (``io``'s payoff reader) it lists the dense ranks in
-        that order instead, and ``_images[p]`` the rational of each rank as
-        an integer pair (numerator, denominator)."""
+        codomain, lists the values in ``profiles()`` order, or is their
+        ``RankedValues`` in that order, with list ranks (``io``'s payoff
+        reader), taken as it is."""
         self.players = tuple(players)
         if not self.players:
             raise StructuralError("a game needs at least one player")
@@ -81,15 +79,14 @@ class Game:
         self.codomains = {p: codomains[p] for p in self.players}
         self.factors = tuple(self.strategies[p] for p in self.players)
         self.strides = radix_strides(self.factors)
-        self._images = _images or None
-        self._values, self.ranks = {}, {}
+        self.ranked = {}
         for p in self.players:
-            if self._images and p in self._images:
-                self._values[p], self.ranks[p] = None, payoffs[p]
-                continue
-            codomain = self.codomains[p]
-            values = self._values[p] = list(map(codomain.validate, self._flat(p, payoffs[p])))
-            self.ranks[p] = codomain.ranks(values)
+            table = payoffs[p]
+            if not isinstance(table, RankedValues):
+                values = list(map(self.codomains[p].validate, self._flat(p, table)))
+                table = RankedValues(self.codomains[p].ranks(values), values)
+            self.ranked[p] = table
+        self.ranks = {p: table.ranks for p, table in self.ranked.items()}
         self._empty_caches()
 
     def _empty_caches(self):
@@ -120,23 +117,13 @@ class Game:
 
     @property
     def values(self) -> dict:
-        if self._images is not None:
-            self._build_values()
-            self._images = None
-        return self._values
-
-    def _build_values(self):
-        """Fill in the values of the ``_images`` players, read off their
-        images by rank."""
-        for p, pairs in self._images.items():
-            image = [Fraction(n, d) for n, d in pairs]
-            self._values[p] = list(map(image.__getitem__, self.ranks[p]))
+        return {p: table.values for p, table in self.ranked.items()}
 
     @property
     def payoffs(self) -> dict:
         if self._payoffs is None:
             profiles = list(self.profiles())
-            self._payoffs = {p: dict(zip(profiles, self.values[p])) for p in self.players}
+            self._payoffs = {p: dict(zip(profiles, values)) for p, values in self.values.items()}
         return self._payoffs
 
     @property
@@ -202,20 +189,15 @@ class Game:
 
     def transformed(self, player: str, t) -> "Game":
         """Copy of the game with a strictly increasing map applied to one
-        payoff.  The map leaves every dense rank as it is, so the copy keeps
-        the ranks of every player and the value lists of the others, reads
-        the player's new values off its ranks (``image_map``), and neither
-        validates nor ranks again; its caches start empty."""
+        payoff.  The copy shares every player's ranks and the other players'
+        tables, takes the player's table under the map
+        (``RankedValues.mapped``), and neither validates nor ranks again;
+        its caches start empty."""
         self.player_index(player)
         if not self.codomains[player].is_rational:
             raise LabeledCodomainUnsupported("transforms are defined for rational payoffs")
-        ranks = self.ranks[player]
-        by_rank = image_map(ranked_image(self.values[player], ranks), t)
         game = copy.copy(self)
-        game._values = dict(self.values)
-        game._values[player] = list(map(by_rank.__getitem__, ranks))
-        game.ranks = dict(self.ranks)
-        game._images = None
+        game.ranked = {**self.ranked, player: self.ranked[player].mapped(t)}
         game._empty_caches()
         return game
 

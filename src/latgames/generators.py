@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, InvariantViolation, NotALattice, RejectionBudgetExhausted
-from .functions import ChainCodomain, LatticeFunction, ranked_image
+from .functions import ChainCodomain, LatticeFunction
 from .games import Game, validate_game
 from .lattice import (
     FiniteLattice,
@@ -275,6 +275,9 @@ def random_lattice(rng: Xoshiro256StarStar, max_size: int = 8) -> FiniteLattice:
             return L
 
 
+_CLOSURE_GRIDS: dict = {}  # one grid per shape of ``_meet_join_closure``: lattices are immutable
+
+
 def meet_join_closure_lattice(rng: Xoshiro256StarStar) -> FiniteLattice:
     """Random subset of a random grid, closed under the grid's meet and join
     (``_meet_join_closure``), taken as a standalone lattice with the
@@ -290,7 +293,10 @@ def _meet_join_closure(rng: Xoshiro256StarStar) -> tuple:
     below the scan point is scanned next.  So every pair is tested once,
     and the set when no element is left unscanned is the least closed set
     that holds the subset, which is unique."""
-    grid = grid_lattice((rng.randint(2, 4), rng.randint(2, 4)))
+    shape = (rng.randint(2, 4), rng.randint(2, 4))
+    if shape not in _CLOSURE_GRIDS:
+        _CLOSURE_GRIDS[shape] = grid_lattice(shape)
+    grid = _CLOSURE_GRIDS[shape]
     chosen = 1 << grid.bottom | 1 << grid.top
     for i in range(grid.n):
         if rng.chance(2, 5):
@@ -368,8 +374,7 @@ def random_game(rng: Xoshiro256StarStar, max_players: int = 3, max_size: int = 4
     game = Game(players, strategies, codomains, payoffs)
     for p in players:
         if rng.chance(1, 2):
-            image = ranked_image(game.values[p], game.ranks[p])
-            game = game.transformed(p, random_strictly_increasing_map(rng, image))
+            game = game.transformed(p, random_strictly_increasing_map(rng, game.ranked[p].image))
     if not validate_game(game).holds:
         raise InvariantViolation("generator postcondition failed: game did not validate")
     return game

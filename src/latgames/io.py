@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .errors import CapExceeded, LatGamesError, NotALattice, ParseError
-from .functions import ChainCodomain, LatticeFunction, ranked_image, rational_ranks
+from .functions import ChainCodomain, LatticeFunction, RankedValues
 from .games import Game
 from .lattice import FiniteLattice, lattice_from_covers, product_lattice, radix_strides
 from .topology import EXPLICIT, KINDS, TopologySpec
@@ -158,34 +158,17 @@ def codomain_obj(codomain: ChainCodomain) -> dict:
     return {"kind": "labeled", "labels": list(codomain.labels)}
 
 
-def _ranked_rationals(raws):
-    """``(ranks, image)`` of raw rational table values: each distinct raw is
-    read once by ``read_pair`` and ranked by ``rational_ranks``, and the
-    result is the rank of each raw, in order, and the integer pair of each
-    rank.  None when a raw is not a string or an int (bool, float, null,
-    list and object values are faults) or ``read_pair`` refuses it.  This
-    is the one reader of rational tables, for payoffs and for functions."""
-    if not set(map(type, raws)) <= {str, int}:
-        return None
-    distinct = list(dict.fromkeys(raws))
-    try:
-        pairs = list(map(read_pair, distinct))
-    except ParseError:
-        return None
-    ranks = rational_ranks(pairs)
-    rank_of = dict(zip(distinct, ranks))
-    return list(map(rank_of.__getitem__, raws)), ranked_image(pairs, ranks)
-
-
-def _table_columns(rows, index, count, codomain):
+def _table_columns(rows, index, count, codomain, seq):
     """A table's rows read column by column with C-level ``map``: each row's
     ``value`` field placed at the slot ``index(rows)`` gives that row, for
-    slots 0..count-1.  The result is ``_ranked_rationals``' ``(ranks,
-    image)`` in slot order for a rational codomain, and the values, all
-    strings, with image None for a labeled one.  This is the one column
-    pass, for function tables and for payoff tables.  None on any anomaly:
-    a row that is not an object, a missing field, a row ``index`` cannot
-    place, a duplicate, a table that is not total, or an unreadable value."""
+    slots 0..count-1.  The result is the labeled values, all strings, in a
+    list, or the ``RankedValues.of_pairs`` of rational ones, each distinct
+    value read once by ``read_pair``, ranks in a ``seq``.  This is the one
+    column pass, for function tables and for payoff tables.  None on any
+    anomaly: a row that is not an object, a missing field, a row ``index``
+    cannot place, a duplicate, a table that is not total, or a value that
+    is not a string or an int (bool, float, null, list and object values
+    are faults) or that ``read_pair`` refuses."""
     try:
         placed = dict(zip(index(rows), map(itemgetter("value"), rows)))
         raws = list(map(placed.__getitem__, range(count)))
@@ -193,9 +176,16 @@ def _table_columns(rows, index, count, codomain):
         return None
     if len(rows) != count or len(placed) != count:
         return None
-    if codomain.is_rational:
-        return _ranked_rationals(raws)
-    return (raws, None) if set(map(type, raws)) == {str} else None
+    if not codomain.is_rational:
+        return raws if set(map(type, raws)) == {str} else None
+    if not set(map(type, raws)) <= {str, int}:
+        return None
+    distinct = list(dict.fromkeys(raws))
+    try:
+        pairs = list(map(read_pair, distinct))
+    except ParseError:
+        return None
+    return RankedValues.of_pairs(raws, distinct, pairs, seq)
 
 
 def _table_rows(rows, key, duplicate, codomain, at) -> dict:
@@ -226,24 +216,22 @@ def parse_function(obj, where: str = "function") -> LatticeFunction:
     that finds an anomaly, ``_table_rows`` reads the rows again, keyed by
     their ``element`` strings, and names the first fault, or the
     ``LatticeFunction`` constructor finds the table not total.
-    ``LatticeFunction`` takes rational values as ranks and ``_image``, and
-    labeled values as a table, which it checks against their chain."""
+    ``LatticeFunction`` takes rational values as their ``RankedValues``,
+    and labeled values as a table, which it checks against their chain."""
     domain = parse_lattice(_expect(obj, "domain", dict, where), where=f"{where}.domain")
     codomain = parse_codomain(_expect(obj, "codomain", dict, where), where=f"{where}.codomain")
     rows = _expect(obj, "table", list, where)
     read = _table_columns(rows, lambda rows: map(domain.index.__getitem__,
                                                  map(itemgetter("element"), rows)),
-                          domain.n, codomain)
+                          domain.n, codomain, tuple)
     try:
         if read is None:
             at = f"{where}.table"
             return LatticeFunction(domain, codomain, _table_rows(
                 rows, lambda row: _expect(row, "element", str, at),
                 f"{where}: duplicate table entry for", codomain, at))
-        values, image = read
-        return LatticeFunction(domain, codomain,
-                               dict(zip(domain.labels, values)) if image is None else values,
-                               _image=image)
+        return LatticeFunction(domain, codomain, read if codomain.is_rational
+                               else dict(zip(domain.labels, read)))
     except ParseError:
         raise  # a row fault, named by the row loop
     except LatGamesError as exc:
@@ -288,9 +276,9 @@ def _profile(row, players, at) -> tuple:
     return profile
 
 
-def _payoff_tables(players, factors, codomains, payoffs_obj, where) -> tuple:
-    """``Game``'s ``payoffs`` and ``_images`` from the players' payoff rows,
-    read player by player by ``_table_columns``.  A row's slot is its
+def _payoff_tables(players, factors, codomains, payoffs_obj, where) -> dict:
+    """``Game``'s ``payoffs`` from the players' payoff rows, read player by
+    player by ``_table_columns``.  A row's slot is its
     profile index: the sum of each player's ``{label: label index ·
     stride}`` slot of its coordinate, and none when the profile does not
     name exactly the players.  A player whose rows the column pass finds
@@ -310,19 +298,15 @@ def _payoff_tables(players, factors, codomains, payoffs_obj, where) -> tuple:
                               for p, slot in zip(players, slots)]))
 
     count = math.prod(f.n for f in factors)
-    payoffs, images = {}, {}
+    payoffs = {}
     for p in players:
         rows = _expect(payoffs_obj, p, list, f"{where}.payoffs")
-        read = _table_columns(rows, index, count, codomains[p])
-        if read is None:
+        payoffs[p] = _table_columns(rows, index, count, codomains[p], list)
+        if payoffs[p] is None:
             at = f"{where}.payoffs[{p}]"
             payoffs[p] = _table_rows(rows, lambda row: _profile(row, players, at),
                                      f"{at}: duplicate profile", codomains[p], at)
-            continue
-        payoffs[p], image = read
-        if image is not None:
-            images[p] = image
-    return payoffs, images
+    return payoffs
 
 
 def parse_game(obj, where: str = "game") -> Game:
@@ -336,10 +320,10 @@ def parse_game(obj, where: str = "game") -> Game:
     codomains = {p: parse_codomain(_expect(codomains_obj, p, dict, f"{where}.codomains"),
                                    where=f"{where}.codomains[{p}]")
                  for p in players}
-    payoffs, images = _payoff_tables(players, [strategies[p] for p in players], codomains,
-                                     payoffs_obj, where)
+    payoffs = _payoff_tables(players, [strategies[p] for p in players], codomains,
+                             payoffs_obj, where)
     try:
-        return Game(players, strategies, codomains, payoffs, _images=images)
+        return Game(players, strategies, codomains, payoffs)
     except LatGamesError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -347,7 +331,7 @@ def parse_game(obj, where: str = "game") -> Game:
 def game_obj(G: Game) -> dict:
     profiles = [dict(zip(G.players, profile)) for profile in G.profiles()]
     payoffs = {p: [{"profile": profile, "value": str(value)}
-                   for profile, value in zip(profiles, G.values[p])] for p in G.players}
+                   for profile, value in zip(profiles, values)] for p, values in G.values.items()}
     return {
         "players": list(G.players),
         "strategies": {p: lattice_obj(G.strategies[p]) for p in G.players},

@@ -15,13 +15,24 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .errors import (CarrierMismatch, LabeledCodomainUnsupported, NotAProductDomain,
-                     TheoremFalsified)
+from .errors import (CapExceeded, CarrierMismatch, LabeledCodomainUnsupported,
+                     NotAProductDomain, TheoremFalsified)
 from .functions import LatticeFunction, integer_values
 from .lattice import (FiniteLattice, chain_ranks, componentwise_up, cover_pairs, flat_labels,
                       iter_bits, radix_strides, split_columns, tuple_label)
 from .topology import ClosedFamily
 from .verdict import Verdict
+
+PAIR_SCAN_CAP = 1 << 12  # elements of a lattice whose pairs a scan may visit
+
+
+def _check_pair_scan(L: FiniteLattice):
+    """Refuse a scan of every pair of L's elements past ``PAIR_SCAN_CAP``
+    elements, before it reads a row: the scan holds every meet and join row
+    it reads, N² entries in all."""
+    if L.n > PAIR_SCAN_CAP:
+        raise CapExceeded(f"a scan of the pairs of {L.n} elements exceeds the cap of "
+                          f"{PAIR_SCAN_CAP}")
 
 
 def qsm_witness(L: FiniteLattice, columns, xs=None):
@@ -31,10 +42,12 @@ def qsm_witness(L: FiniteLattice, columns, xs=None):
     force f(xvy) >= f(y) (the weak clause, tested first), and strictly so for
     strict.  Columns are scanned in order, and the pairs (x, y) of each in
     canonical order; ``xs``, when given, are the only x scanned, so only
-    their meet and join rows are read.  A comparable pair has
-    {x^y, xvy} = {x, y} and cannot fail either clause, so only incomparable
-    pairs are tested.
+    their meet and join rows are read, and otherwise every pair is
+    (``_check_pair_scan``).  A comparable pair has {x^y, xvy} = {x, y} and
+    cannot fail either clause, so only incomparable pairs are tested.
     """
+    if xs is None:
+        _check_pair_scan(L)
     rows = [(x, L.meet[x], L.join[x], L.full & ~(L.up[x] | L.down[x]))
             for x in (range(L.n) if xs is None else xs)]
     rows = [row for row in rows if row[3]]
@@ -123,7 +136,8 @@ def is_supermodular(f: LatticeFunction) -> Verdict:
 
     A product of two or more factors is decided by Topkis' characterization
     (``_topkis_supermodular``).  When that fails, and on any other domain,
-    the pairwise scan runs, so the witness is the least (x, y).
+    the pairwise scan runs (``_check_pair_scan``), so the witness is the
+    least (x, y).
     """
     if not f.codomain.is_rational:
         raise LabeledCodomainUnsupported(
@@ -133,6 +147,7 @@ def is_supermodular(f: LatticeFunction) -> Verdict:
     product = L.factors is not None and len(L.factors) > 1
     if product and _topkis_supermodular(f, vals):
         return Verdict(True)
+    _check_pair_scan(L)
     for i in range(L.n):
         meet, join, v = L.meet[i], L.join[i], vals[i]
         for j in range(i + 1, L.n):
@@ -150,13 +165,14 @@ def _topkis_supermodular(f: LatticeFunction, vals) -> bool:
     Topkis 1998, §2.6): every section over one factor is supermodular, and f
     has increasing differences between each factor and the rest.  The splits
     i < k-1 cover every pair of factors.  A section can fail only on an
-    incomparable pair of its factor, so a chain factor has nothing to scan;
-    increasing differences are decided on the cover pairs of both sides
-    (``increasing_differences_witness``).
+    incomparable pair of its factor (``_check_pair_scan``), so a chain
+    factor has nothing to scan; increasing differences are decided on the
+    cover pairs of both sides (``increasing_differences_witness``).
     """
     factors = f.domain.factors
     last = len(factors) - 1
     for i, factor in enumerate(factors):
+        _check_pair_scan(factor)
         pairs = [(x, y, factor.meet[x][y], factor.join[x][y]) for x in range(factor.n)
                  for y in iter_bits(factor.full & ~(factor.up[x] | factor.down[x])) if y > x]
         if i == last and not pairs:

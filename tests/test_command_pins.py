@@ -11,7 +11,10 @@ an output re-records only the ids it names:
 
     PYTHONPATH=src python3 tests/test_command_pins.py [ID ...]
 
-re-records the named ids (every id when none is named).
+re-records the named ids (every id when none is named).  With ``--check``
+in place of ids it records nothing: it runs the test above and exits 1
+naming the ids whose output moved, so the pins can be checked where
+pytest is not installed.
 """
 from __future__ import annotations
 
@@ -88,9 +91,18 @@ def test_every_command_output_is_pinned(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        fresh = run_all(tmp)
     ids = sys.argv[1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        if "--check" in ids:
+            if ids != ["--check"]:
+                sys.exit("--check records nothing and takes no ids")
+            try:
+                test_every_command_output_is_pinned(Path(tmp))
+            except AssertionError as exc:
+                sys.exit(str(exc))
+            print(f"every pin holds under Python {sys.version.split()[0]}")
+            sys.exit(0)
+        fresh = run_all(tmp)
     pins = json.loads(PINS.read_text(encoding="utf-8")) if ids else {}
     pins.update({cid: fresh[cid] for cid in ids or fresh})
     PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")

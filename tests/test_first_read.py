@@ -2,13 +2,13 @@
 
 A product lattice holds its labels, coordinates, radix table and bounds;
 its ``up`` and ``down`` rows are built by ``componentwise_up`` on their
-first read.  A parsed function holds the dense ranks of its table and the
-integer pair of each rank; its ``Fraction`` values are built on the first
-read of ``values``, and the additive checks read integers over the common
-denominator straight off the pairs (``functions.integer_values``).  The
-rows and values built late are checked against orders built from covers
-and functions built eagerly from their tables, and the grid checks are
-counted to build neither.
+first read.  A parsed function or payoff table holds the dense ranks of its
+values and the integer pair of each rank (``functions.RankedValues``); its
+``Fraction`` values are built on the first read of ``values``, and the
+additive checks read integers over the common denominator straight off the
+pairs (``functions.integer_values``).  The rows and values built late are
+checked against orders built from covers and tables built eagerly from
+their values, and the grid checks are counted to build neither.
 """
 import itertools
 import json
@@ -20,6 +20,7 @@ import pytest
 
 from latgames import cli, lattice, properties
 from latgames.functions import LatticeFunction, integer_values
+from latgames.games import Game
 from latgames.generators import all_lattices, chain_lattice, diamond, grid_lattice
 from latgames.io import parse, parse_value, save_path
 from latgames.lattice import (FiniteLattice, cover_pairs, poset_from_covers, product_lattice,
@@ -112,11 +113,20 @@ def test_a_passing_grid_check_builds_no_rows_and_no_fraction(tmp_path, monkeypat
     assert fractions  # the level values of the report
 
 
+def _documents(tmp_path, names=("order-checks",)):
+    """``(path, document)`` of every document of the named workloads, then
+    of the corpus."""
+    paths = []
+    for name in names:
+        (tmp_path / name).mkdir()
+        workloads.build(name, 0x5EED0006, str(tmp_path / name))
+        paths += sorted((tmp_path / name).glob("*.json"))
+    paths += sorted(CORPUS.glob("*.json"))
+    return [(p, json.loads(p.read_text(encoding="utf-8"))) for p in paths]
+
+
 def _function_documents(tmp_path):
-    workloads.build("order-checks", 0x5EED0006, str(tmp_path))
-    paths = sorted(tmp_path.glob("*.json")) + sorted(CORPUS.glob("*.json"))
-    docs = [(p, json.loads(p.read_text(encoding="utf-8"))) for p in paths]
-    return [(p, doc) for p, doc in docs if "table" in doc]
+    return [(p, doc) for p, doc in _documents(tmp_path) if "table" in doc]
 
 
 def _eager(f, doc):
@@ -127,19 +137,47 @@ def _eager(f, doc):
                            {row["element"]: read(row["value"]) for row in doc["table"]})
 
 
-def test_parsed_functions_equal_eagerly_built_ones(tmp_path):
-    docs = _function_documents(tmp_path)
-    assert len(docs) >= 14 and any(not d["codomain"]["kind"] == "rational" for _, d in docs)
+def _eager_game(G, doc):
+    """``G`` built again from the document's payoff rows, keyed by profile,
+    by the validating constructor."""
+    payoffs = {}
+    for p in G.players:
+        read = parse_value if G.codomains[p].is_rational else str
+        payoffs[p] = {tuple(row["profile"][q] for q in G.players): read(row["value"])
+                      for row in doc["payoffs"][p]}
+    return Game(G.players, G.strategies, G.codomains, payoffs)
+
+
+def _tables(obj) -> list:
+    """``(codomain, RankedValues)`` of each table of a function or game."""
+    if isinstance(obj, LatticeFunction):
+        return [(obj.codomain, obj.ranked)]
+    return [(obj.codomains[p], obj.ranked[p]) for p in obj.players]
+
+
+def test_parsed_tables_equal_tables_built_from_their_values(tmp_path):
+    """A table read by ``io`` and one built from the same values agree in
+    ranks, image, values and, for rationals, ``integers``, on every
+    workload and corpus document."""
+    docs = [(p, doc) for p, doc in _documents(tmp_path, workloads.BUILDERS)
+            if "table" in doc or "payoffs" in doc]
+    assert sum("table" in d for _, d in docs) >= 24 and len(docs) >= 538
+    assert any(d["codomain"]["kind"] == "labeled" for _, d in docs if "table" in d)
     for path, doc in docs:
         text = path.read_text(encoding="utf-8")
-        f = parse(text)[1]
-        want = _eager(f, doc)
-        assert f.keys == want.keys, path
-        assert f.values == want.values and f.image() == want.image(), path
-        assert f.table() == want.table(), path
-        # equality and hashing read the values on a function that has not
-        assert parse(text)[1] == want and want == parse(text)[1], path
-        assert hash(parse(text)[1]) == hash(want), path
+        obj = parse(text)[1]
+        want = _eager(obj, doc) if "table" in doc else _eager_game(obj, doc)
+        for (codomain, got), (_, built) in zip(_tables(obj), _tables(want), strict=True):
+            assert got.ranks == built.ranks and type(got.ranks) is type(built.ranks), path
+            assert got.image == built.image, path
+            assert got.values == built.values and type(got.values) is type(built.values), path
+            if codomain.is_rational:
+                assert got.integers == built.integers, path
+        if "table" in doc:
+            assert obj.table() == want.table(), path
+            # equality and hashing read the values on a function that has not
+            assert parse(text)[1] == want and want == parse(text)[1], path
+            assert hash(parse(text)[1]) == hash(want), path
 
 
 def _unreduced(doc, scale):

@@ -118,6 +118,16 @@ class TestFamilies:
         assert built and all(mask.bit_count() <= 5 for mask in built)
         assert len(built) < len(closures)  # the larger closures were drawn but not built
 
+    def test_closures_build_one_grid_per_shape(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(generators, "grid_lattice",
+                            lambda dims: built.append(dims) or grid_lattice(dims))
+        monkeypatch.setattr(generators, "_CLOSURE_GRIDS", {})
+        rng = Xoshiro256StarStar(0x6E_0033)
+        for _ in range(1000):
+            meet_join_closure_lattice(rng)
+        assert len(built) == len(set(built)) == 9  # the 3 x 3 shapes 2..4 x 2..4
+
     def test_the_closure_equals_the_restarted_pair_scan(self):
         # The same draws replayed from a copy of the stream, closed the old
         # way: restart the strong-set scan after each element it adds.

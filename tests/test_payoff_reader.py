@@ -20,7 +20,7 @@ from latgames import io
 from latgames.cli import main
 from latgames.corpus import DATA
 from latgames.errors import ParseError
-from latgames.games import Game
+from latgames.functions import RankedValues
 from latgames.generators import random_game, random_strictly_increasing_map
 from latgames.io import detect_kind, parse, serialize
 from latgames.rng import Xoshiro256StarStar
@@ -138,15 +138,17 @@ def no_row_loop(monkeypatch):
 
 @pytest.fixture
 def values_built(monkeypatch):
-    """The games whose exact values were built, one entry per build."""
+    """The tables whose exact values were built, one entry per build of a
+    table's ``image``, which is where its ``Fraction``s are made."""
     built = []
-    build = Game._build_values
+    image = RankedValues.__dict__["image"]
+    build = image.func
 
     def counting(self):
         built.append(self)
         return build(self)
 
-    monkeypatch.setattr(Game, "_build_values", counting)
+    monkeypatch.setattr(image, "func", counting)
     return built
 
 
@@ -219,7 +221,20 @@ def test_solve_and_zhou_never_build_values(tmp_path, capsys, values_built, crite
     G = parse(paths[-1].read_text())[1]
     serialize(G)
     serialize(G)
-    assert values_built == [G]
+    assert values_built == [G.ranked[p] for p in G.players]
+
+
+def test_transformed_builds_no_fraction_for_the_other_players(values_built, criterion_06_games):
+    rng = Xoshiro256StarStar(0x5EED_0033)
+    for made in criterion_06_games[:40]:
+        G = parse(serialize(made))[1]
+        p = G.players[rng.below(len(G.players))]
+        t = random_strictly_increasing_map(rng, made.ranked[p].image)
+        values_built.clear()
+        H = G.transformed(p, t)
+        assert values_built == [G.ranked[p]]
+        assert all(H.ranked[q] is G.ranked[q] for q in G.players if q != p)
+        assert H.values[p] == [t[v] for v in made.values[p]]
 
 
 def test_parsed_games_write_back_byte_identical(criterion_06_games):

@@ -8,17 +8,24 @@ and game strategy sets alike.  Every command that reads one of these must
 exit 2, naming the size and the cap, quickly and without a traceback.
 The commands run in one child process whose address space is limited, so a
 build that slips past the cap fails there and not in the test process.
+
+A product inside the cap can still be too large for a scan of every pair
+of its elements, which holds every meet and join row it reads: such scans
+are refused past ``properties.PAIR_SCAN_CAP`` elements, checked the same
+way.
 """
 import json
 import re
 import resource
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from latgames.errors import CapExceeded
 from latgames.io import PRODUCT_CAP, parse
+from latgames.properties import PAIR_SCAN_CAP, _check_pair_scan, qsm_witness
 
 CHAINS = (18, 24, 40)
 MEMORY_LIMIT = 1 << 30
@@ -114,3 +121,73 @@ def test_a_product_at_the_cap_is_built():
     assert 1 << k == PRODUCT_CAP
     kind, L = parse(json.dumps(product(k, nested=True)))
     assert (kind, L.n) == ("lattice", PRODUCT_CAP)
+
+
+SCAN_LINE = re.compile(rf"ERROR CapExceeded: a scan of the pairs of (\d+) elements exceeds the "
+                       rf"cap of {PAIR_SCAN_CAP}\n")
+
+
+def scan_documents(k: int, tmp_path) -> list:
+    """Paths of documents on the product of k two-element chains whose
+    checks scan its pairs, with the verbs that read them: a function that
+    is quasisupermodular and supermodular, one that is not supermodular only
+    at the top, its one-player game, and, for k = 13, a function on that
+    product times one more chain, whose sections over the product are
+    scanned."""
+    L = product(k, nested=False)
+    D = parse(json.dumps(L))[1]
+    ranks = [str(sum(c)) for c in D.coords]
+    late = ranks[:-1] + [str(k - 3)]
+
+    def function(domain, values):
+        return {"domain": domain, "codomain": {"kind": "rational"},
+                "table": [{"element": e, "value": v} for e, v in zip(D.labels, values)]}
+
+    docs = {
+        "function": (function(L, ranks), (["check-function"], ["verify", "--theorem", "kuku"])),
+        "late": (function(L, late), (["check-function", "--property", "supermodular"],)),
+        "game": ({"players": ["p"], "strategies": {"p": L},
+                  "codomains": {"p": {"kind": "rational"}},
+                  "payoffs": {"p": [{"profile": {"p": e}, "value": v}
+                                    for e, v in zip(D.labels, ranks)]}},
+                 (["check-game"], ["solve"], ["verify", "--theorem", "zhou"])),
+    }
+    if k == 13:
+        N = {"product": [L, two_chain(k)]}
+        E = parse(json.dumps(N))[1]
+        docs["sections"] = ({"domain": N, "codomain": {"kind": "rational"},
+                             "table": [{"element": e, "value": str(c[0] + c[1])}
+                                       for e, c in zip(E.labels, E.coords)]},
+                            (["check-function", "--property", "sections-qsm"],))
+    argvs = []
+    for kind, (doc, verbs) in docs.items():
+        path = tmp_path / f"{kind}_{k}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argvs += [[verb[0], str(path), *verb[1:]] for verb in verbs]
+    return argvs
+
+
+def test_every_pair_scan_past_its_cap_exits_two(tmp_path):
+    """A scan of every pair holds every meet and join row of a product it
+    reads, N² entries: on products of 13 and 14 two-element chains, inside
+    ``PRODUCT_CAP``, each such check exits 2 before it reads a row."""
+    argvs = scan_documents(13, tmp_path) + scan_documents(14, tmp_path)
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)],
+                          capture_output=True, text=True, preexec_fn=_limit_memory)
+    assert "Traceback" not in proc.stderr + proc.stdout, proc.stderr
+    assert proc.returncode == 0
+    results = json.loads(proc.stdout)
+    assert len(results) == len(argvs) == 13
+    for argv, (code, out, seconds) in zip(argvs, results):
+        match = SCAN_LINE.fullmatch(out)
+        assert code == 2 and match, (argv, code, out)
+        assert int(match[1]) in (1 << 13, 1 << 14)
+        assert seconds < 1, (argv, seconds)
+
+
+def test_a_pair_scan_at_the_cap_runs():
+    _check_pair_scan(SimpleNamespace(n=PAIR_SCAN_CAP))
+    rowless = SimpleNamespace(n=PAIR_SCAN_CAP + 1)  # reading any row would raise AttributeError
+    for check in (_check_pair_scan, lambda L: qsm_witness(L, [])):
+        with pytest.raises(CapExceeded, match=f" {PAIR_SCAN_CAP + 1} elements exceeds"):
+            check(rowless)
